@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,7 +62,7 @@ from .genfun import (
     radius_diagnostic,
     renewal_increment_law,
 )
-from .instances import NAMED_INSTANCES, instance_k3_k3
+from .instances import NAMED_INSTANCES
 from .oracle import (
     ComposeNeedsZeroConstant,
     OrderTooLarge,
@@ -174,19 +174,23 @@ def config_from_json(doc: dict) -> WalkConfig:
     )
 
 
+def load_config(path: str) -> WalkConfig:
+    """Load a configuration from a file or a named shortcut, unvalidated."""
+    if path in NAMED_INSTANCES:
+        return NAMED_INSTANCES[path]()
+    p = Path(path)
+    if not p.exists():
+        raise ParseError(f"config {path!r}: no such file or named instance")
+    try:
+        doc = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"config {path!r}: invalid JSON ({e})") from e
+    return config_from_json(doc)
+
+
 def parse_config(path: str) -> WalkConfig:
     """Load and validate a configuration from a file or a named shortcut."""
-    if path in NAMED_INSTANCES:
-        cfg = NAMED_INSTANCES[path]()
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise ParseError(f"config {path!r}: no such file or named instance")
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise ParseError(f"config {path!r}: invalid JSON ({e})") from e
-        cfg = config_from_json(doc)
+    cfg = load_config(path)
     report = validate_config(cfg)
     if not report.ok:
         raise InvalidConfig(
@@ -200,7 +204,7 @@ def parse_config(path: str) -> WalkConfig:
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        if math.isnan(obj):
+        if not math.isfinite(obj):
             return None
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -220,7 +224,8 @@ def _round_floats(obj):
 
 def emit_json(doc: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(_round_floats(doc), sort_keys=True, indent=2) + "\n"
+    blob = json.dumps(_round_floats(doc), sort_keys=True, indent=2, allow_nan=False)
+    blob += "\n"
     path.write_text(blob)
 
 
@@ -266,16 +271,7 @@ def emit_report(
 
 
 def _cmd_validate(args, manifest: RunManifest) -> int:
-    cfg = NAMED_INSTANCES[args.config]() if args.config in NAMED_INSTANCES else None
-    if cfg is None:
-        p = Path(args.config)
-        if not p.exists():
-            raise ParseError(f"config {args.config!r}: no such file or named instance")
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise ParseError(f"config {args.config!r}: invalid JSON ({e})") from e
-        cfg = config_from_json(doc)
+    cfg = load_config(args.config)
     report = validate_config(cfg)
     emit_report(report.to_json_dict(), manifest, cfg, "validate")
     for name, ok, detail in report.checks:
@@ -431,23 +427,20 @@ def _cmd_diagnostics(args, manifest: RunManifest) -> int:
 
 def _cmd_sweep(args, manifest: RunManifest) -> int:
     cfg = parse_config(args.config)
-    if cfg.name.startswith("K3xK3"):
-        family = [(a, instance_k3_k3(alpha=a)) for a in args.grid]
-    else:
-        family = [
-            (
-                a,
-                WalkConfig(
-                    factor1=cfg.factor1,
-                    factor2=cfg.factor2,
-                    alpha=a,
-                    epsilon0=None,
-                    loop_witness=cfg.loop_witness,
-                    name=f"{cfg.name}(alpha={a})",
-                ),
-            )
-            for a in args.grid
-        ]
+    family = [
+        (
+            a,
+            replace(
+                cfg,
+                alpha=a,
+                epsilon0=None,
+                parameters=(),
+                bindings=(),
+                name=f"{cfg.name}(alpha={a})",
+            ),
+        )
+        for a in args.grid
+    ]
     report = smoothness_probe(family, args.n, args.M, manifest.master_seed, args.buffer)
     emit_report(
         report.to_json_dict(), manifest, cfg, "sweep", csv_rows={"table": report.to_rows()}

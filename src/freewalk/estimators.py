@@ -393,7 +393,7 @@ def run_clt_suite(
         rates, sigmas = calibration
 
     streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
-    batch = simulate_batch(cfg, n, master_seed, streams, record_acts=False)
+    batch = simulate_batch(cfg, n, master_seed, streams)
     stats = batch_walk_stats(batch, kernel, ctx)
 
     rate_of = {
@@ -770,7 +770,7 @@ def entropy_proxy_gap(
     table = _green_table(kernel, (), n, exact=False)
     dist_n = table[n]
     streams = [stream_id(PURPOSE_DIAG, i) for i in range(M)]
-    batch = simulate_batch(cfg, n, master_seed, streams, record_acts=False)
+    batch = simulate_batch(cfg, n, master_seed, streams)
     dl_tab = letter_dl_table(kernel, ctx)
     out = []
     for m in range(M):

@@ -11,8 +11,13 @@ prefix length of consecutive states, the level-k candidate exit time is the
 first ``m`` with ``||X_m|| = k`` and ``min(c_m, ..., c_{N-1}) >= k``; it is
 confirmed only when it falls a buffer ``B`` before the horizon.  A confirmed
 level-k word is by construction a prefix of every later state, so the final
-stack of a batch walk carries all renewal words, which is what lets the
-batch decomposition avoid storing intermediate states.
+stack of a batch walk carries all renewal words.  The candidate itself is
+the last step that wrote stack depth ``k``: the batch kernel records that
+time per depth next to the stack, and the batch decomposition reads every
+exit time off the final write times without storing intermediate states.
+The word-level path (:func:`sample_trajectory`, :func:`detect_exit_times`,
+:func:`renewal_decompose`) computes the same times from whole words and is
+the reference the batch path is tested against.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .core import (
     common_prefix_length,
     compile_kernel,
     concat,
+    graph_distance,
     in_cone,
 )
 from .genfun import GenFunContext, dL_word
@@ -75,18 +81,23 @@ def stream_uniforms(
 class Trajectory:
     """A fully materialized walk ``X_0 .. X_n`` (desk scale only).
 
-    Large experiments use :func:`simulate_batch`, which keeps only the
-    per-step actions and the final stack; this object exists for tests,
-    diagnostics and the word-level decomposition path.
+    Large experiments use :func:`simulate_batch`, which keeps only the final
+    stack and the time each of its depths was last written; this object
+    exists for tests, diagnostics and the word-level decomposition path,
+    which is the independent reference for the batch path.
     """
 
     seed: int
     stream: int
-    config_digest: str
+    cfg: WalkConfig
     states: tuple[Word, ...]
 
     def __len__(self) -> int:
         return len(self.states) - 1
+
+    @property
+    def config_digest(self) -> str:
+        return self.cfg.digest()
 
     @property
     def lengths(self) -> list[int]:
@@ -98,7 +109,6 @@ def sample_trajectory(
 ) -> Trajectory:
     """Sample ``n`` steps from the one-step law; bit-reproducible per seed."""
     kernel = compile_kernel(cfg)
-    register_kernel(cfg)
     u = stream_uniforms(seed, stream, n)
     cum, act, let = kernel.cum, kernel.act, kernel.let
     codes: list[int] = []
@@ -121,9 +131,7 @@ def sample_trajectory(
             codes.pop()
             state = codes[-1] if codes else 0
         states.append(kernel.decode(codes))
-    return Trajectory(
-        seed=seed, stream=stream, config_digest=cfg.digest(), states=tuple(states)
-    )
+    return Trajectory(seed=seed, stream=stream, cfg=cfg, states=tuple(states))
 
 
 class ExitTime(NamedTuple):
@@ -287,13 +295,13 @@ def renewal_decompose(
             Block(
                 index=j,
                 delta_t=renewal_times[j] - renewal_times[j - 1],
-                d_dist=_traj_distance(traj, pair),
+                d_dist=graph_distance(pair, traj.cfg),
                 d_block=2,
                 d_ent=dL_word(pair, ctx),
                 word=pair,
             )
         )
-    distances = [_traj_distance(traj, w) for w in renewal_words]
+    distances = [graph_distance(w, traj.cfg) for w in renewal_words]
     for j in range(1, len(distances)):
         if distances[j] != distances[0] + sum(b.d_dist for b in blocks[:j]):
             raise AssertionError("graph distance does not telescope along renewals")
@@ -309,36 +317,25 @@ def renewal_decompose(
     )
 
 
-_traj_kernel_cache: dict[str, CompiledKernel] = {}
-
-
-def register_kernel(cfg: WalkConfig) -> None:
-    _traj_kernel_cache[cfg.digest()] = compile_kernel(cfg)
-
-
-def _traj_distance(traj: Trajectory, w: Word) -> int:
-    kernel = _traj_kernel_cache.get(traj.config_digest)
-    if kernel is None:
-        raise AssertionError(
-            "kernel not registered for trajectory config; call register_kernel(cfg)"
-        )
-    return int(kernel.word_distance(kernel.encode(w)))
-
-
 # -- batch simulation ----------------------------------------------------------
 
 
 @dataclass
 class BatchWalks:
-    """Compact result of many walks: per-step actions and final stacks."""
+    """Compact result of many walks: final stacks and per-depth write times.
+
+    ``wtime[m, k]`` is the last step that wrote depth ``k`` of walk ``m``,
+    which for ``k <= sp[m]`` is the level-k exit time; both arrays are zero
+    above ``sp`` and have ``max(sp) + 1`` columns.
+    """
 
     master_seed: int
     streams: np.ndarray
     n: int
     config_digest: str
-    stacks: np.ndarray  # (M, n + 1) letter codes; column 0 is a root sentinel
+    stacks: np.ndarray  # (M, max(sp) + 1) letter codes; column 0 is a root sentinel
+    wtime: np.ndarray  # (M, max(sp) + 1) int32 step that last wrote each depth
     sp: np.ndarray  # (M,) final stack depth = ||X_n||
-    acts: Optional[np.ndarray]  # (M, n) PUSH/REPLACE/POP, when recorded
 
     @property
     def n_walks(self) -> int:
@@ -349,11 +346,67 @@ class BatchWalks:
 
 
 def default_workers() -> int:
-    """Worker count from ``FREEWALK_WORKERS``; serial when unset or 1."""
+    """Worker count from ``FREEWALK_WORKERS``, clamped to the core count."""
     try:
-        return max(1, int(os.environ.get("FREEWALK_WORKERS", "1")))
+        requested = int(os.environ.get("FREEWALK_WORKERS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
+def _step_tables(kernel: CompiledKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inversion table, depth change (+1 push, 0 replace, -1 pop) and new letter."""
+    dsp = (kernel.act == PUSH).astype(np.int64) - (kernel.act == POP)
+    return kernel.cum, dsp, kernel.let
+
+
+def _step(tables, stack, wtime, sp, u, t) -> None:
+    """Advance every walk by one step on its uniform ``u``, in place.
+
+    A push raises ``sp`` before writing and a pop writes nothing, so push and
+    replace are one scatter of the new letter and of the time ``t + 1``.
+    """
+    cum, dsp, let = tables
+    rows = np.arange(len(sp))
+    state = stack[rows, sp]
+    j = (u[:, None] < cum[state]).argmax(axis=1)
+    d = dsp[state, j]
+    sp += d
+    w = d >= 0
+    r, depth = rows[w], sp[w]
+    stack[r, depth] = let[state[w], j[w]]
+    wtime[r, depth] = t + 1
+
+
+_FIRST_DEPTH = 64
+
+
+def _simulate_chunk(tables, n, master_seed, streams):
+    """Step one chunk of walks; arrays grow with the running maximum depth."""
+    m = len(streams)
+    u = np.empty((m, n))
+    for i in range(m):
+        stream_uniforms(master_seed, int(streams[i]), n, out=u[i])
+    cap = min(n, _FIRST_DEPTH) + 1
+    stack = np.zeros((m, cap), dtype=np.int16)
+    wtime = np.zeros((m, cap), dtype=np.int32)  # n < 2**31: a chunk holds (m, n) uniforms
+    sp = np.zeros(m, dtype=np.int64)
+    t = 0
+    while t < n:
+        # depth rises by at most one per step, so ``room`` steps cannot overflow
+        room = cap - 1 - int(sp.max())
+        if room < min(n - t, cap // 2):
+            cap = min(2 * cap, n + 1)
+            stack = np.pad(stack, ((0, 0), (0, cap - stack.shape[1])))
+            wtime = np.pad(wtime, ((0, 0), (0, cap - wtime.shape[1])))
+            continue
+        stop = min(n, t + room)
+        for s in range(t, stop):
+            _step(tables, stack, wtime, sp, u[:, s], s)
+        t = stop
+    width = int(sp.max()) + 1
+    dead = np.arange(width) > sp[:, None]
+    return np.where(dead, 0, stack[:, :width]), np.where(dead, 0, wtime[:, :width]), sp
 
 
 def _simulate_span(
@@ -361,41 +414,28 @@ def _simulate_span(
     n: int,
     master_seed: int,
     streams: np.ndarray,
-    record_acts: bool,
     chunk_size: int,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    kernel = compile_kernel(cfg)
-    M = len(streams)
-    stacks = np.zeros((M, n + 1), dtype=np.int16)
-    sp = np.zeros(M, dtype=np.int64)
-    acts = np.empty((M, n), dtype=np.int8) if record_acts else None
-    cum, act_tab, let_tab = kernel.cum, kernel.act, kernel.let
-    for lo in range(0, M, chunk_size):
-        hi = min(lo + chunk_size, M)
-        m = hi - lo
-        u = np.empty((m, n))
-        for i in range(m):
-            stream_uniforms(master_seed, int(streams[lo + i]), n, out=u[i])
-        stack_c = stacks[lo:hi]
-        sp_c = np.zeros(m, dtype=np.int64)
-        state = np.zeros(m, dtype=np.int64)
-        rows = np.arange(m)
-        for t in range(n):
-            j = (u[:, t, None] < cum[state]).argmax(axis=1)
-            a = act_tab[state, j]
-            letters = let_tab[state, j]
-            if record_acts:
-                acts[lo:hi, t] = a
-            push = a == PUSH
-            repl = a == REPLACE
-            pop = a == POP
-            sp_c[push] += 1
-            stack_c[rows[push], sp_c[push]] = letters[push]
-            stack_c[rows[repl], sp_c[repl]] = letters[repl]
-            sp_c[pop] -= 1
-            state = stack_c[rows, sp_c].astype(np.int64)
-        sp[lo:hi] = sp_c
-    return stacks, sp, acts
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    tables = _step_tables(compile_kernel(cfg))
+    return [
+        _simulate_chunk(tables, n, master_seed, streams[lo : lo + chunk_size])
+        for lo in range(0, len(streams), chunk_size)
+    ]
+
+
+def _join_chunks(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack chunk results, zero-padded to the widest final depth."""
+    sp = np.concatenate([p[2] for p in parts] + [np.zeros(0, dtype=np.int64)])
+    width = int(sp.max(initial=0)) + 1
+    stacks = np.zeros((len(sp), width), dtype=np.int16)
+    wtime = np.zeros((len(sp), width), dtype=np.int32)
+    lo = 0
+    for stack_c, wtime_c, sp_c in parts:
+        hi = lo + len(sp_c)
+        stacks[lo:hi, : stack_c.shape[1]] = stack_c
+        wtime[lo:hi, : wtime_c.shape[1]] = wtime_c
+        lo = hi
+    return stacks, wtime, sp
 
 
 def simulate_batch(
@@ -403,7 +443,6 @@ def simulate_batch(
     n: int,
     master_seed: int,
     streams: Sequence[int],
-    record_acts: bool = True,
     chunk_size: int = 256,
     workers: Optional[int] = None,
 ) -> BatchWalks:
@@ -420,6 +459,7 @@ def simulate_batch(
     if workers is None:
         workers = default_workers()
     workers = max(1, min(workers, M))
+    parts = None
     if workers > 1:
         spans = np.array_split(np.arange(M), workers)
         try:
@@ -428,44 +468,25 @@ def simulate_batch(
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(
-                        _simulate_span,
-                        cfg,
-                        n,
-                        master_seed,
-                        streams[span],
-                        record_acts,
-                        chunk_size,
+                        _simulate_span, cfg, n, master_seed, streams[span], chunk_size
                     )
                     for span in spans
                     if len(span)
                 ]
-                parts = [f.result() for f in futures]
+                parts = [chunk for f in futures for chunk in f.result()]
         except OSError:
             parts = None  # process pools unavailable; fall back to serial
-        if parts is not None:
-            stacks = np.concatenate([p[0] for p in parts])
-            sp = np.concatenate([p[1] for p in parts])
-            acts = np.concatenate([p[2] for p in parts]) if record_acts else None
-            return BatchWalks(
-                master_seed=master_seed,
-                streams=streams,
-                n=n,
-                config_digest=cfg.digest(),
-                stacks=stacks,
-                sp=sp,
-                acts=acts,
-            )
-    stacks, sp, acts = _simulate_span(
-        cfg, n, master_seed, streams, record_acts, chunk_size
-    )
+    if parts is None:
+        parts = _simulate_span(cfg, n, master_seed, streams, chunk_size)
+    stacks, wtime, sp = _join_chunks(parts)
     return BatchWalks(
         master_seed=master_seed,
         streams=streams,
         n=n,
         config_digest=cfg.digest(),
         stacks=stacks,
+        wtime=wtime,
         sp=sp,
-        acts=acts,
     )
 
 
@@ -544,7 +565,9 @@ class BlockPool:
         return np.bincount(self.walk, weights=values, minlength=self.n_walks)
 
     def blocks_of_walk(self, m: int) -> np.ndarray:
-        return np.nonzero(self.walk == m)[0]
+        """Block positions of walk ``m``; ``walk`` is sorted."""
+        lo, hi = np.searchsorted(self.walk, (m, m + 1))
+        return np.arange(lo, hi)
 
 
 def batch_decompose(
@@ -555,97 +578,73 @@ def batch_decompose(
 ) -> BlockPool:
     """Renewal-decompose every walk of a batch into a flat block pool.
 
-    Blocks whose endpoints are not both confirmed (within ``buffer`` of the
-    horizon) are dropped entirely.  The appended pairs and the renewal-word
-    distances are read off the final stack, which is sound because every
-    confirmed renewal word is a prefix of the final word.
+    The level-k exit time is the write time of depth ``k``; write times
+    increase with ``k``, so the exits confirmed a buffer before the horizon
+    are the levels ``1 .. sp - censored``.  Renewal levels are ``tau, tau + 2,
+    ...`` among them, and blocks whose endpoints are not both confirmed are
+    dropped entirely.  Appended pairs and renewal-word distances are read off
+    the final stack, which is sound because every confirmed renewal word is
+    a prefix of the final word.
     """
-    if batch.acts is None:
-        raise ValueError("batch was simulated without action recording")
-    n = batch.n
-    cutoff = n - buffer
+    n, sp = batch.n, batch.sp
+    stack, wtime = batch.stacks, batch.wtime
+    M, width = stack.shape
+    fac = kernel.factor_of_code
     ldist = kernel.letter_distance
     dl_tab = letter_dl_table(kernel, ctx)
-    fac = kernel.factor_of_code
-    walk_l, index_l, dt_l, dd_l, de_l, wf_l, ws_l, dat_l = ([] for _ in range(8))
-    M = batch.n_walks
-    tau_arr = np.zeros(M, dtype=np.int8)
+
+    # depths 1 .. width - 1; ``live`` marks those at or below the final depth
+    live = np.arange(1, width) <= sp[:, None]
+    f = fac[stack]
+    if not np.all((f[:, 1:] != f[:, :-1]) | ~live):
+        raise AssertionError("final-stack letters do not alternate factors")
+    if not np.all((wtime[:, 1:] > wtime[:, :-1]) | ~live):
+        raise AssertionError("exit times do not increase with the level")
+    censored = ((wtime[:, 1:] > n - buffer) & live).sum(axis=1)
+    confirmed = sp - censored
+
+    tau = np.zeros(M, dtype=np.int8)
+    if width > 1:
+        tau[sp > 0] = np.where(f[sp > 0, 1] == 1, 1, 2)
+    has = (tau > 0) & (confirmed >= tau)
     t0_time = np.full(M, -1, dtype=np.int64)
     t0_dist = np.full(M, np.nan)
-    nb_arr = np.zeros(M, dtype=np.int64)
-    cen_arr = np.zeros(M, dtype=np.int64)
-    for m in range(M):
-        a = batch.acts[m]
-        delta = (a == PUSH).astype(np.int64) - (a == POP)
-        lengths = np.concatenate(([0], np.cumsum(delta)))
-        if lengths[-1] != batch.sp[m]:
-            raise AssertionError("action log inconsistent with final stack depth")
-        if lengths[-1] == 0:
-            continue
-        cps = np.minimum(lengths[:-1], lengths[1:])
-        cps[a == REPLACE] -= 1
-        candidates = _exit_candidates(lengths, cps)
-        cen_arr[m] = sum(1 for _, t in candidates if t > cutoff)
-        e_time = {k: t for k, t in candidates if t <= cutoff}
-        tau = 1 if fac[batch.stacks[m, 1]] == 1 else 2
-        tau_arr[m] = tau
-        ks = []
-        k = tau
-        while k in e_time:
-            ks.append(k)
-            k += 2
-        if not ks:
-            continue
-        ks = np.array(ks, dtype=np.int64)
-        times = np.array([e_time[k] for k in ks], dtype=np.int64)
-        codes = batch.stacks[m, 1 : ks[-1] + 1].astype(np.int64)
-        if not (
-            np.all(fac[codes[0::2]] == (1 if tau == 1 else 2))
-            and np.all(fac[codes[1::2]] == (2 if tau == 1 else 1))
-        ):
-            raise AssertionError("final-stack letters do not alternate as expected")
-        pdist = np.concatenate(([0.0], np.cumsum(ldist[codes])))
-        t0_time[m] = times[0]
-        t0_dist[m] = pdist[ks[0]]
-        nb = len(ks) - 1
-        nb_arr[m] = nb
-        if nb == 0:
-            continue
-        first = codes[ks[1:] - 2]
-        second = codes[ks[1:] - 1]
-        if not (np.all(fac[first] == 2) and np.all(fac[second] == 1)):
-            raise AssertionError("appended pair does not match (factor2, factor1)")
-        walk_l.append(np.full(nb, m, dtype=np.int64))
-        index_l.append(np.arange(1, nb + 1, dtype=np.int64))
-        dt_l.append(np.diff(times))
-        dd_l.append(ldist[first] + ldist[second])
-        de_l.append(dl_tab[first] + dl_tab[second])
-        wf_l.append(first.astype(np.int16))
-        ws_l.append(second.astype(np.int16))
-        dat_l.append(pdist[ks[1:]])
+    walks, tau_h = np.nonzero(has)[0], tau[has]
+    t0_time[has] = wtime[walks, tau_h]
+    t0_dist[has] = ldist[stack[walks, tau_h]] + np.where(
+        tau_h == 2, ldist[stack[walks, tau_h - 1]], 0.0
+    )
 
-    def _cat(parts, dtype=None):
-        if not parts:
-            return np.array([], dtype=dtype or float)
-        return np.concatenate(parts)
-
+    n_blocks = np.where(has, (confirmed - tau) // 2, 0)
+    walk = np.repeat(np.arange(M), n_blocks)
+    first_block = np.cumsum(n_blocks) - n_blocks
+    index = np.arange(len(walk)) - first_block[walk] + 1
+    level = tau[walk] + 2 * index
+    first = stack[walk, level - 1]
+    second = stack[walk, level]
+    if not (np.all(fac[first] == 2) and np.all(fac[second] == 1)):
+        raise AssertionError("appended pair does not match (factor2, factor1)")
+    d_dist = ldist[first] + ldist[second]
+    # letter distances are integers, so these float sums are exact
+    cum_dist = np.cumsum(d_dist)
+    before = (cum_dist - d_dist)[first_block[walk]]
     return BlockPool(
         config_digest=batch.config_digest,
         buffer=buffer,
         n=n,
-        walk=_cat(walk_l, np.int64),
-        index=_cat(index_l, np.int64),
-        delta_t=_cat(dt_l, np.int64),
-        d_dist=_cat(dd_l),
-        d_ent=_cat(de_l),
-        w_first=_cat(wf_l, np.int16),
-        w_second=_cat(ws_l, np.int16),
-        d_at=_cat(dat_l),
-        tau=tau_arr,
+        walk=walk,
+        index=index,
+        delta_t=(wtime[walk, level] - wtime[walk, level - 2]).astype(np.int64),
+        d_dist=d_dist,
+        d_ent=dl_tab[first] + dl_tab[second],
+        w_first=first,
+        w_second=second,
+        d_at=t0_dist[walk] + (cum_dist - before),
+        tau=tau,
         t0_time=t0_time,
         t0_dist=t0_dist,
-        n_blocks=nb_arr,
-        censored=cen_arr,
+        n_blocks=n_blocks,
+        censored=censored,
     )
 
 
@@ -661,7 +660,7 @@ def simulate_pool(
     """Simulate, decompose and summarize a pool of independent walks."""
     kernel = compile_kernel(cfg)
     streams = [stream_id(purpose, i) for i in range(n_walks)]
-    batch = simulate_batch(cfg, n, master_seed, streams, record_acts=True)
+    batch = simulate_batch(cfg, n, master_seed, streams)
     pool = batch_decompose(batch, kernel, ctx, buffer)
     stats = batch_walk_stats(batch, kernel, ctx)
     return pool, stats
@@ -701,47 +700,30 @@ def hit_probability_mc(
     standard error at desk scale.  Returns ``(frequency, standard_error)``.
     """
     kernel = compile_kernel(cfg)
-    cum, act_tab, let_tab = kernel.cum, kernel.act, kernel.let
+    tables = _step_tables(kernel)
     fac = kernel.factor_of_code
     hits = 0
     for lo in range(0, n_walks, chunk_size):
-        hi = min(lo + chunk_size, n_walks)
-        m = hi - lo
+        m = min(chunk_size, n_walks - lo)
         u = np.empty((m, horizon))
         for i in range(m):
             stream_uniforms(
                 master_seed, stream_id(PURPOSE_HIT_MC, lo + i), horizon, out=u[i]
             )
+        # running walks only: rows of the finished ones are dropped
+        alive = np.arange(m)
         stack = np.zeros((m, escape_length + 2), dtype=np.int16)
+        wtime = np.zeros((m, escape_length + 2), dtype=np.int32)
         sp = np.zeros(m, dtype=np.int64)
-        state = np.zeros(m, dtype=np.int64)
-        alive = np.ones(m, dtype=bool)
-        hit = np.zeros(m, dtype=bool)
-        rows = np.arange(m)
         for t in range(horizon):
-            if not alive.any():
+            if not len(alive):
                 break
-            act_rows = rows[alive]
-            uu = u[act_rows, t]
-            st = state[act_rows]
-            j = (uu[:, None] < cum[st]).argmax(axis=1)
-            a = act_tab[st, j]
-            letters = let_tab[st, j]
-            push = act_rows[a == PUSH]
-            repl = act_rows[a == REPLACE]
-            pop = act_rows[a == POP]
-            sp[push] += 1
-            stack[push, sp[push]] = letters[a == PUSH]
-            stack[repl, sp[repl]] = letters[a == REPLACE]
-            sp[pop] -= 1
-            state[act_rows] = stack[act_rows, sp[act_rows]]
-            now_hit = act_rows[
-                (sp[act_rows] == 1) & (fac[stack[act_rows, 1]] == factor)
-            ]
-            hit[now_hit] = True
-            alive[now_hit] = False
-            alive[act_rows[sp[act_rows] >= escape_length]] = False
-        hits += int(hit.sum())
+            _step(tables, stack, wtime, sp, u[alive, t], t)
+            hit = (sp == 1) & (fac[stack[:, 1]] == factor)
+            hits += int(hit.sum())
+            keep = ~hit & (sp < escape_length)
+            if not keep.all():
+                alive, stack, wtime, sp = alive[keep], stack[keep], wtime[keep], sp[keep]
     freq = hits / n_walks
     se = float(np.sqrt(max(freq * (1 - freq), 1e-12) / n_walks))
     return freq, se

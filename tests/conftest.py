@@ -8,7 +8,7 @@ import pytest
 from freewalk.core import Word, compile_kernel
 from freewalk.genfun import build_context, renewal_increment_law
 from freewalk.instances import instance_k3_k3, instance_path_k3
-from freewalk.simulator import BlockPool, register_kernel, simulate_pool
+from freewalk.simulator import BlockPool, simulate_pool
 
 POOL_SEED_A = 101
 POOL_SEED_B = 102
@@ -16,16 +16,12 @@ POOL_SEED_B = 102
 
 @pytest.fixture(scope="session")
 def instance_a():
-    cfg = instance_k3_k3()
-    register_kernel(cfg)
-    return cfg
+    return instance_k3_k3()
 
 
 @pytest.fixture(scope="session")
 def instance_b():
-    cfg = instance_path_k3()
-    register_kernel(cfg)
-    return cfg
+    return instance_path_k3()
 
 
 @pytest.fixture(scope="session")

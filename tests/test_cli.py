@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freewalk.cli import (
@@ -76,6 +77,12 @@ class TestEmission:
         parsed = json.loads(p1.read_text())
         assert parsed["a"][1] is None  # nan emitted as null, not omitted
         assert list(parsed.keys()) == sorted(parsed.keys())
+
+    def test_infinities_emitted_as_null(self, tmp_path):
+        path = tmp_path / "inf.json"
+        emit_json({"x": float("inf"), "y": [-np.inf, np.float64("inf")]}, path)
+        assert json.loads(path.read_text()) == {"x": None, "y": [None, None]}
+        assert "Infinity" not in path.read_text()
 
     def test_csv_header_and_stability(self, tmp_path):
         rows = [

@@ -1,6 +1,8 @@
 """Sampling determinism, exit-time detection, and renewal decomposition tests."""
 
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,11 +16,11 @@ from freewalk.simulator import (
     Trajectory,
     batch_decompose,
     batch_walk_stats,
+    default_workers,
     detect_exit_times,
     hit_probability_mc,
     k_of_n,
     renewal_decompose,
-    register_kernel,
     sample_trajectory,
     simulate_batch,
     stream_id,
@@ -34,10 +36,7 @@ WCA = Word(((2, "c"), (1, "a")))
 
 
 def hand_trajectory(cfg, words):
-    register_kernel(cfg)
-    return Trajectory(
-        seed=0, stream=0, config_digest=cfg.digest(), states=tuple(words)
-    )
+    return Trajectory(seed=0, stream=0, cfg=cfg, states=tuple(words))
 
 
 class TestSampling:
@@ -99,13 +98,22 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, stream_uniforms(5, 10, 16))
 
+    def test_worker_count_clamped_to_cores(self, monkeypatch):
+        cores = os.cpu_count() or 1
+        monkeypatch.setenv("FREEWALK_WORKERS", str(cores + 1000))
+        assert default_workers() == cores
+        monkeypatch.setenv("FREEWALK_WORKERS", "0")
+        assert default_workers() == 1
+        monkeypatch.setenv("FREEWALK_WORKERS", "many")
+        assert default_workers() == 1
+
     def test_worker_count_does_not_change_results(self, instance_a):
         streams = [stream_id(4, i) for i in range(9)]
         serial = simulate_batch(instance_a, 200, 5, streams, workers=1)
         parallel = simulate_batch(instance_a, 200, 5, streams, workers=3)
         assert np.array_equal(serial.sp, parallel.sp)
         assert np.array_equal(serial.stacks, parallel.stacks)
-        assert np.array_equal(serial.acts, parallel.acts)
+        assert np.array_equal(serial.wtime, parallel.wtime)
 
 
 class TestExitDetection:
@@ -207,6 +215,25 @@ class TestRenewalDecompose:
             assert np.allclose(pool.d_ent[idx], [b.d_ent for b in sample.blocks])
             assert list(pool.d_at[idx]) == sample.renewal_distances[1:]
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 60, 300])
+    def test_write_times_are_exit_times(self, instance_b, ctx_b, n):
+        kernel = compile_kernel(instance_b)
+        streams = [stream_id(4, i) for i in range(12)]
+        batch = simulate_batch(instance_b, n, 17, streams, chunk_size=5)
+        pool = batch_decompose(batch, kernel, ctx_b, 20)
+        for i, s in enumerate(streams):
+            exits = detect_exit_times(sample_trajectory(instance_b, n, 17, s), 20)
+            sp = int(batch.sp[i])
+            assert [e.time for e in exits] == list(batch.wtime[i, 1 : sp + 1])
+            assert pool.censored[i] == sum(not e.confirmed for e in exits)
+            assert not batch.stacks[i, sp + 1 :].any()
+            assert not batch.wtime[i, sp + 1 :].any()
+
+    def test_blocks_of_walk_matches_mask(self, pool_b):
+        pool, _ = pool_b
+        for m in range(pool.n_walks + 1):
+            assert np.array_equal(pool.blocks_of_walk(m), np.nonzero(pool.walk == m)[0])
+
     def test_pool_invariants(self, pool_a):
         pool, _ = pool_a
         assert pool.size > 1000
@@ -271,3 +298,60 @@ class TestCensoringBias:
         se_small = small.delta_t.std() / math.sqrt(small.size)
         assert dev_small < -3 * se_small  # the short-window bias is visible
         assert abs(dev_big) < abs(dev_small) / 2  # and decays with the window
+
+
+def _digest(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of the arrays the action-log simulator produced; the
+# write-time kernel and its vectorized decomposition must reproduce them
+GOLDEN_POOLS = {
+    "pool_a": {
+        "walk": "a5b45c639b4aa916",
+        "index": "20f339544379a306",
+        "delta_t": "f4777ef2850f0299",
+        "d_dist": "e656ad964ab90469",
+        "d_ent": "dff15e10904afd79",
+        "w_first": "4bbf202988d2d8e9",
+        "w_second": "dddcf92033a5bb4f",
+        "d_at": "b3d1c3914bab82ba",
+        "tau": "4a5b14d68be383b7",
+        "t0_time": "286a75244df8fa96",
+        "t0_dist": "13174117146ecd87",
+        "n_blocks": "2ab7b9b92616309c",
+        "censored": "b65f36ed8ce210ef",
+    },
+    "pool_b": {
+        "walk": "e76c7602afc5e40c",
+        "index": "16da40773bd46497",
+        "delta_t": "ca2bd155819dd16f",
+        "d_dist": "17c8b8951684b6c7",
+        "d_ent": "eef57ef49132bcd5",
+        "w_first": "90153624db109711",
+        "w_second": "f1e3b305bb4b7258",
+        "d_at": "fc029d4036025e31",
+        "tau": "42a4234d4a202e11",
+        "t0_time": "4eef8595ed39d561",
+        "t0_dist": "90fd59207ebd4d79",
+        "n_blocks": "829e9f0ff798d78f",
+        "censored": "81286c035fd8c9a5",
+    },
+}
+GOLDEN_FINAL_CODES = {"a": "bd9dab5f35bd2d25", "b": "72e8889f2c46335d"}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", ["pool_a", "pool_b"])
+    def test_pool_arrays(self, name, request):
+        pool, _ = request.getfixturevalue(name)
+        got = {field: _digest(getattr(pool, field)) for field in GOLDEN_POOLS[name]}
+        assert got == GOLDEN_POOLS[name]
+
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_final_codes(self, label, request):
+        cfg = request.getfixturevalue(f"instance_{label}")
+        batch = simulate_batch(cfg, 300, 7, [stream_id(4, i) for i in range(16)])
+        codes = np.concatenate([batch.final_codes(m) for m in range(batch.n_walks)])
+        assert _digest(codes) == GOLDEN_FINAL_CODES[label]
