@@ -453,6 +453,14 @@ def _parse_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def non_negative_int(text: str) -> int:
+    """Argument type of counts (``--n``, ``--M``, ``--buffer``, ``--order``)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freewalk",
@@ -473,28 +481,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="coefficientwise identity suite")
     common(p)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=non_negative_int, default=10)
     p.add_argument("--float", dest="exact", action="store_false", default=True)
 
     p = sub.add_parser("simulate", help="sample walks and decompose")
     common(p)
-    p.add_argument("--n", type=int, default=4000)
-    p.add_argument("--M", type=int, default=100)
-    p.add_argument("--buffer", type=int, default=500)
+    p.add_argument("--n", type=non_negative_int, default=4000)
+    p.add_argument("--M", type=non_negative_int, default=100)
+    p.add_argument("--buffer", type=non_negative_int, default=500)
 
     p = sub.add_parser("clt", help="CLT experiment")
     common(p)
     p.add_argument("--stat", choices=["dist", "block", "entropy", "all"], default="all")
-    p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--M", type=int, default=2000)
-    p.add_argument("--buffer", type=int, default=500)
+    p.add_argument("--n", type=non_negative_int, default=5000)
+    p.add_argument("--M", type=non_negative_int, default=2000)
+    p.add_argument("--buffer", type=non_negative_int, default=500)
     p.add_argument("--ks-threshold", type=float, default=0.05)
 
     p = sub.add_parser("diagnostics", help="i.i.d. and tail diagnostics")
     common(p)
-    p.add_argument("--n", type=int, default=2400)
-    p.add_argument("--M", type=int, default=320)
-    p.add_argument("--buffer", type=int, default=500)
+    p.add_argument("--n", type=non_negative_int, default=2400)
+    p.add_argument("--M", type=non_negative_int, default=320)
+    p.add_argument("--buffer", type=non_negative_int, default=500)
     p.add_argument(
         "--mgf-base",
         type=float,
@@ -512,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7],
         help="comma-separated alpha values",
     )
-    p.add_argument("--n", type=int, default=1600)
-    p.add_argument("--M", type=int, default=160)
-    p.add_argument("--buffer", type=int, default=400)
+    p.add_argument("--n", type=non_negative_int, default=1600)
+    p.add_argument("--M", type=non_negative_int, default=160)
+    p.add_argument("--buffer", type=non_negative_int, default=400)
     return parser
 
 

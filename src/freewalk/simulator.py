@@ -4,7 +4,10 @@ Sampling is driven by counter-based Philox streams keyed by
 ``(master_seed, stream_id)``: every walk owns its stream and consumes exactly
 one uniform per step through cumulative-probability inversion, so scalar and
 vectorized simulation produce bit-identical walks and results do not depend
-on scheduling or worker count.
+on scheduling or worker count.  The batch kernel inverts through the sorted
+distinct thresholds of all states at once: the number of thresholds ``<= u``
+fixes every comparison with ``u``, so a flat table indexed by the state and
+that count gives the same move as inversion on the state's own row.
 
 Exit times are detected retrospectively.  Writing ``c_t`` for the common
 prefix length of consecutive states, the level-k candidate exit time is the
@@ -354,31 +357,60 @@ def default_workers() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _step_tables(kernel: CompiledKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inversion table, depth change (+1 push, 0 replace, -1 pop) and new letter."""
-    dsp = (kernel.act == PUSH).astype(np.int64) - (kernel.act == POP)
-    return kernel.cum, dsp, kernel.let
+class _StepTables(NamedTuple):
+    grid: np.ndarray  # sorted distinct thresholds of ``kernel.cum``
+    # state -> ``state * (len(grid) + 1)``, the first flat index of its row; a
+    # gather rather than a product, which int16 states could overflow
+    row: np.ndarray
+    up: np.ndarray  # write offset above the current depth: 1 for a push, else 0
+    dsp: np.ndarray  # depth change: +1 push, 0 replace, -1 pop
+    let: np.ndarray  # new letter code (0 for a pop)
 
 
-def _step(tables, stack, wtime, sp, u, t) -> None:
-    """Advance every walk by one step on its uniform ``u``, in place.
+def _step_tables(kernel: CompiledKernel) -> _StepTables:
+    """Flat step tables indexed by ``row[state] + g`` for ``g`` in ``0 .. len(grid)``.
 
-    A push raises ``sp`` before writing and a pop writes nothing, so push and
-    replace are one scatter of the new letter and of the time ``t + 1``.
+    ``g = searchsorted(grid, u, side="right")`` counts the thresholds ``<= u``,
+    so it fixes every comparison ``u < cum[state, j]`` for all states at once.
+    Each cell is filled by inversion on ``cum[state]`` at the cell's lowest
+    point, hence a lookup picks the same move as inversion does.  Every row
+    ends at exactly 1, so the last cell, ``u >= grid[-1] >= 1``, is never
+    reached by uniforms in ``[0, 1)``.
     """
-    cum, dsp, let = tables
-    rows = np.arange(len(sp))
-    state = stack[rows, sp]
-    j = (u[:, None] < cum[state]).argmax(axis=1)
-    d = dsp[state, j]
-    sp += d
-    w = d >= 0
-    r, depth = rows[w], sp[w]
-    stack[r, depth] = let[state[w], j[w]]
-    wtime[r, depth] = t + 1
+    cum = kernel.cum
+    grid = np.unique(cum)
+    lowest = np.concatenate(([-np.inf], grid))
+    j = (lowest[None, :, None] < cum[:, None, :]).argmax(axis=2)
+    states = np.arange(len(cum))[:, None]
+    act = kernel.act[states, j].ravel()
+    return _StepTables(
+        grid=grid,
+        row=np.arange(len(cum)) * len(lowest),
+        up=(act == PUSH).astype(np.int64),
+        dsp=(act == PUSH).astype(np.int64) - (act == POP),
+        let=kernel.let[states, j].ravel(),
+    )
+
+
+def _step(tables: _StepTables, sf, wf, pos, g, t) -> None:
+    """Advance every walk by one step, in place, from its grid cell ``g``.
+
+    ``sf`` and ``wf`` are flat views of the stack and write-time arrays and
+    ``pos`` holds each walk's flat index of its current depth.  The new
+    letter and the time ``t + 1`` go to depth ``max(old sp, new sp)``: for a
+    push that is the new top, for a replace the current one, and a pop
+    writes one cell above its new top, which nothing reads before a push
+    overwrites it.
+    """
+    o = tables.row[sf[pos]] + g
+    w = pos + tables.up[o]
+    sf[w] = tables.let[o]
+    wf[w] = t + 1
+    pos += tables.dsp[o]
 
 
 _FIRST_DEPTH = 64
+_SLICE = 512  # steps whose grid cells are computed at once
 
 
 def _simulate_chunk(tables, n, master_seed, streams):
@@ -390,21 +422,31 @@ def _simulate_chunk(tables, n, master_seed, streams):
     cap = min(n, _FIRST_DEPTH) + 1
     stack = np.zeros((m, cap), dtype=np.int16)
     wtime = np.zeros((m, cap), dtype=np.int32)  # n < 2**31: a chunk holds (m, n) uniforms
-    sp = np.zeros(m, dtype=np.int64)
+    sf, wf = stack.reshape(-1), wtime.reshape(-1)
+    base = np.arange(m) * cap
+    pos = base.copy()
     t = 0
     while t < n:
+        sp = pos - base
         # depth rises by at most one per step, so ``room`` steps cannot overflow
         room = cap - 1 - int(sp.max())
         if room < min(n - t, cap // 2):
             cap = min(2 * cap, n + 1)
             stack = np.pad(stack, ((0, 0), (0, cap - stack.shape[1])))
             wtime = np.pad(wtime, ((0, 0), (0, cap - wtime.shape[1])))
+            sf, wf = stack.reshape(-1), wtime.reshape(-1)
+            base = np.arange(m) * cap
+            pos = base + sp
             continue
-        stop = min(n, t + room)
+        stop = min(n, t + room, t + _SLICE)
+        g = np.searchsorted(tables.grid, u[:, t:stop].T, side="right")
         for s in range(t, stop):
-            _step(tables, stack, wtime, sp, u[:, s], s)
+            _step(tables, sf, wf, pos, g[s - t], s)
         t = stop
+    sp = pos - base
     width = int(sp.max()) + 1
+    # a pop's last write lies above the final depth; correctness, not only
+    # tidiness, needs these cells zeroed
     dead = np.arange(width) > sp[:, None]
     return np.where(dead, 0, stack[:, :width]), np.where(dead, 0, wtime[:, :width]), sp
 
@@ -449,7 +491,7 @@ def simulate_batch(
     """Simulate one walk per stream, vectorized across walks.
 
     Identical to running :func:`sample_trajectory` per stream: both consume
-    the same uniforms through the same inversion tables.  With ``workers``
+    the same uniforms and compare them with the same thresholds.  With ``workers``
     above 1 (default from ``FREEWALK_WORKERS``) stream spans run in separate
     processes; per-stream keying makes the result independent of worker
     count and scheduling, and results are assembled in stream order.
@@ -702,6 +744,7 @@ def hit_probability_mc(
     kernel = compile_kernel(cfg)
     tables = _step_tables(kernel)
     fac = kernel.factor_of_code
+    cols = escape_length + 2
     hits = 0
     for lo in range(0, n_walks, chunk_size):
         m = min(chunk_size, n_walks - lo)
@@ -710,20 +753,23 @@ def hit_probability_mc(
             stream_uniforms(
                 master_seed, stream_id(PURPOSE_HIT_MC, lo + i), horizon, out=u[i]
             )
-        # running walks only: rows of the finished ones are dropped
+        g = np.searchsorted(tables.grid, u, side="right")
+        sf = np.zeros(m * cols, dtype=np.int16)
+        wf = np.zeros(m * cols, dtype=np.int32)
+        # running walks only: finished ones leave ``alive``, their rows go stale
         alive = np.arange(m)
-        stack = np.zeros((m, escape_length + 2), dtype=np.int16)
-        wtime = np.zeros((m, escape_length + 2), dtype=np.int32)
-        sp = np.zeros(m, dtype=np.int64)
+        base = alive * cols
+        pos = base.copy()
         for t in range(horizon):
             if not len(alive):
                 break
-            _step(tables, stack, wtime, sp, u[alive, t], t)
-            hit = (sp == 1) & (fac[stack[:, 1]] == factor)
+            _step(tables, sf, wf, pos, g[alive, t], t)
+            sp = pos - base
+            hit = (sp == 1) & (fac[sf[pos]] == factor)
             hits += int(hit.sum())
             keep = ~hit & (sp < escape_length)
             if not keep.all():
-                alive, stack, wtime, sp = alive[keep], stack[keep], wtime[keep], sp[keep]
+                alive, base, pos = alive[keep], base[keep], pos[keep]
     freq = hits / n_walks
     se = float(np.sqrt(max(freq * (1 - freq), 1e-12) / n_walks))
     return freq, se

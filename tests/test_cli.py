@@ -121,6 +121,24 @@ class TestMain:
     def test_unknown_command_usage_exit(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "-5"],
+            ["simulate", "--M", "-1"],
+            ["simulate", "--buffer", "-1"],
+            ["clt", "--n", "-1"],
+            ["clt", "--M", "-2"],
+            ["diagnostics", "--buffer", "-3"],
+            ["sweep", "--n", "-1"],
+            ["oracle-check", "--order", "-1"],
+        ],
+    )
+    def test_negative_counts_usage_exit(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        assert "must be a non-negative integer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_validate_ok(self, tmp_path, capsys):
         rc = main(["validate", "--config", "K3xK3", "--out", str(tmp_path)])
         assert rc == EXIT_OK

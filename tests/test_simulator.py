@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewalk.core import Word, compile_kernel, in_cone, step_distribution
+from freewalk.core import POP, PUSH, Word, compile_kernel, in_cone, step_distribution
+from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import (
     ExitTime,
     NoConfirmedExit,
@@ -26,6 +27,7 @@ from freewalk.simulator import (
     stream_id,
     stream_uniforms,
 )
+from freewalk.simulator import _step_tables
 
 O = Word()
 WA = Word(((1, "a"),))
@@ -279,6 +281,48 @@ class TestHitProbability:
     def test_matches_exit_probability(self, instance_a, ctx_a):
         freq, se = hit_probability_mc(instance_a, 1, 20_000, 5)
         assert abs(freq - ctx_a.xi1) <= 3 * se
+
+
+    # frequencies of the kernel before the step tables, factor 1 / factor 2
+    @pytest.mark.parametrize(
+        "make, alpha, expected",
+        [
+            (instance_k3_k3, 0.5, (0.6627, 0.66785)),
+            (instance_path_k3, 0.5, (0.64555, 0.62975)),
+            (instance_k3_k3, 0.02, (0.3684, 0.9834)),
+        ],
+    )
+    def test_bit_exact(self, make, alpha, expected):
+        cfg = make(alpha)
+        assert tuple(hit_probability_mc(cfg, f, 20_000, 5)[0] for f in (1, 2)) == expected
+
+
+class TestStepTables:
+    @pytest.mark.parametrize("make", [instance_k3_k3, instance_path_k3])
+    @pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.98])
+    def test_lookup_equals_inversion(self, make, alpha):
+        kernel = compile_kernel(make(alpha))
+        tables = _step_tables(kernel)
+        grid = tables.grid
+        u = np.concatenate(
+            [
+                [0.0, 1 - 2**-53],
+                grid,
+                np.nextafter(grid, 0),
+                np.nextafter(grid, 1),
+                np.random.default_rng(0).random(10_000),
+            ]
+        )
+        u = u[u < 1]  # the uniforms of a stream lie in [0, 1)
+        g = np.searchsorted(grid, u, side="right")
+        assert g.max() < len(grid)  # the cell of u >= 1 is never reached
+        for state in range(len(kernel.cum)):
+            j = (u[:, None] < kernel.cum[state]).argmax(axis=1)
+            act = kernel.act[state, j]
+            o = tables.row[state] + g
+            assert np.array_equal(tables.let[o], kernel.let[state, j])
+            assert np.array_equal(tables.up[o], act == PUSH)
+            assert np.array_equal(tables.dsp[o], (act == PUSH).astype(int) - (act == POP))
 
 
 class TestCensoringBias:
