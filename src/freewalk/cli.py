@@ -64,6 +64,7 @@ from .genfun import (
 )
 from .instances import NAMED_INSTANCES
 from .oracle import (
+    DEFAULT_ORDER_CAP,
     ComposeNeedsZeroConstant,
     OrderTooLarge,
     enum_green_series,
@@ -334,7 +335,7 @@ def _cmd_oracle_check(args, manifest: RunManifest) -> int:
         xi_rows += series_to_rows(
             enum_xi_series(i, order, cfg).as_float(), f"xi_{i}"
         )
-    table = exact_renewal_increment_dist(min(order, 14), cfg)
+    table = exact_renewal_increment_dist(min(order, DEFAULT_ORDER_CAP), cfg)
     emit_report(
         doc,
         manifest,

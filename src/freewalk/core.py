@@ -465,8 +465,10 @@ class CompiledKernel:
     moves are stored in a canonical order (factor 1 then factor 2, targets in
     vertex order) together with cumulative probabilities, so that one
     uniform variate drives one step via inversion.  The same tables back the
-    scalar sampler, the vectorized batch sampler and the exact enumeration
-    oracle, which keeps all of them consistent by construction.
+    scalar sampler and the vectorized batch sampler, and the word index of
+    the exact enumeration oracle (:class:`freewalk.oracle.WordIndex`, built
+    on first use, not here) takes its successor table and weights from
+    ``moves``, which keeps all of them consistent by construction.
     """
 
     def __init__(self, cfg: WalkConfig):
@@ -511,12 +513,6 @@ class CompiledKernel:
             # rows are validated stochastic; pin the top to exactly 1
             self.cum[s, len(moves) - 1 :] = 1.0
 
-        self._succ_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
-        self._succ_cache_exact: dict[
-            tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]
-        ] = {}
-        self._intern: dict[tuple[int, ...], tuple[int, ...]] = {}
-
     def _moves_for_state(self, state: int) -> list[Move]:
         cfg = self.cfg
         out: list[Move] = []
@@ -557,20 +553,10 @@ class CompiledKernel:
     def word_distance(self, codes: Iterable[int]) -> float:
         return float(sum(self.letter_distance[c] for c in codes))
 
-    # -- exact / float successor enumeration ----------------------------------
+    # -- successor enumeration ------------------------------------------------
 
-    SUCC_CACHE_MAX_LEN = 8  # deep words are rarely revisited; recompute them
-
-    def successors(
-        self, codes: tuple[int, ...], exact: bool = False
-    ) -> list[tuple[tuple[int, ...], float | Fraction]]:
+    def successors(self, codes: tuple[int, ...]) -> list[tuple[tuple[int, ...], float]]:
         """All one-step successors of a word (as code tuple) with probabilities."""
-        cacheable = len(codes) <= self.SUCC_CACHE_MAX_LEN
-        cache = self._succ_cache_exact if exact else self._succ_cache
-        if cacheable:
-            hit = cache.get(codes)
-            if hit is not None:
-                return hit
         state = codes[-1] if codes else 0
         out = []
         for mv in self.moves[state]:
@@ -580,11 +566,7 @@ class CompiledKernel:
                 nxt = codes[:-1] + (mv.letter,)
             else:
                 nxt = codes + (mv.letter,)
-            if cacheable:
-                nxt = self._intern.setdefault(nxt, nxt)
-            out.append((nxt, mv.exact_prob if exact else mv.prob))
-        if cacheable:
-            cache[codes] = out
+            out.append((nxt, mv.prob))
         return out
 
 

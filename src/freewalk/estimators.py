@@ -541,6 +541,7 @@ class TailDiagnostics:
     dt_r2: float
     dt_slope_half: float
     dt_slope_drift: float
+    dt_slope_flat: bool  # slope 0, so the relative drift is undefined (null)
     mgf_base: float
     mgf_halves: tuple[float, float]
     mgf_rel_diff: float
@@ -555,6 +556,7 @@ class TailDiagnostics:
             "dt_r2": self.dt_r2,
             "dt_slope_half": self.dt_slope_half,
             "dt_slope_drift": self.dt_slope_drift,
+            "dt_slope_flat": self.dt_slope_flat,
             "mgf_base": self.mgf_base,
             "mgf_halves": list(self.mgf_halves),
             "mgf_rel_diff": self.mgf_rel_diff,
@@ -578,7 +580,10 @@ def _log_survival_fit(values: np.ndarray, upper_quantile: float = 0.9):
     if len(ts) < 3:
         raise InsufficientBlocks("tail fit range too short after pruning")
     logs = np.log(surv)
-    slope, intercept = np.polyfit(ts, logs, 1)
+    if np.all(logs == logs[0]):  # flat: the LS slope is exactly 0, not roundoff
+        slope, intercept = 0.0, float(logs[0])
+    else:
+        slope, intercept = np.polyfit(ts, logs, 1)
     pred = slope * ts + intercept
     ss_res = float(((logs - pred) ** 2).sum())
     ss_tot = float(((logs - logs.mean()) ** 2).sum())
@@ -615,6 +620,7 @@ def tail_diagnostic(pool: BlockPool, mgf_base: float = 1.05) -> TailDiagnostics:
         dt_r2=r2,
         dt_slope_half=float(slope_half),
         dt_slope_drift=drift,
+        dt_slope_flat=slope == 0,
         mgf_base=mgf_base,
         mgf_halves=(m1, m2),
         mgf_rel_diff=rel,
@@ -763,20 +769,18 @@ def entropy_proxy_gap(
     asymptotic claim, how far the letter-distance proxy sits from the exact
     occupation statistic whose growth rate defines the entropy.
     """
-    from .oracle import _green_table
+    from .oracle import occupation_probabilities
     from .simulator import PURPOSE_DIAG, letter_dl_table
 
     kernel = compile_kernel(cfg)
-    table = _green_table(kernel, (), n, exact=False)
-    dist_n = table[n]
     streams = [stream_id(PURPOSE_DIAG, i) for i in range(M)]
     batch = simulate_batch(cfg, n, master_seed, streams)
+    endpoints = [tuple(int(c) for c in batch.final_codes(m)) for m in range(M)]
+    probs = occupation_probabilities(cfg, n, endpoints)
     dl_tab = letter_dl_table(kernel, ctx)
     out = []
-    for m in range(M):
-        codes = tuple(int(c) for c in batch.final_codes(m))
-        p = dist_n.get(codes)
-        if p is None or p <= 0:
+    for codes, p in zip(endpoints, probs):
+        if p <= 0:
             raise AssertionError("realized endpoint carries zero exact probability")
         mlp = -math.log(p)
         dl = float(dl_tab[np.array(codes, dtype=np.int64)].sum()) if codes else 0.0

@@ -1,20 +1,32 @@
 """Exact truncated power series for the free-product walk, by path enumeration.
 
-Everything here is forward dynamic programming over the (finite) set of words
-reachable within the truncation order, in exact rational arithmetic where
-requested.  These series are the independent ground truth against which the
+Each series pushes the walk's law forward over :class:`WordIndex`, one array
+index per kernel of every word within the graph distance the truncation
+order can reach.  A step is one scatter along the index's successor table:
+``np.bincount`` in float mode, ``np.add.at`` on integer numerators over
+``D**t`` in exact mode (``D`` is the lcm of the move denominators; int64
+while ``D**N < 2**63``, Python ints beyond), so ``Fraction`` appears only in
+the returned coefficients.  The last-exit (taboo at the source), first-visit
+(absorbing) and renewal (arrival-recording) series are masks on that one
+step.  These series are the independent ground truth against which the
 linear-solve evaluations in :mod:`freewalk.genfun` and the Monte Carlo
 estimators are validated.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Optional
 
+import numpy as np
+
 from .core import (
+    PUSH,
+    REPLACE,
     CompiledKernel,
     FreewalkError,
     Word,
@@ -115,24 +127,161 @@ def _check_order(n: int, cap: int) -> None:
         raise OrderTooLarge(f"order {n} exceeds cap {cap}; raise the cap explicitly")
 
 
-def _one(exact: bool) -> Number:
-    return Fraction(1) if exact else 1.0
+# -- the word index and the step ----------------------------------------------
 
 
-def _distribution_steps(
-    kernel: CompiledKernel, start: tuple[int, ...], n_steps: int, exact: bool
-):
-    """Yield the occupation measure at times 0, 1, ..., n_steps."""
-    zero = _one(exact) * 0
-    dist = {start: _one(exact)}
-    yield dist
-    for _ in range(n_steps):
-        new: dict = defaultdict(lambda: zero)
-        for w, p in dist.items():
-            for w2, q in kernel.successors(w, exact=exact):
-                new[w2] += p * q
-        dist = dict(new)
-        yield dist
+class WordIndex:
+    """Every word within graph distance ``depth`` of the root, as arrays.
+
+    Level ``d`` holds the words ``w`` with ``d(o, w) = d`` (the word length
+    when every non-root vertex neighbours its factor root, as in K3xK3);
+    ``end[d]`` counts the words at distance ``<= d``, and node 0 is ``o``.
+    Node ``n`` is the word ``parent[n]`` followed by the letter code
+    ``letter[n]``, which is also its sampling state; ``child[n, c]`` is the
+    word ``n`` followed by ``c`` (-1 until indexed).  The children a word gets
+    through letters at one distance are contiguous, in code order.
+
+    ``succ[n, j]`` is the word reached by move ``j`` of
+    ``kernel.moves[letter[n]]`` (push: a child; replace: the parent's child;
+    pop: the parent), with weight ``succ_prob[n, j]`` (``prob`` or
+    ``numerator / denominator`` per state); padded slots point at the parent
+    with weight 0.  Rows exist for
+    the words below the deepest level.  A move changes ``d(o, .)`` by at most
+    one, so ``t`` steps from a word at distance ``d0`` stay in the prefix
+    ``end[d0 + t]``.
+    """
+
+    def __init__(self, kernel: CompiledKernel):
+        fac = kernel.factor_of_code
+        self.follows = fac[:, None] != fac[None, :]  # [s, c]: c may follow state s
+        self.distance = kernel.letter_distance.astype(np.int64)
+        self.act, self.move_letter = kernel.act, kernel.let.astype(np.int64)
+        moves = [(s, j, mv) for s, row in enumerate(kernel.moves) for j, mv in enumerate(row)]
+        self.denominator = lcm(*(mv.exact_prob.denominator for _, _, mv in moves))
+        self.prob = np.zeros(kernel.cum.shape)
+        self.numerator = np.zeros(kernel.cum.shape, dtype=object)
+        for s, j, mv in moves:
+            self.prob[s, j] = mv.prob
+            self.numerator[s, j] = int(mv.exact_prob * self.denominator)
+
+        self.parent = np.zeros(1, dtype=np.int64)
+        self.letter = np.zeros(1, dtype=np.int64)
+        self.child = np.full((1, len(fac)), -1, dtype=np.int64)
+        self.succ = np.zeros((0, kernel.cum.shape[1]), dtype=np.int64)
+        self.succ_prob = np.zeros((0, kernel.cum.shape[1]))
+        self.end = [1]
+
+    def level(self, d: int) -> np.ndarray:
+        """The nodes at distance exactly ``d``."""
+        return np.arange(self.end[d - 1] if d else 0, self.end[d])
+
+    def grow(self, depth: int) -> "WordIndex":
+        """Append levels until the index holds every word at distance ``<= depth``."""
+        while len(self.end) <= depth:
+            self._add_level()
+        return self
+
+    def _add_level(self) -> None:
+        new = len(self.end)
+        size = self.end[-1]
+        for k in range(1, min(new, int(self.distance.max())) + 1):
+            src = self.level(new - k)
+            codes = np.flatnonzero(self.distance == k)
+            p, c = np.nonzero(self.follows[self.letter[src][:, None], codes])
+            self.child[src[p], codes[c]] = size + np.arange(len(p))
+            self.parent = np.concatenate([self.parent, src[p]])
+            self.letter = np.concatenate([self.letter, codes[c]])
+            size += len(p)
+        self.child = np.pad(self.child, ((0, size - len(self.child)), (0, 0)), constant_values=-1)
+        self.end.append(size)
+
+        # every move target of the level below the new one is now indexed
+        node = self.level(new - 1)[:, None]
+        state, parent = self.letter[node[:, 0]], self.parent[node]
+        act, letter = self.act[state], self.move_letter[state]
+        push, swap = self.child[node, letter], self.child[parent, letter]
+        rows = np.where(act == PUSH, push, np.where(act == REPLACE, swap, parent))
+        self.succ = np.concatenate([self.succ, rows])
+        self.succ_prob = np.concatenate([self.succ_prob, self.prob[state]])
+
+
+@lru_cache(maxsize=32)  # one index per kernel, as many as compile_kernel keeps
+def word_index(kernel: CompiledKernel) -> WordIndex:
+    """The kernel's word index, built on first use; callers grow it."""
+    return WordIndex(kernel)
+
+
+class _Walk:
+    """The law of the walk from one source word over the index, at time ``t``.
+
+    ``mass[n]`` is the probability of node ``n``: a float, or in exact mode an
+    integer numerator over ``denominator ** t`` (int64 while the ``N``-step
+    denominator fits, Python ints beyond).  :meth:`step` pushes the mass of
+    the prefix ``end[d0 + t]`` along ``succ`` with one scatter; the taboo and
+    absorbing variants zero nodes of ``mass`` between steps.
+    """
+
+    def __init__(self, kernel: CompiledKernel, codes: tuple[int, ...], N: int, exact: bool):
+        self.d0 = int(sum(kernel.letter_distance[c] for c in codes))
+        self.depth = self.d0 + N
+        self.index = ix = word_index(kernel).grow(self.depth)
+        self.exact = exact
+        self.size = ix.end[self.depth]
+        self.rows = ix.end[self.depth - 1] if N else 0
+        if not exact:
+            self.weight = ix.succ_prob
+        elif ix.denominator**N < 2**63:
+            self.weight = ix.numerator.astype(np.int64)[ix.letter[: self.rows]]
+        else:
+            self.weight = ix.numerator[ix.letter[: self.rows]]
+        self.mass = np.zeros(self.size, dtype=self.weight.dtype)
+        self.mass[self.find(codes)] = 1
+        self.t = 0
+
+    def step(self) -> None:
+        m, k = self.index.end[self.d0 + self.t : self.d0 + self.t + 2]
+        moved = self.mass[:m, None] * self.weight[:m]
+        # the mass has not reached end[d0 + t + 1] and beyond: those stay zero
+        self.mass[:k] = self.scatter(self.index.succ[:m], moved, k)
+        self.t += 1
+
+    def scatter(self, targets: np.ndarray, moved: np.ndarray, size: int) -> np.ndarray:
+        """Sum ``moved`` into ``size`` bins by ``targets``."""
+        if not self.exact:
+            return np.bincount(targets.ravel(), moved.ravel(), minlength=size)
+        out = np.zeros(size, dtype=moved.dtype)
+        np.add.at(out, targets.ravel(), moved.ravel())
+        return out
+
+    def find(self, codes: tuple[int, ...]) -> Optional[int]:
+        """The node of a word, or None when the walk cannot reach it."""
+        if sum(self.index.distance[c] for c in codes) > self.depth:
+            return None
+        n = 0
+        for c in codes:
+            n = self.index.child[n, c]
+        return int(n)
+
+    def one_letter_nodes(self, kernel: CompiledKernel, i: int) -> np.ndarray:
+        """The nodes of the one-letter factor-``i`` words within reach."""
+        ix = self.index
+        one_letter = ix.parent[: self.size] == 0
+        return np.flatnonzero(one_letter & (kernel.factor_of_code[ix.letter[: self.size]] == i))
+
+    def value(self, v) -> Number:
+        """A mass entry at the current time, as a float or a Fraction."""
+        if self.exact:
+            return Fraction(int(v), self.index.denominator**self.t)
+        return float(v)
+
+    def series(self, target: Optional[int], N: int, taboo: list[int]) -> TruncatedSeries:
+        """Mass at ``target`` at times 0..N, zeroing ``taboo`` after each step."""
+        coeffs = [self.value(0 if target is None else self.mass[target])]
+        for _ in range(N):
+            self.step()
+            self.mass[taboo] = 0
+            coeffs.append(self.value(0 if target is None else self.mass[target]))
+        return TruncatedSeries(tuple(coeffs))
 
 
 def enum_green_series(
@@ -146,10 +295,8 @@ def enum_green_series(
     """Coefficient ``n`` is the n-step transition probability from ``x`` to ``y``."""
     _check_order(N, cap)
     kernel = compile_kernel(cfg)
-    table = _green_table(kernel, kernel.encode(x), N, exact)
-    target = kernel.encode(y)
-    zero = _one(exact) * 0
-    return TruncatedSeries(tuple(d.get(target, zero) for d in table))
+    walk = _Walk(kernel, kernel.encode(x), N, exact)
+    return walk.series(walk.find(kernel.encode(y)), N, taboo=[])
 
 
 def enum_L_series(
@@ -168,12 +315,8 @@ def enum_L_series(
     _check_order(N, cap)
     kernel = compile_kernel(cfg)
     src = kernel.encode(x)
-    tgt = kernel.encode(y)
-    zero = _one(exact) * 0
-    table = _taboo_table(kernel, src, N, exact)
-    coeffs: list[Number] = [_one(exact) if src == tgt else zero]
-    coeffs += [table[t].get(tgt, zero) for t in range(1, N + 1)]
-    return TruncatedSeries(tuple(coeffs))
+    walk = _Walk(kernel, src, N, exact)
+    return walk.series(walk.find(kernel.encode(y)), N, taboo=[walk.find(src)])
 
 
 def enum_xi_series(
@@ -186,20 +329,13 @@ def enum_xi_series(
     """First-visit series of the set of one-letter factor-``i`` words, from o."""
     _check_order(N, cap)
     kernel = compile_kernel(cfg)
-    zero = _one(exact) * 0
-    fac = kernel.factor_of_code
-    coeffs: list[Number] = [zero]
-    dist = {(): _one(exact)}
+    walk = _Walk(kernel, (), N, exact)
+    absorb = walk.one_letter_nodes(kernel, i)
+    coeffs = [walk.value(0)]
     for _ in range(N):
-        new: dict = defaultdict(lambda: zero)
-        for w, p in dist.items():
-            for w2, q in kernel.successors(w, exact=exact):
-                new[w2] += p * q
-        hit = zero
-        for w in [w for w in new if len(w) == 1 and fac[w[0]] == i]:
-            hit += new.pop(w)
-        coeffs.append(hit)
-        dist = dict(new)
+        walk.step()
+        coeffs.append(walk.value(walk.mass[absorb].sum()))
+        walk.mass[absorb] = 0
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -218,94 +354,28 @@ def enum_first_passage_series(
     raise ValueError(f"unknown first-passage kind {kind!r}")
 
 
-_DP_CACHE_SLOTS = 4
-_green_cache: OrderedDict = OrderedDict()
-_taboo_cache: OrderedDict = OrderedDict()
-
-
-def _cached_table(cache: dict, key, builder) -> list[dict]:
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-        return hit
-    table = builder()
-    cache[key] = table
-    while len(cache) > _DP_CACHE_SLOTS:
-        cache.popitem(last=False)
-    return table
-
-
-def _green_table(
-    kernel: CompiledKernel, src: tuple[int, ...], N: int, exact: bool
-) -> list[dict]:
-    """Occupation measures at times 0..N from ``src`` (small LRU per process)."""
-
-    def build():
-        return list(_distribution_steps(kernel, src, N, exact))
-
-    key = (kernel, src, N, exact)
-    return _cached_table(_green_cache, key, build)
-
-
-def _taboo_table(
-    kernel: CompiledKernel, src: tuple[int, ...], N: int, exact: bool
-) -> list[dict]:
-    """Occupation measures with the source deleted after time 0 (taboo at src)."""
-
-    def build():
-        zero = _one(exact) * 0
-        dist = {src: _one(exact)}
-        table = [dict(dist)]
-        for _ in range(N):
-            new: dict = defaultdict(lambda: zero)
-            for w, p in dist.items():
-                for w2, q in kernel.successors(w, exact=exact):
-                    new[w2] += p * q
-            new.pop(src, None)
-            dist = dict(new)
-            table.append(dist)
-        return table
-
-    key = (kernel, src, N, exact)
-    return _cached_table(_taboo_cache, key, build)
+def occupation_probabilities(
+    cfg: WalkConfig, n: int, endpoints: list[tuple[int, ...]]
+) -> list[float]:
+    """``P_o[X_n = w]`` for each word ``w`` given as letter codes (float mode)."""
+    walk = _Walk(compile_kernel(cfg), (), n, exact=False)
+    for _ in range(n):
+        walk.step()
+    nodes = [walk.find(codes) for codes in endpoints]
+    return [0.0 if i is None else float(walk.mass[i]) for i in nodes]
 
 
 # -- factor-level series (dense DP on one factor graph) -----------------------
 
 
-def factor_green_series(
-    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool = False
+def _factor_series(
+    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool, taboo: bool
 ) -> TruncatedSeries:
-    """n-step series of the bare factor chain ``P_i`` (no alpha weighting)."""
+    """n-step series of the bare factor chain ``P_i`` from ``x`` at ``y``,
+    with ``x`` deleted after time 0 when ``taboo``."""
     f = cfg.factor(i)
     size = f.size
-    one = _one(exact)
-    zero = one * 0
-    if exact:
-        mat = [[Fraction(p) for p in row] for row in f.transition]
-    else:
-        mat = [list(row) for row in f.transition]
-    vec = [zero] * size
-    vec[f.index(x)] = one
-    tgt = f.index(y)
-    coeffs = [vec[tgt]]
-    for _ in range(N):
-        vec = [
-            sum(vec[k] * mat[k][j] for k in range(size) if vec[k] != 0)
-            for j in range(size)
-        ]
-        vec = [v + zero for v in vec]
-        coeffs.append(vec[tgt])
-    return TruncatedSeries(tuple(coeffs))
-
-
-def factor_L_series(
-    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool = False
-) -> TruncatedSeries:
-    """Last-exit series of the bare factor chain (taboo at ``x`` after time 0)."""
-    f = cfg.factor(i)
-    size = f.size
-    one = _one(exact)
+    one = Fraction(1) if exact else 1.0
     zero = one * 0
     if exact:
         mat = [[Fraction(p) for p in row] for row in f.transition]
@@ -315,16 +385,31 @@ def factor_L_series(
     tgt = f.index(y)
     vec = [zero] * size
     vec[src] = one
-    coeffs = [one if src == tgt else zero]
+    coeffs = [vec[tgt]]
     for _ in range(N):
         vec = [
             sum(vec[k] * mat[k][j] for k in range(size) if vec[k] != 0)
             for j in range(size)
         ]
         vec = [v + zero for v in vec]
-        vec[src] = zero
+        if taboo:
+            vec[src] = zero
         coeffs.append(vec[tgt])
     return TruncatedSeries(tuple(coeffs))
+
+
+def factor_green_series(
+    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool = False
+) -> TruncatedSeries:
+    """n-step series of the bare factor chain ``P_i`` (no alpha weighting)."""
+    return _factor_series(i, x, y, N, cfg, exact, taboo=False)
+
+
+def factor_L_series(
+    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool = False
+) -> TruncatedSeries:
+    """Last-exit series of the bare factor chain (taboo at ``x`` after time 0)."""
+    return _factor_series(i, x, y, N, cfg, exact, taboo=True)
 
 
 # -- renewal increment law -----------------------------------------------------
@@ -416,37 +501,14 @@ def exact_renewal_increment_dist(
     walk appending the two-letter word ``y1 x1`` exactly when a path from o
     avoids one-letter factor-1 words before time ``n`` and arrives at
     ``y1 x1`` at time ``n`` from outside its cone.  Arrivals from outside the
-    cone are the appends from ``y1`` and the sibling moves from ``y1 x'``;
-    pop moves from inside the cone are excluded.
+    cone are the appends from ``y1`` and the sibling moves from ``y1 x'``, so
+    they are the moves out of words of at most two letters; pop moves from
+    inside the cone are excluded.
     """
     _check_order(n_max, cap)
     kernel = compile_kernel(cfg)
-    fac = kernel.factor_of_code
-    zero = _one(exact) * 0
-    joint: list[dict[tuple[str, str], Number]] = [defaultdict(lambda: zero)]
-    dist = {(): _one(exact)}
-    for _ in range(n_max):
-        new: dict = defaultdict(lambda: zero)
-        arrivals: dict[tuple[str, str], Number] = defaultdict(lambda: zero)
-        for w, p in dist.items():
-            from_outside = len(w) <= 2
-            for w2, q in kernel.successors(w, exact=exact):
-                if len(w2) == 1 and fac[w2[0]] == 1:
-                    continue  # taboo: first visit to a one-letter factor-1 word
-                new[w2] += p * q
-                if (
-                    from_outside
-                    and len(w2) == 2
-                    and fac[w2[0]] == 2
-                    and fac[w2[1]] == 1
-                ):
-                    pair = (
-                        kernel.letter_of_code[w2[0]][1],
-                        kernel.letter_of_code[w2[1]][1],
-                    )
-                    arrivals[pair] += p * q
-        joint.append(dict(arrivals))
-        dist = dict(new)
+    walk = _Walk(kernel, (), n_max, exact)
+    taboo = walk.one_letter_nodes(kernel, 1)
     pairs = tuple(
         sorted(
             (y, x)
@@ -454,11 +516,27 @@ def exact_renewal_increment_dist(
             for x in cfg.factor1.nonroot
         )
     )
-    joint_float = [
-        {pair: float(p) for pair, p in row.items()} for row in joint
-    ]
+    pair_of = np.full(walk.size, -1)
+    for j, (y, x) in enumerate(pairs):
+        node = walk.find(kernel.encode(Word(((2, y), (1, x)))))
+        if node is not None:
+            pair_of[node] = j
+    parent = walk.index.parent
+    short = np.flatnonzero(parent[parent[: walk.rows]] == 0)  # at most two letters
+    hit = pair_of[walk.index.succ[short]]
+    arrive = hit >= 0
+
+    joint: list[dict[tuple[str, str], float]] = [{}]
+    for _ in range(n_max):
+        moved = walk.mass[short, None] * walk.weight[short]
+        walk.step()
+        walk.mass[taboo] = 0
+        arrivals = walk.scatter(hit[arrive], moved[arrive], len(pairs))
+        joint.append(
+            {pairs[j]: float(walk.value(a)) for j, a in enumerate(arrivals) if a != 0}
+        )
     return RenewalIncrementTable(
-        n_max=n_max, pairs=pairs, joint=joint_float, config_digest=cfg.digest()
+        n_max=n_max, pairs=pairs, joint=joint, config_digest=cfg.digest()
     )
 
 

@@ -1,5 +1,6 @@
 """Estimator arithmetic, KS machinery, diagnostics, and negative controls."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from statistics import NormalDist
 
 from conftest import make_pool
 
+from freewalk.cli import emit_json
 from freewalk.core import WalkConfig
 from freewalk.estimators import (
     DegenerateSample,
@@ -189,6 +191,17 @@ class TestTailDiagnostic:
     def test_insufficient(self):
         with pytest.raises(InsufficientBlocks):
             tail_diagnostic(make_pool([[(5, 3, 1.0)] * 5] * 10))
+
+    def test_flat_survival_is_flagged(self, tmp_path):
+        # two increment values: P[dT > t] = 1/2 on the whole fit range
+        pool = make_pool([[(2, 2.0, 1.0), (50, 2.0, 1.0)] * 10 for _ in range(12)])
+        diag = tail_diagnostic(pool)
+        assert diag.dt_slope == 0.0 and diag.dt_slope_flat
+        assert math.isinf(diag.dt_slope_drift)
+        emit_json(diag.to_json_dict(), tmp_path / "tail.json")
+        doc = json.loads((tmp_path / "tail.json").read_text())
+        assert doc["dt_slope_flat"] is True and doc["dt_slope_drift"] is None
+        assert not tail_diagnostic(geometric_pool(walks=20)).dt_slope_flat
 
 
 class TestCltExperiment:

@@ -4,15 +4,21 @@ Identity checks at small order live here; the full coefficientwise suite at
 orders 10 (rational) and 14 (float) runs in the acceptance module.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from freewalk.core import Word
+from freewalk.cli import main
+from freewalk.core import Word, compile_kernel
+from freewalk.instances import instance_k3_k3
 from freewalk.oracle import (
     ComposeNeedsZeroConstant,
     OrderTooLarge,
     TruncatedSeries,
+    _Walk,
     enum_first_passage_series,
     enum_green_series,
     enum_L_series,
@@ -210,3 +216,100 @@ class TestFactorSeries:
     def test_factor_L_taboo(self, instance_a):
         s = factor_L_series(1, "o1", "o1", 6, instance_a, exact=True)
         assert s.coeffs == (1,) + (0,) * 6
+
+
+class TestPins:
+    """Outputs of the dict-based enumeration that preceded the array engine.
+
+    Captured before the engine changed; any difference is a regression.  At
+    alpha = 0.3 the exact denominators exceed int64, so the Fraction pins are
+    the coverage of the Python-int numerators.
+    """
+
+    ORACLE_CHECK = {
+        ("K3xK3", "--float"): {
+            "oracle_check_xi_series.csv": "722a8a6de25df0a5b1fd2aa556ce73c297c098bdf4c32b9497723a6b96645906",
+            "oracle_check_increment_table.csv": "afb69cd0186972ebaf46a38b9acc24b24e0e1ed99a13baae86793d45d89f55ee",
+            "oracle_check_summary.json": "b0e99d5632d290e33196ffb9e102a817c0fa9a8a6e98f532635293d71131bb26",
+        },
+        ("PathxK3",): {
+            "oracle_check_xi_series.csv": "97225250489b9784e88433adde048dc3e97e4bc0a9942a925748a4e0f4097480",
+            "oracle_check_increment_table.csv": "3c1b1030e75973e1a63d1f79883f2aafe06a7c88b1d9513da54fa140e300fc1b",
+            "oracle_check_summary.json": "57b61e033eb0e80cd6b54a2e47ce8ad11ee42fd70a0d17bfe602296a608a5fc9",
+        },
+    }
+
+    @pytest.mark.parametrize("invocation", sorted(ORACLE_CHECK))
+    def test_oracle_check_artifacts(self, invocation, tmp_path, capsys):
+        config, *flags = invocation
+        argv = ["oracle-check", "--config", config, "--order", "14", *flags]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        for name, digest in self.ORACLE_CHECK[invocation].items():
+            blob = (tmp_path / name).read_bytes()
+            if name.endswith(".json"):
+                doc = json.loads(blob)
+                del doc["manifest"]  # holds the output directory
+                blob = json.dumps(doc, sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest() == digest, name
+
+    @staticmethod
+    def _digest(series) -> str:
+        text = ",".join(f"{c.numerator}/{c.denominator}" for c in series.coeffs)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_exact_series_beyond_int64(self):
+        cfg = instance_k3_k3(0.3)
+        green = enum_green_series(O, O, 8, cfg, exact=True)
+        assert green[2] == Fraction(
+            94110380560943752208267126725673, 324518553658426726783156020576256
+        )
+        assert self._digest(green) == (
+            "95a87e1f06aadbc8d14d0d8c51544278c9dfb135e06afe919b12c4f03d189df2"
+        )
+        assert self._digest(enum_L_series(O, A1, 8, cfg, exact=True)) == (
+            "af0f66ea579ea2a54db17a4656295310523fcb5bca2d83b13e9d73246c3a1c7d"
+        )
+        assert self._digest(enum_xi_series(1, 8, cfg, exact=True)) == (
+            "951174977901b4f357d5cc462cd98d9af5cf8ecb03b88e62ce058392949ef49c"
+        )
+        table = exact_renewal_increment_dist(8, cfg, exact=True)
+        assert table.delta_t_probs == [
+            0, 0, 0.21, 0.105, 0.102375, 0.076125,
+            0.0646918125, 0.05274084375, 0.04457090859375,
+        ]
+
+
+def _decode(index, node: int) -> tuple[int, ...]:
+    codes = []
+    while node:
+        codes.append(int(index.letter[node]))
+        node = int(index.parent[node])
+    return tuple(reversed(codes))
+
+
+class TestWordIndex:
+    """The index's step law against the scalar successor law."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("shape", ["instance_a", "instance_b"])
+    def test_support_equals_successor_bfs(self, shape, exact, request):
+        cfg = request.getfixturevalue(shape)
+        kernel = compile_kernel(cfg)
+        one = [Word(((i, v),)) for i in (1, 2) for v in cfg.factor(i).nonroot]
+        two = Word(((2, cfg.factor2.nonroot[0]), (1, cfg.factor1.nonroot[-1])))
+        for x in [O, *one, two]:
+            for N in (0, 1, 9):
+                walk = _Walk(kernel, kernel.encode(x), N, exact)
+                level = {kernel.encode(x)}
+                for t in range(N + 1):
+                    if t:
+                        walk.step()
+                        level = {w for u in level for w, p in kernel.successors(u) if p > 0}
+                    support = {_decode(walk.index, n) for n in np.flatnonzero(walk.mass)}
+                    assert support == level, (x, N, t)
+
+    def test_nodes_are_distinct_words(self, instance_b):
+        walk = _Walk(compile_kernel(instance_b), (), 8, exact=False)
+        words = [_decode(walk.index, n) for n in range(walk.size)]
+        assert len(set(words)) == len(words)
+        assert all(walk.find(w) == n for n, w in enumerate(words))
