@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -230,20 +230,35 @@ def emit_json(doc: dict, path: Path) -> None:
     path.write_text(blob)
 
 
-def emit_csv(rows: list[dict], path: Path, columns: Optional[list[str]] = None) -> None:
+def _csv_cells(column) -> list:
+    """One column's cells as ``csv.writer`` takes them: floats as ``.12g``."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            # one format per distinct bit pattern; unique floats would merge -0.0 into 0.0
+            bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            text = np.array([f"{v:.12g}" for v in bits.view(np.float64)], dtype=object)
+            return text[inverse].tolist()
+        if column.dtype.kind in "iubU":
+            return column.tolist()
+    return [f"{v:.12g}" if isinstance(v, float) else v for v in column]
+
+
+def emit_csv(table: Mapping[str, Sequence], path: Path) -> None:
+    """Write a table given as column name -> column (numpy array or list).
+
+    A float cell, numpy float64 included, is written as ``f"{v:.12g}"``;
+    every other cell goes to ``csv.writer`` as it is, so ``None`` becomes an
+    empty field and a ``Fraction`` or ``bool`` its ``str``.  Lists are never
+    converted to arrays, so an int in a list of floats stays an int.  A table
+    with no rows is its header line; columns of unequal length raise
+    ``ValueError``.
+    """
+    cells = [_csv_cells(column) for column in table.values()]
     path.parent.mkdir(parents=True, exist_ok=True)
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: (f"{v:.12g}" if isinstance(v, float) else v)
-                    for k, v in row.items()
-                }
-            )
+        writer = csv.writer(fh)
+        writer.writerow(table.keys())
+        writer.writerows(zip(*cells, strict=True))
 
 
 def emit_report(
@@ -251,9 +266,9 @@ def emit_report(
     manifest: RunManifest,
     cfg: WalkConfig,
     name: str,
-    csv_rows: Optional[dict[str, list[dict]]] = None,
+    csv_rows: Optional[dict[str, Mapping[str, Sequence]]] = None,
 ) -> list[Path]:
-    """Write the JSON summary plus any CSV detail files for one command."""
+    """Write the JSON summary plus one CSV per table of ``csv_rows``."""
     out_dir = Path(manifest.output_dir)
     doc = dict(doc)
     doc["manifest"] = manifest.to_json_dict()
@@ -261,9 +276,9 @@ def emit_report(
     doc["master_seed"] = manifest.master_seed
     paths = [out_dir / f"{name}_summary.json"]
     emit_json(doc, paths[0])
-    for label, rows in (csv_rows or {}).items():
+    for label, table in (csv_rows or {}).items():
         p = out_dir / f"{name}_{label}.csv"
-        emit_csv(rows, p)
+        emit_csv(table, p)
         paths.append(p)
     return paths
 
@@ -330,11 +345,11 @@ def _cmd_oracle_check(args, manifest: RunManifest) -> int:
         "identities_checked": len(words) ** 2,
         "failures": [{"label": l, "error": e} for l, e in failures],
     }
-    xi_rows = []
-    for i in (1, 2):
-        xi_rows += series_to_rows(
-            enum_xi_series(i, order, cfg).as_float(), f"xi_{i}"
-        )
+    xi1, xi2 = (
+        series_to_rows(enum_xi_series(i, order, cfg).as_float(), f"xi_{i}")
+        for i in (1, 2)
+    )
+    xi_rows = {k: xi1[k] + xi2[k] for k in xi1}
     table = exact_renewal_increment_dist(min(order, DEFAULT_ORDER_CAP), cfg)
     emit_report(
         doc,

@@ -79,10 +79,6 @@ class Word:
             return "Word(o)"
         return "Word(" + ".".join(f"{v}@{f}" for f, v in self.letters) + ")"
 
-    @property
-    def is_root(self) -> bool:
-        return not self.letters
-
 
 O = Word()
 

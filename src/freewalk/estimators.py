@@ -334,11 +334,13 @@ class CltReport:
             "config_digest": self.config_digest,
         }
 
-    def samples_to_rows(self) -> list[dict]:
-        return [
-            {"statistic": self.statistic, "walk": i, "standardized": float(v)}
-            for i, v in enumerate(self.standardized_samples)
-        ]
+    def samples_to_rows(self) -> dict[str, Sequence]:
+        m = len(self.standardized_samples)
+        return {
+            "statistic": [self.statistic] * m,
+            "walk": np.arange(m),
+            "standardized": self.standardized_samples,
+        }
 
 
 def _raw_statistic(stats: WalkStatsArrays, statistic: str) -> np.ndarray:
@@ -567,6 +569,14 @@ class TailDiagnostics:
         }
 
 
+def _ls_line(ts: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """LS ``(slope, intercept)``; a constant ``ys`` gives exactly 0, not roundoff."""
+    if np.all(ys == ys[0]):
+        return 0.0, float(ys[0])
+    slope, intercept = np.polyfit(ts, ys, 1)
+    return float(slope), float(intercept)
+
+
 def _log_survival_fit(values: np.ndarray, upper_quantile: float = 0.9):
     """LS fit of log P[X > t] over integer t up to the given quantile."""
     t_lo = int(values.min())
@@ -580,15 +590,12 @@ def _log_survival_fit(values: np.ndarray, upper_quantile: float = 0.9):
     if len(ts) < 3:
         raise InsufficientBlocks("tail fit range too short after pruning")
     logs = np.log(surv)
-    if np.all(logs == logs[0]):  # flat: the LS slope is exactly 0, not roundoff
-        slope, intercept = 0.0, float(logs[0])
-    else:
-        slope, intercept = np.polyfit(ts, logs, 1)
+    slope, intercept = _ls_line(ts, logs)
     pred = slope * ts + intercept
     ss_res = float(((logs - pred) ** 2).sum())
     ss_tot = float(((logs - logs.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(r2), (int(ts[0]), int(ts[-1])), ts, logs
+    return slope, float(r2), (int(ts[0]), int(ts[-1])), ts, logs
 
 
 def tail_diagnostic(pool: BlockPool, mgf_base: float = 1.05) -> TailDiagnostics:
@@ -603,8 +610,8 @@ def tail_diagnostic(pool: BlockPool, mgf_base: float = 1.05) -> TailDiagnostics:
     dt = pool.delta_t.astype(float)
     slope, r2, rng, ts, logs = _log_survival_fit(dt)
     half_n = max(3, len(ts) // 2)
-    slope_half, _ = np.polyfit(ts[:half_n], logs[:half_n], 1)
-    drift = abs(float(slope_half) - slope) / abs(slope) if slope != 0 else math.inf
+    slope_half, _ = _ls_line(ts[:half_n], logs[:half_n])
+    drift = abs(slope_half - slope) / abs(slope) if slope != 0 else math.inf
 
     half_walk = pool.n_walks // 2
     first = dt[pool.walk < half_walk]
@@ -618,7 +625,7 @@ def tail_diagnostic(pool: BlockPool, mgf_base: float = 1.05) -> TailDiagnostics:
     return TailDiagnostics(
         dt_slope=slope,
         dt_r2=r2,
-        dt_slope_half=float(slope_half),
+        dt_slope_half=slope_half,
         dt_slope_drift=drift,
         dt_slope_flat=slope == 0,
         mgf_base=mgf_base,
@@ -666,15 +673,12 @@ class SmoothnessReport:
     def flagged(self) -> bool:
         return bool(self.flags)
 
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for i, p in enumerate(self.params):
-            row = {"param": p}
-            for col in SMOOTHNESS_COLUMNS:
-                row[col] = self.values[col][i]
-                row[col + "_se"] = self.ses[col][i]
-            rows.append(row)
-        return rows
+    def to_rows(self) -> dict[str, list]:
+        table = {"param": self.params}
+        for col in SMOOTHNESS_COLUMNS:
+            table[col] = self.values[col]
+            table[col + "_se"] = self.ses[col]
+        return table
 
     def to_json_dict(self) -> dict:
         return {

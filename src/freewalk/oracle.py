@@ -422,9 +422,7 @@ class RenewalIncrementTable:
     ``joint[n][pair]`` is the probability that the increment equals ``n`` and
     the two appended letters are ``pair`` (a factor-2 letter then a factor-1
     letter, as vertex names).  The truncation tail ``1 - sum`` is reported,
-    never dropped; ``tail_rate`` is the fitted geometric decay of the
-    increment law near the truncation order (a crude continuation --- see
-    :func:`freewalk.genfun.renewal_increment_law` for the sharp one).
+    never dropped.
     """
 
     n_max: int
@@ -444,13 +442,6 @@ class RenewalIncrementTable:
     def tail_mass(self) -> float:
         return 1.0 - self.assigned_mass
 
-    @property
-    def tail_rate(self) -> Optional[float]:
-        p = self.delta_t_probs
-        if self.n_max < 4 or p[-2] <= 0 or p[-1] <= 0:
-            return None
-        return p[-1] / p[-2]
-
     def pair_marginal(self) -> dict[tuple[str, str], float]:
         out: dict[tuple[str, str], float] = defaultdict(float)
         for row in self.joint:
@@ -458,35 +449,18 @@ class RenewalIncrementTable:
                 out[pair] += p
         return dict(out)
 
-    def distance_marginal(self, distance_of_pair) -> dict[float, float]:
-        """Truncated law of the per-block distance increment."""
-        out: dict[float, float] = defaultdict(float)
-        for row in self.joint:
-            for pair, p in row.items():
-                out[distance_of_pair(pair)] += p
-        return dict(out)
-
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for n, row in enumerate(self.joint):
-            for pair, p in sorted(row.items()):
-                rows.append(
-                    {
-                        "n": n,
-                        "pair": "".join(pair),
-                        "probability": p,
-                        "provenance": "exact",
-                    }
-                )
-        rows.append(
-            {
-                "n": self.n_max,
-                "pair": "*",
-                "probability": self.tail_mass,
-                "provenance": "tail-bound",
-            }
-        )
-        return rows
+    def to_rows(self) -> dict[str, list]:
+        items = [
+            (n, "".join(pair), p)
+            for n, row in enumerate(self.joint)
+            for pair, p in sorted(row.items())
+        ]
+        return {
+            "n": [n for n, _, _ in items] + [self.n_max],
+            "pair": [pair for _, pair, _ in items] + ["*"],
+            "probability": [p for _, _, p in items] + [self.tail_mass],
+            "provenance": ["exact"] * len(items) + ["tail-bound"],
+        }
 
 
 def exact_renewal_increment_dist(
@@ -553,8 +527,11 @@ def return_probability_proxy(
     return out
 
 
-def series_to_rows(series: TruncatedSeries, label: str) -> list[dict]:
-    return [
-        {"index": n, "value": float(c), "provenance": "exact", "series": label}
-        for n, c in enumerate(series.coeffs)
-    ]
+def series_to_rows(series: TruncatedSeries, label: str) -> dict[str, list]:
+    k = len(series.coeffs)
+    return {
+        "index": list(range(k)),
+        "value": [float(c) for c in series.coeffs],
+        "provenance": ["exact"] * k,
+        "series": [label] * k,
+    }

@@ -708,21 +708,22 @@ def simulate_pool(
     return pool, stats
 
 
-def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> list[dict]:
-    rows = []
-    for i in range(pool.size):
-        rows.append(
-            {
-                "trajectory_id": int(pool.walk[i]),
-                "k": int(pool.index[i]),
-                "delta_t": int(pool.delta_t[i]),
-                "d_dist": float(pool.d_dist[i]),
-                "d_ent": float(pool.d_ent[i]),
-                "pair": kernel.letter_of_code[int(pool.w_first[i])][1]
-                + kernel.letter_of_code[int(pool.w_second[i])][1],
-            }
-        )
-    return rows
+def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict[str, np.ndarray]:
+    """The block CSV as columns for :func:`freewalk.cli.emit_csv`.
+
+    Five pool arrays as they are, plus ``pair``: the appended letters' vertex
+    names, one gather on a table indexed by (first code, second code).
+    """
+    names = [v for _, v in kernel.letter_of_code]
+    pair_names = np.array([[a + b for b in names] for a in names])
+    return {
+        "trajectory_id": pool.walk,
+        "k": pool.index,
+        "delta_t": pool.delta_t,
+        "d_dist": pool.d_dist,
+        "d_ent": pool.d_ent,
+        "pair": pair_names[pool.w_first, pool.w_second],
+    }
 
 
 def hit_probability_mc(

@@ -1,10 +1,17 @@
 """Config parsing, report emission stability, and command dispatch tests."""
 
+import csv
+import hashlib
 import json
+import math
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freewalk.cli import (
     EXIT_OK,
@@ -85,16 +92,28 @@ class TestEmission:
         assert "Infinity" not in path.read_text()
 
     def test_csv_header_and_stability(self, tmp_path):
-        rows = [
-            {"trajectory_id": 0, "k": 1, "delta_t": 3, "d_dist": 2.0, "d_ent": 1.5},
-            {"trajectory_id": 0, "k": 2, "delta_t": 5, "d_dist": 2.0, "d_ent": 1.5},
-        ]
+        rows = {
+            "trajectory_id": [0, 0],
+            "k": [1, 2],
+            "delta_t": [3, 5],
+            "d_dist": [2.0, 2.0],
+            "d_ent": [1.5, 1.5],
+        }
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(rows, p1)
         emit_csv(rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "trajectory_id,k,delta_t,d_dist,d_ent"
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_csv({"a": [], "b": np.array([]), "c": np.array([], dtype=np.int64)}, path)
+        assert path.read_bytes() == b"a,b,c\r\n"
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="zip"):
+            emit_csv({"a": [1, 2], "b": np.zeros(3)}, tmp_path / "bad.csv")
 
     def test_report_embeds_digest_and_seed(self, tmp_path):
         cfg = instance_k3_k3()
@@ -115,6 +134,143 @@ class TestEmission:
         manifest = RunManifest("validate", "K3xK3", str(tmp_path), 0)
         paths = emit_report({"items": []}, manifest, cfg, "unit")
         assert json.loads(paths[0].read_text())["items"] == []
+
+
+def dictwriter_reference(table: dict, path: Path) -> None:
+    """The row-dict writer that ``emit_csv`` replaced, applied row by row."""
+    names = list(table)
+    n_rows = len(table[names[0]]) if names else 0
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=names)
+        writer.writeheader()
+        for i in range(n_rows):
+            row = {k: table[k][i] for k in names}
+            writer.writerow(
+                {k: (f"{v:.12g}" if isinstance(v, float) else v) for k, v in row.items()}
+            )
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 5e-324,
+    1e12, 1e12 + 1.0, 123456789012345.0, -2.0**60, 1e15, 1.0 / 3.0,
+]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+texts = st.text(alphabet=st.sampled_from(list('ab ,"\r\n;é')), max_size=6)
+cells = st.one_of(
+    floats,
+    st.integers(min_value=-(10**15), max_value=10**15),
+    st.none(),
+    st.booleans(),
+    texts,
+    st.fractions(max_denominator=1000),
+    floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**40), max_value=2**40).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=8))
+    names = draw(st.lists(texts.filter(bool), min_size=1, max_size=5, unique=True))
+    table = {}
+    for name in names:
+        kind = draw(st.sampled_from(["float64", "int64", "bool", "str", "mixed", "cells"]))
+        if kind == "float64":
+            column = np.array(draw(st.lists(floats, min_size=n_rows, max_size=n_rows)))
+        elif kind == "int64":
+            ints = st.integers(min_value=-(2**62), max_value=2**62)
+            column = np.array(draw(st.lists(ints, min_size=n_rows, max_size=n_rows)))
+        elif kind == "bool":
+            column = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+        elif kind == "str":
+            column = np.array(draw(st.lists(texts, min_size=n_rows, max_size=n_rows)), dtype=str)
+        elif kind == "mixed":
+            number = st.one_of(st.integers(min_value=10**11, max_value=10**13), floats)
+            column = draw(st.lists(number, min_size=n_rows, max_size=n_rows))
+        else:
+            column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        table[name] = column
+    return table
+
+
+class TestEmitCsvContract:
+    """``emit_csv`` writes the bytes the row-dict ``csv.DictWriter`` wrote."""
+
+    @staticmethod
+    def _both(table: dict) -> tuple[bytes, bytes]:
+        with tempfile.TemporaryDirectory() as d:
+            new, ref = Path(d) / "new.csv", Path(d) / "ref.csv"
+            emit_csv(table, new)
+            dictwriter_reference(table, ref)
+            return new.read_bytes(), ref.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_matches_dictwriter(self, table):
+        new, ref = self._both(table)
+        assert new == ref
+
+    def test_edge_cells(self):
+        big = 10**12
+        table = {
+            "arr": np.array([-0.0, math.nan, math.inf, -math.inf, 1e-300, 1e13, 2.0, 0.0]),
+            "mixed": [big, 1.5, big + 1, -0.0, 3, 1e-300, 2.5e12, math.nan],
+            "cells": [None, Fraction(1, 3), True, np.float64(-0.0), np.int64(7),
+                      np.float32(0.1), np.bool_(False), "x,y"],
+            "text": ['q"uote', "line\r\nbreak", "", "a,b", "-0", " ", "é", "z"],
+            "ints": np.arange(8) * big,
+        }
+        new, ref = self._both(table)
+        assert new == ref
+        assert new.split(b"\r\n")[1].startswith(b"-0,1000000000000,,")
+
+
+class TestArtifactPins:
+    """sha256 of command artifacts, captured before CSV emission became columnar.
+
+    Summaries are pinned without their manifest, which holds the output
+    directory; any other difference is a regression.
+    """
+
+    PINS = {
+        ("simulate", "--config", "K3xK3", "--n", "600", "--M", "12", "--buffer", "100"): {
+            "simulate_blocks.csv": "7aebb39ca7119c5d2de4f43904069d8b9c67cfdcc2657a9d07c907fb48566304",
+            "simulate_summary.json": "8e283f18f8c76a5fae9f54d9abd8303777e2324ca8b1c4a158aaf832a4d657d0",
+        },
+        ("simulate", "--config", "PathxK3", "--n", "600", "--M", "12", "--buffer", "100"): {
+            "simulate_blocks.csv": "db12d6b3da7c0657ff45f7e2577587e4a1d350f21ede464b0cdccaeef94775ca",
+            "simulate_summary.json": "89f476da08e4dd95605ea632e65c342f7ec88d2cef2c515beebc2dc5ae9b0b6d",
+        },
+        ("clt", "--stat", "all", "--n", "300", "--M", "200", "--buffer", "100"): {
+            "clt_samples_dist.csv": "8564d9dfab54009ad899c53393f75a54405205c4247b9d8eef2c40efcfa5bb6b",
+            "clt_samples_block.csv": "149637b9aa86a225d1a330a0305934dffba74b2f221d5669a476bbdbd4936a78",
+            "clt_samples_entropy.csv": "70ee72b2f83fe72351288117635a07939aa7cb982f79e5304d342585dcdc8f11",
+            "clt_summary.json": "7edab35610a718fb03ad2c3659951a6112bed53bce6ea13802f43388021bc8ef",
+        },
+        ("sweep", "--grid", "0.4,0.5,0.6", "--n", "400", "--M", "40", "--buffer", "100"): {
+            "sweep_table.csv": "7995a40440537c4df258f90004016e25390aa438570cdbe1861af41651a0462d",
+            "sweep_summary.json": "4815a342c1cc6a08657391be71975eab63b7ea60d6900271481852fcee4fb7d2",
+        },
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINS), ids=lambda a: "-".join(a[:3]))
+    def test_artifacts(self, argv, tmp_path, capsys):
+        main([*argv, "--seed", "3", "--out", str(tmp_path)])
+        for name, digest in self.PINS[argv].items():
+            blob = (tmp_path / name).read_bytes()
+            if name.endswith(".json"):
+                doc = json.loads(blob)
+                del doc["manifest"]
+                blob = json.dumps(doc, sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest() == digest, name
+
+    def test_clt_without_walks_writes_headers(self, tmp_path, capsys):
+        assert main(["clt", "--n", "100", "--M", "0", "--out", str(tmp_path)]) == EXIT_OK
+        for s in ("dist", "block", "entropy"):
+            text = (tmp_path / f"clt_samples_{s}.csv").read_bytes()
+            assert text == b"statistic,walk,standardized\r\n"
 
 
 class TestMain:

@@ -197,6 +197,7 @@ class TestTailDiagnostic:
         pool = make_pool([[(2, 2.0, 1.0), (50, 2.0, 1.0)] * 10 for _ in range(12)])
         diag = tail_diagnostic(pool)
         assert diag.dt_slope == 0.0 and diag.dt_slope_flat
+        assert diag.dt_slope_half == 0.0
         assert math.isinf(diag.dt_slope_drift)
         emit_json(diag.to_json_dict(), tmp_path / "tail.json")
         doc = json.loads((tmp_path / "tail.json").read_text())
