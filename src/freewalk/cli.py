@@ -466,7 +466,11 @@ def _cmd_sweep(args, manifest: RunManifest) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """Argument type of ``--grid``: comma-separated alphas, at least one."""
+    grid = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not grid:
+        raise argparse.ArgumentTypeError(f"needs at least one alpha, got {text!r}")
+    return grid
 
 
 def non_negative_int(text: str) -> int:

@@ -413,7 +413,7 @@ def run_clt_suite(
     for statistic in statistics:
         raw = _raw_statistic(stats, statistic)
         rate, sigma = rate_of[statistic], sigma_of[statistic]
-        warnings = []
+        warnings = [] if M else ["no walks"]
         if not (sigma > 0):
             warnings.append("degenerate-sigma")
         std = (raw - n * rate) / (sigma * math.sqrt(n))
@@ -431,7 +431,7 @@ def run_clt_suite(
             standardized_samples=std,
             ks_stat=ks,
             ks_pvalue=pv,
-            sample_mean=float(std.mean()),
+            sample_mean=float(std.mean()) if M else float("nan"),
             sample_var=float(std.var(ddof=1)) if M > 1 else float("nan"),
             warnings=warnings,
             master_seed=master_seed,

@@ -2,17 +2,18 @@
 fixed point, the letter-distance function, and the renewal-increment law.
 
 Factor Green functions are resolvent solves ``(I - t P_i)^{-1}``; the
-free-product first-passage quantities are the minimal nonnegative solution of
-a one-step polynomial system, obtained by monotone iteration from zero.  The
-same system, evaluated on a complex circle and inverted by FFT, yields the
-full law of the renewal increment far beyond the reach of path enumeration.
+free-product first-passage quantities are the least nonnegative solution of
+a one-step polynomial system, obtained by Newton's method from zero, batched
+over an array of evaluation points.  The same system, solved on a complex
+circle and inverted by FFT, yields the full law of the renewal increment far
+beyond the reach of path enumeration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .core import FreewalkError, Word, WalkConfig, compile_kernel
 
 XI_TOL = 1e-12
 XI_MAX_ITER = 10**6
-DIVERGENCE_BOUND = 1e9
+MONOTONE_SLACK = 1e-12  # rounding allowed in a step that must not decrease
 
 
 class SingularSolve(FreewalkError):
@@ -80,6 +81,106 @@ class XiSolution:
         return self.xi1 if i == 1 else self.xi2
 
 
+class _FixedPoint(NamedTuple):
+    """Per-point results of :func:`_solve_xi_array`, indexed like its ``zs``."""
+
+    xi1: np.ndarray
+    xi2: np.ndarray
+    returns: np.ndarray  # R_1 on the first columns, then R_2
+    iterations: np.ndarray
+    converged: np.ndarray
+    residual: np.ndarray
+
+
+def _solve_xi_array(
+    zs: np.ndarray, cfg: WalkConfig, tol: float = XI_TOL, max_iter: int = XI_MAX_ITER
+) -> _FixedPoint:
+    """Least fixed point of the first-passage system at every point of ``zs``.
+
+    The system of :func:`solve_xi` reads ``R = Phi(R) = z [c + A R + (C^T R) * R]``
+    in ``R = (R_1, R_2)``, ``*`` entrywise.  Newton's method from 0 solves
+    ``(I - Phi'(R)) step = Phi(R) - R`` for all points still active at once;
+    each point stops once ``max|step| < tol``.  For ``z >= 0`` the system is
+    monotone and Newton increases to the least fixed point (Etessami &
+    Yannakakis 2009), so a decreasing step, or a singular or non-finite
+    solve, marks a point past the radius, where Newton would land on a
+    spurious root.  Other points must be dominated by the solution at ``|z|``
+    (nonnegative coefficients): ``|R(z)| <= R(|z|) + tol``, and likewise
+    ``xi``, which follows in closed form: ``xi_1 = a_1 z / (1 - a_2 z s_2)``,
+    ``s_2 = sum_y p_2(o_2, y) R_2(y)``.
+    """
+    compile_kernel(cfg)  # reject configurations that fail validation
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    f1, f2 = cfg.factor1, cfg.factor2
+    a1, a2 = cfg.alphas
+    nr1 = [f1.index(v) for v in f1.nonroot]
+    nr2 = [f2.index(v) for v in f2.nonroot]
+    n1, n = len(nr1), len(nr1) + len(nr2)
+    p1, p2 = f1.matrix(), f2.matrix()
+    w1, w2 = p1[f1.root_index, nr1], p2[f2.root_index, nr2]
+    c = np.concatenate([a1 * p1[nr1, f1.root_index], a2 * p2[nr2, f2.root_index]])
+    A = np.zeros((n, n))
+    A[:n1, :n1] = a1 * p1[np.ix_(nr1, nr1)]
+    A[n1:, n1:] = a2 * p2[np.ix_(nr2, nr2)]
+    C = np.zeros((n, n))  # couples R_j to the other factor's root row
+    C[n1:, :n1] = a2 * w2[:, None]
+    C[:n1, n1:] = a1 * w1[:, None]
+    eye = np.eye(n)
+
+    R = np.zeros((len(zs), n), dtype=complex)
+    iterations = np.zeros(len(zs), dtype=int)
+    converged = np.zeros(len(zs), dtype=bool)
+    residual = np.full(len(zs), math.inf)
+    monotone = (zs.imag == 0) & (zs.real >= 0)
+    active = np.flatnonzero(monotone)
+    off_axis = np.flatnonzero(~monotone)
+    if off_axis.size:  # solve at |z| first: a point past the radius is not tried
+        moduli, of_point = np.unique(np.abs(zs[off_axis]), return_inverse=True)
+        ref = _solve_xi_array(moduli, cfg, tol, max_iter)
+        bound = np.column_stack([ref.returns, ref.xi1, ref.xi2])[of_point].real + tol
+        active = np.concatenate([active, off_axis[ref.converged[of_point]]])
+    for it in range(1, max_iter + 1):
+        if not active.size:
+            break
+        z = zs[active, None]
+        Ra = R[active]
+        coupling = Ra @ C
+        lhs = eye - z[:, :, None] * (A + coupling[:, :, None] * eye + Ra[:, :, None] * C.T)
+        step = _batched_solve(lhs, z * (c + Ra @ A.T + coupling * Ra) - Ra)
+        size = np.max(np.abs(step), axis=1, initial=0.0)
+        failed = ~np.isfinite(size) | (
+            monotone[active] & np.any(step.real < -MONOTONE_SLACK, axis=1)
+        )
+        R[active] = np.where(failed[:, None], Ra, Ra + step)
+        iterations[active] = it
+        residual[active] = size
+        done = ~failed & (size < tol)
+        converged[active[done]] = True
+        active = active[~(failed | done)]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi1 = a1 * zs / (1.0 - a2 * zs * (R[:, n1:] @ w2))
+        xi2 = a2 * zs / (1.0 - a1 * zs * (R[:, :n1] @ w1))
+    if off_axis.size:
+        value = np.abs(np.column_stack([R, xi1, xi2])[off_axis])
+        converged[off_axis] &= np.all(value <= bound, axis=1)
+    return _FixedPoint(xi1, xi2, R, iterations, converged, residual)
+
+
+def _batched_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``lhs[k] x[k] = rhs[k]`` for every k; a singular system gives nan."""
+    try:
+        return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for k in range(len(rhs)):
+            try:
+                out[k] = np.linalg.solve(lhs[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def solve_xi(
     z: complex,
     cfg: WalkConfig,
@@ -87,7 +188,7 @@ def solve_xi(
     max_iter: int = XI_MAX_ITER,
     raise_on_divergence: bool = True,
 ) -> XiSolution:
-    """Solve the first-passage system at ``z`` by monotone iteration from 0.
+    """Solve the first-passage system at ``z`` by Newton's method from 0.
 
     One step from the one-letter word ``v`` of factor ``j`` either moves
     inside factor ``j`` (reaching the root directly or another one-letter
@@ -98,70 +199,29 @@ def solve_xi(
                  + a_j' z sum_y p_j'(o_j', y) R_j'(y) R_j(v)
         xi_1   = a_1 z + a_2 z sum_y p_2(o_2, y) R_2(y) xi_1
 
-    and symmetrically for ``xi_2``.  Iteration from zero is monotone for
-    ``z >= 0``, so it converges to the minimal nonnegative solution, which is
-    the probabilistic one for ``z <= 1``; on a complex circle the iterates
-    are dominated coefficientwise by the ``|z|`` case.  Divergence (iterates
-    still moving at the cap, or blowing up) indicates ``z`` beyond the radius
-    of convergence and is reported, not raised, when requested.
+    and symmetrically for ``xi_2``.  The least nonnegative solution is the
+    probabilistic one for ``z <= 1``; :func:`_solve_xi_array` finds it and
+    recognises a point beyond the radius of convergence, which is reported,
+    not raised, when requested.  ``iterations`` counts Newton steps and
+    ``residual`` is the size of the last one.
     """
-    compile_kernel(cfg)  # reject configurations that fail validation
-    f1, f2 = cfg.factor1, cfg.factor2
-    a1, a2 = cfg.alphas
-    p1 = f1.matrix().astype(complex)
-    p2 = f2.matrix().astype(complex)
-    nr1 = [f1.index(v) for v in f1.nonroot]
-    nr2 = [f2.index(v) for v in f2.nonroot]
-    r1, r2 = f1.root_index, f2.root_index
-
-    R1 = np.zeros(len(nr1), dtype=complex)
-    R2 = np.zeros(len(nr2), dtype=complex)
-    xi1 = xi2 = 0.0 + 0.0j
-    converged = False
-    residual = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        s1 = complex(p1[r1, nr1] @ R1)  # sum_y p_1(o_1, y) R_1(y)
-        s2 = complex(p2[r2, nr2] @ R2)
-        new_R1 = a1 * z * (p1[nr1, r1] + p1[np.ix_(nr1, nr1)] @ R1) + a2 * z * s2 * R1
-        new_R2 = a2 * z * (p2[nr2, r2] + p2[np.ix_(nr2, nr2)] @ R2) + a1 * z * s1 * R2
-        new_xi1 = a1 * z + a2 * z * s2 * xi1
-        new_xi2 = a2 * z + a1 * z * s1 * xi2
-        residual = max(
-            float(np.max(np.abs(new_R1 - R1))) if len(nr1) else 0.0,
-            float(np.max(np.abs(new_R2 - R2))) if len(nr2) else 0.0,
-            abs(new_xi1 - xi1),
-            abs(new_xi2 - xi2),
-        )
-        R1, R2, xi1, xi2 = new_R1, new_R2, new_xi1, new_xi2
-        if residual < tol:
-            converged = True
-            break
-        if (
-            np.max(np.abs(R1), initial=0.0) > DIVERGENCE_BOUND
-            or np.max(np.abs(R2), initial=0.0) > DIVERGENCE_BOUND
-        ):
-            break
-
+    fp = _solve_xi_array(np.array([z]), cfg, tol, max_iter)
+    converged = bool(fp.converged[0])
     if not converged and raise_on_divergence:
         raise NoConvergence(
-            f"first-passage iteration did not converge at z = {z} "
-            f"(residual {residual:.3e} after {it} iterations)"
+            f"first-passage fixed point not reached at z = {z} "
+            f"(last step {fp.residual[0]:.3e} after {fp.iterations[0]} iterations)"
         )
-
-    returns: dict[tuple[int, str], complex] = {}
-    for idx, v in enumerate(f1.nonroot):
-        returns[(1, v)] = _realify(R1[idx])
-    for idx, v in enumerate(f2.nonroot):
-        returns[(2, v)] = _realify(R2[idx])
+    f1, f2 = cfg.factor1, cfg.factor2
+    labels = [(1, v) for v in f1.nonroot] + [(2, v) for v in f2.nonroot]
     return XiSolution(
         z=z,
-        xi1=_realify(xi1),
-        xi2=_realify(xi2),
-        returns=returns,
-        iterations=it,
+        xi1=_realify(fp.xi1[0]),
+        xi2=_realify(fp.xi2[0]),
+        returns={key: _realify(r) for key, r in zip(labels, fp.returns[0])},
+        iterations=int(fp.iterations[0]),
         converged=converged,
-        residual=residual,
+        residual=float(fp.residual[0]),
     )
 
 
@@ -283,16 +343,14 @@ def radius_diagnostic(
 
     if grid is None:
         grid = [round(1.0 + 0.02 * k, 2) for k in range(11)]
-    converged_at = []
-    largest = None
+    fp = _solve_xi_array(np.array(grid), cfg)
+    inside = fp.converged & (np.abs(fp.xi1) < 1.0) & (np.abs(fp.xi2) < 1.0)
+    converged_at = [z for z, ok in zip(grid, inside) if ok]
+    largest = max(converged_at, default=None)
     xi_at_largest = None
-    for z in grid:
-        sol = solve_xi(z, cfg, max_iter=200_000, raise_on_divergence=False)
-        if sol.converged and abs(sol.xi1) < 1.0 and abs(sol.xi2) < 1.0:
-            converged_at.append(z)
-            if largest is None or z > largest:
-                largest = z
-                xi_at_largest = (float(sol.xi1.real), float(sol.xi2.real))
+    if largest is not None:
+        k = grid.index(largest)
+        xi_at_largest = (float(fp.xi1[k].real), float(fp.xi2[k].real))
     proxy = return_probability_proxy(cfg, proxy_order)
     plausible = largest is not None and largest > 1.0
     return RadiusReport(
@@ -399,53 +457,6 @@ class RenewalLaw:
         return self.sigma_sq(lambda _pair: 2.0)
 
 
-def _solve_xi_grid(
-    zs: np.ndarray, cfg: WalkConfig, tol: float = XI_TOL, max_iter: int = XI_MAX_ITER
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed point of :func:`solve_xi`, iterated jointly over many z."""
-    f1, f2 = cfg.factor1, cfg.factor2
-    a1, a2 = cfg.alphas
-    p1 = f1.matrix().astype(complex)
-    p2 = f2.matrix().astype(complex)
-    nr1 = [f1.index(v) for v in f1.nonroot]
-    nr2 = [f2.index(v) for v in f2.nonroot]
-    r1, r2 = f1.root_index, f2.root_index
-    nz = len(zs)
-    R1 = np.zeros((nz, len(nr1)), dtype=complex)
-    R2 = np.zeros((nz, len(nr2)), dtype=complex)
-    xi1 = np.zeros(nz, dtype=complex)
-    xi2 = np.zeros(nz, dtype=complex)
-    b1 = p1[nr1, r1]
-    b2 = p2[nr2, r2]
-    m1 = p1[np.ix_(nr1, nr1)].T
-    m2 = p2[np.ix_(nr2, nr2)].T
-    w1 = p1[r1, nr1]
-    w2 = p2[r2, nr2]
-    for it in range(1, max_iter + 1):
-        s1 = R1 @ w1
-        s2 = R2 @ w2
-        new_R1 = (a1 * zs)[:, None] * (b1[None, :] + R1 @ m1) + (
-            a2 * zs * s2
-        )[:, None] * R1
-        new_R2 = (a2 * zs)[:, None] * (b2[None, :] + R2 @ m2) + (
-            a1 * zs * s1
-        )[:, None] * R2
-        new_xi1 = a1 * zs + a2 * zs * s2 * xi1
-        new_xi2 = a2 * zs + a1 * zs * s1 * xi2
-        residual = max(
-            float(np.max(np.abs(new_R1 - R1))),
-            float(np.max(np.abs(new_R2 - R2))),
-            float(np.max(np.abs(new_xi1 - xi1))),
-            float(np.max(np.abs(new_xi2 - xi2))),
-        )
-        R1, R2, xi1, xi2 = new_R1, new_R2, new_xi1, new_xi2
-        if residual < tol:
-            return xi1, xi2, R1, R2
-    raise NoConvergence(
-        f"grid fixed point did not converge within {max_iter} iterations"
-    )
-
-
 def _factor_L_row_grid(
     cfg: WalkConfig, i: int, ts: np.ndarray
 ) -> dict[str, np.ndarray]:
@@ -471,7 +482,13 @@ def renewal_increment_law(
     f1 = cfg.factor1
     half = fft_size // 2
     zs = np.exp(2j * np.pi * np.arange(half + 1) / fft_size)
-    xi1, xi2, _, _ = _solve_xi_grid(zs, cfg)
+    fp = _solve_xi_array(zs, cfg)
+    if not fp.converged.all():
+        raise NoConvergence(
+            f"first-passage fixed point not reached at {np.sum(~fp.converged)} "
+            f"of {len(zs)} points of the unit circle"
+        )
+    xi1, xi2 = fp.xi1, fp.xi2
     L1 = _factor_L_row_grid(cfg, 1, xi1)
     L2 = _factor_L_row_grid(cfg, 2, xi2)
     pairs = tuple(

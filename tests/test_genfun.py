@@ -10,6 +10,7 @@ from freewalk.genfun import (
     GenFunContext,
     NoConvergence,
     SingularSolve,
+    _solve_xi_array,
     build_context,
     dL_word,
     entropy_bound_CL,
@@ -20,6 +21,7 @@ from freewalk.genfun import (
     renewal_increment_law,
     solve_xi,
 )
+from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.oracle import (
     enum_L_series,
     enum_xi_series,
@@ -31,6 +33,42 @@ CA = Word(((2, "c"), (1, "a")))
 
 XI_A = 2.0 / 3.0  # minimal root of the symmetric K3xK3 system, by hand
 RADIUS_A = (8.0 * math.sqrt(2.0) - 4.0) / 7.0  # branch point of the same system
+
+
+def _one_step(z, cfg, R1, R2):
+    """One application of the first-passage system, written out per factor.
+
+    Returns the new ``(R_1, R_2)`` and ``(xi_1, xi_2)`` solved from the
+    ``xi`` equations, which are linear in ``xi`` once ``R`` is given.
+    """
+    f1, f2 = cfg.factor1, cfg.factor2
+    a1, a2 = cfg.alphas
+    p1, p2 = f1.matrix(), f2.matrix()
+    nr1 = [f1.index(v) for v in f1.nonroot]
+    nr2 = [f2.index(v) for v in f2.nonroot]
+    r1, r2 = f1.root_index, f2.root_index
+    s1 = R1 @ p1[r1, nr1]
+    s2 = R2 @ p2[r2, nr2]
+    new1 = a1 * z * (p1[nr1, r1] + p1[np.ix_(nr1, nr1)] @ R1) + a2 * z * s2 * R1
+    new2 = a2 * z * (p2[nr2, r2] + p2[np.ix_(nr2, nr2)] @ R2) + a1 * z * s1 * R2
+    return new1, new2, a1 * z / (1 - a2 * z * s2), a2 * z / (1 - a1 * z * s1)
+
+
+def _monotone_reference(z, cfg, tol=1e-13, max_iter=100_000):
+    """The fixed point by plain iteration from 0, kept as an independent route."""
+    R1 = np.zeros(len(cfg.factor1.nonroot), dtype=complex)
+    R2 = np.zeros(len(cfg.factor2.nonroot), dtype=complex)
+    for _ in range(max_iter):
+        new1, new2, xi1, xi2 = _one_step(z, cfg, R1, R2)
+        moved = max(np.max(np.abs(new1 - R1)), np.max(np.abs(new2 - R2)))
+        R1, R2 = new1, new2
+        if moved < tol:
+            return R1, R2, xi1, xi2
+    raise AssertionError(f"reference iteration did not settle at z = {z}")
+
+
+def _within_ulps(value, exact, ulps=4):
+    return abs(value - exact) <= ulps * math.ulp(exact)
 
 
 class TestFactorGreen:
@@ -155,6 +193,60 @@ class TestSolveXi:
     def test_converges_just_inside_radius(self, instance_a):
         sol = solve_xi(RADIUS_A - 5e-3, instance_a, max_iter=400_000)
         assert sol.converged
+
+    def test_closed_forms_at_one(self):
+        """K3xK3 at alpha 1/2 and 1/10 solve by hand to rationals."""
+        sol = solve_xi(1.0, instance_k3_k3(0.5))
+        assert _within_ulps(sol.xi1, 2 / 3) and _within_ulps(sol.xi2, 2 / 3)
+        assert all(_within_ulps(v, 0.5) for v in sol.returns.values())
+        sol = solve_xi(1.0, instance_k3_k3(0.1))
+        assert _within_ulps(sol.xi1, 22 / 49) and _within_ulps(sol.xi2, 38 / 41)
+
+    @pytest.mark.parametrize(
+        "make, alpha",
+        [(instance_k3_k3, a) for a in (0.02, 0.1, 0.5, 0.9)]
+        + [(instance_path_k3, a) for a in (0.1, 0.5, 0.9)],
+    )
+    def test_fixed_point_residual(self, make, alpha):
+        cfg = make(alpha)
+        sol = solve_xi(1.0, cfg)
+        R1 = np.array([sol.returns[(1, v)] for v in cfg.factor1.nonroot])
+        R2 = np.array([sol.returns[(2, v)] for v in cfg.factor2.nonroot])
+        new1, new2, xi1, xi2 = _one_step(1.0, cfg, R1, R2)
+        assert np.max(np.abs(new1 - R1)) < 1e-14
+        assert np.max(np.abs(new2 - R2)) < 1e-14
+        assert abs(xi1 - sol.xi1) < 1e-14 and abs(xi2 - sol.xi2) < 1e-14
+
+    @pytest.mark.parametrize("z", [1.18, 1.2])
+    def test_spurious_root_beyond_radius_rejected(self, z):
+        """Newton reaches a root with negative xi_1 here unless guarded."""
+        sol = solve_xi(z, instance_k3_k3(0.1), raise_on_divergence=False)
+        assert sol.converged is False
+
+    def test_fft_circle_against_monotone_reference(self, instance_a, instance_b):
+        for cfg in (instance_a, instance_b, instance_k3_k3(0.1)):
+            for k in range(9):
+                z = complex(np.exp(2j * np.pi * k / 16))
+                sol = solve_xi(z, cfg)
+                R1, R2, xi1, xi2 = _monotone_reference(z, cfg)
+                got1 = [sol.returns[(1, v)] for v in cfg.factor1.nonroot]
+                got2 = [sol.returns[(2, v)] for v in cfg.factor2.nonroot]
+                assert np.max(np.abs(np.array(got1) - R1)) < 1e-10
+                assert np.max(np.abs(np.array(got2) - R2)) < 1e-10
+                assert abs(sol.xi1 - xi1) < 1e-10 and abs(sol.xi2 - xi2) < 1e-10
+
+    def test_singular_newton_system_is_not_converged(self, instance_a):
+        """At z = 4 the first Newton matrix ``I - z A`` is exactly singular."""
+        sol = solve_xi(4.0, instance_a, raise_on_divergence=False)
+        assert not sol.converged and sol.iterations == 1
+        report = radius_diagnostic(instance_a, grid=[1.0, 4.0])
+        assert report.converged_at == [1.0]
+
+    def test_circle_beyond_radius_not_converged(self, instance_a):
+        """Points whose modulus is past the radius fail, those inside pass."""
+        circle = np.exp(2j * np.pi * np.arange(8) / 8)
+        assert not _solve_xi_array(1.2 * circle, instance_a).converged.any()
+        assert _solve_xi_array(0.9 * RADIUS_A * circle, instance_a).converged.all()
 
 
 class TestContext:
@@ -300,6 +392,13 @@ class TestRenewalIncrementLaw:
         assert math.isclose(law_a.mean(), d1, rel_tol=1e-5)
         var_from_gf = d2 + d1 - d1 * d1
         assert math.isclose(law_a.variance(), var_from_gf, rel_tol=1e-3)
+
+    def test_complex_step_mean(self, instance_a, law_a):
+        """``F'(1)`` by complex step equals the law's mean, and 8 exactly."""
+        h = 1e-8
+        slope = renewal_increment_gf(1.0 + 1j * h, instance_a).imag / h
+        assert abs(slope - law_a.mean()) < 1e-9
+        assert abs(slope - 8.0) < 1e-10
 
     def test_sigma_block_formula(self, law_a):
         # E[(2 - increment * speed)^2] / E[increment] with speed = 2/mean

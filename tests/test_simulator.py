@@ -350,14 +350,16 @@ def _digest(a: np.ndarray) -> str:
 
 
 # sha256 prefixes of the arrays the action-log simulator produced; the
-# write-time kernel and its vectorized decomposition must reproduce them
+# write-time kernel and its vectorized decomposition must reproduce them.
+# d_ent was re-captured when the fixed point became exact to rounding (Newton
+# from 0): its letter values moved by at most 5.7e-12 relative.
 GOLDEN_POOLS = {
     "pool_a": {
         "walk": "a5b45c639b4aa916",
         "index": "20f339544379a306",
         "delta_t": "f4777ef2850f0299",
         "d_dist": "e656ad964ab90469",
-        "d_ent": "dff15e10904afd79",
+        "d_ent": "738e3495c58d0157",
         "w_first": "4bbf202988d2d8e9",
         "w_second": "dddcf92033a5bb4f",
         "d_at": "b3d1c3914bab82ba",
@@ -372,7 +374,7 @@ GOLDEN_POOLS = {
         "index": "16da40773bd46497",
         "delta_t": "ca2bd155819dd16f",
         "d_dist": "17c8b8951684b6c7",
-        "d_ent": "eef57ef49132bcd5",
+        "d_ent": "4e0865f0a4e28b7c",
         "w_first": "90153624db109711",
         "w_second": "f1e3b305bb4b7258",
         "d_at": "fc029d4036025e31",
