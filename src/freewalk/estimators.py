@@ -33,6 +33,7 @@ from .simulator import (
 
 Z95 = 1.959963984540054
 PRE_ASYMPTOTIC_N = 100
+MIN_KS_WALKS = 20  # fewer standardized samples get no KS test
 
 
 class EmptyPool(FreewalkError):
@@ -272,8 +273,8 @@ def normality_test(samples: Sequence[float]) -> tuple[float, float]:
     """One-sample KS distance to the standard normal, with asymptotic p-value."""
     x = np.sort(np.asarray(samples, dtype=float))
     m = len(x)
-    if m < 20:
-        raise DegenerateSample(f"need at least 20 samples, got {m}")
+    if m < MIN_KS_WALKS:
+        raise DegenerateSample(f"need at least {MIN_KS_WALKS} samples, got {m}")
     if x[0] == x[-1]:
         raise DegenerateSample("constant sample")
     cdf = _std_normal_cdf(x)
@@ -373,7 +374,9 @@ def run_clt_suite(
     errors enter the standardized samples multiplied by sqrt(n), so even the
     small completed-block inspection bias (order one over the window) would
     otherwise shift the whole sample visibly.  All requested statistics
-    share the same walks, which is deterministic given the seed.
+    share the same walks, which is deterministic given the seed.  With no
+    walks or fewer than ``MIN_KS_WALKS`` the KS test is skipped and each
+    report's warnings say "no walks" or "too few walks".
     """
     if "entropy" in statistics and cfg.epsilon0 is None:
         raise MissingEpsilon0(
@@ -413,14 +416,14 @@ def run_clt_suite(
     for statistic in statistics:
         raw = _raw_statistic(stats, statistic)
         rate, sigma = rate_of[statistic], sigma_of[statistic]
-        warnings = [] if M else ["no walks"]
+        warnings = ["no walks"] if M == 0 else ["too few walks"] if M < MIN_KS_WALKS else []
         if not (sigma > 0):
             warnings.append("degenerate-sigma")
         std = (raw - n * rate) / (sigma * math.sqrt(n))
         ks = pv = None
         if n < PRE_ASYMPTOTIC_N:
             warnings.append("pre-asymptotic")
-        elif M >= 20 and sigma > 0:
+        elif M >= MIN_KS_WALKS and sigma > 0:
             ks, pv = normality_test(std)
         out[statistic] = CltReport(
             statistic=statistic,

@@ -6,11 +6,12 @@ order can reach.  A step is one scatter along the index's successor table:
 ``np.bincount`` in float mode, ``np.add.at`` on integer numerators over
 ``D**t`` in exact mode (``D`` is the lcm of the move denominators; int64
 while ``D**N < 2**63``, Python ints beyond), so ``Fraction`` appears only in
-the returned coefficients.  The last-exit (taboo at the source), first-visit
-(absorbing) and renewal (arrival-recording) series are masks on that one
-step.  These series are the independent ground truth against which the
-linear-solve evaluations in :mod:`freewalk.genfun` and the Monte Carlo
-estimators are validated.
+the returned coefficients.  One walk from a source yields the series at
+every target it is asked for, read off the same mass vector after each step.
+The last-exit (taboo at the source), first-visit (absorbing) and renewal
+(arrival-recording) series are masks on that one step.  These series are the
+independent ground truth against which the linear-solve evaluations in
+:mod:`freewalk.genfun` and the Monte Carlo estimators are validated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +123,12 @@ def series_combine(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def max_coeff_gap(a: TruncatedSeries, b: TruncatedSeries) -> Number:
+    """The largest ``|a_n - b_n|``: a ``Fraction``, exact, on rational series,
+    so any two different rational coefficients give a positive gap."""
+    return max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs))
+
+
 def _check_order(n: int, cap: int) -> None:
     if n > cap:
         raise OrderTooLarge(f"order {n} exceeds cap {cap}; raise the cap explicitly")
@@ -218,7 +225,9 @@ class _Walk:
     integer numerator over ``denominator ** t`` (int64 while the ``N``-step
     denominator fits, Python ints beyond).  :meth:`step` pushes the mass of
     the prefix ``end[d0 + t]`` along ``succ`` with one scatter; the taboo and
-    absorbing variants zero nodes of ``mass`` between steps.
+    absorbing variants zero nodes of ``mass`` between steps.  :meth:`series`
+    reads any number of target nodes off the one mass vector, so one walk
+    from a source serves every target.
     """
 
     def __init__(self, kernel: CompiledKernel, codes: tuple[int, ...], N: int, exact: bool):
@@ -274,49 +283,79 @@ class _Walk:
             return Fraction(int(v), self.index.denominator**self.t)
         return float(v)
 
-    def series(self, target: Optional[int], N: int, taboo: list[int]) -> TruncatedSeries:
-        """Mass at ``target`` at times 0..N, zeroing ``taboo`` after each step."""
-        coeffs = [self.value(0 if target is None else self.mass[target])]
+    def series(
+        self, targets: list[Optional[int]], N: int, taboo: list[int]
+    ) -> tuple[TruncatedSeries, ...]:
+        """One series per target: its mass at times 0..N, zeroing ``taboo``
+        after each step."""
+        rows = [self.read(targets)]
         for _ in range(N):
             self.step()
             self.mass[taboo] = 0
-            coeffs.append(self.value(0 if target is None else self.mass[target]))
-        return TruncatedSeries(tuple(coeffs))
+            rows.append(self.read(targets))
+        return tuple(TruncatedSeries(coeffs) for coeffs in zip(*rows))
+
+    def read(self, targets: list[Optional[int]]) -> list[Number]:
+        """Each target's mass at the current time; None (out of reach) reads 0."""
+        return [self.value(0 if n is None else self.mass[n]) for n in targets]
 
 
-def enum_green_series(
+def _source_series(
     x: Word,
-    y: Word,
+    y: Word | Sequence[Word],
     N: int,
     cfg: WalkConfig,
-    exact: bool = False,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> TruncatedSeries:
-    """Coefficient ``n`` is the n-step transition probability from ``x`` to ``y``."""
-    _check_order(N, cap)
-    kernel = compile_kernel(cfg)
-    walk = _Walk(kernel, kernel.encode(x), N, exact)
-    return walk.series(walk.find(kernel.encode(y)), N, taboo=[])
-
-
-def enum_L_series(
-    x: Word,
-    y: Word,
-    N: int,
-    cfg: WalkConfig,
-    exact: bool = False,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> TruncatedSeries:
-    """Last-exit series: paths from ``x`` to ``y`` avoiding ``x`` after time 0.
-
-    Coefficient ``n`` is ``P_x[X_n = y, X_m != x for 1 <= m <= n]``; in
-    particular the series for ``y = x`` is identically ``(1, 0, 0, ...)``.
-    """
+    exact: bool,
+    cap: int,
+    taboo: bool,
+) -> TruncatedSeries | tuple[TruncatedSeries, ...]:
+    """The series from ``x`` at ``y`` (a word, or each of a sequence of words)
+    from one walk, with ``x`` deleted after time 0 when ``taboo``."""
     _check_order(N, cap)
     kernel = compile_kernel(cfg)
     src = kernel.encode(x)
     walk = _Walk(kernel, src, N, exact)
-    return walk.series(walk.find(kernel.encode(y)), N, taboo=[walk.find(src)])
+    targets = [y] if isinstance(y, Word) else y
+    series = walk.series(
+        [walk.find(kernel.encode(w)) for w in targets],
+        N,
+        taboo=[walk.find(src)] if taboo else [],
+    )
+    return series[0] if isinstance(y, Word) else series
+
+
+def enum_green_series(
+    x: Word,
+    y: Word | Sequence[Word],
+    N: int,
+    cfg: WalkConfig,
+    exact: bool = False,
+    cap: int = DEFAULT_ORDER_CAP,
+) -> TruncatedSeries | tuple[TruncatedSeries, ...]:
+    """Coefficient ``n`` is the n-step transition probability from ``x`` to ``y``.
+
+    For a sequence of targets ``y`` the result is a tuple of series, one per
+    target, all read off one walk from ``x``.
+    """
+    return _source_series(x, y, N, cfg, exact, cap, taboo=False)
+
+
+def enum_L_series(
+    x: Word,
+    y: Word | Sequence[Word],
+    N: int,
+    cfg: WalkConfig,
+    exact: bool = False,
+    cap: int = DEFAULT_ORDER_CAP,
+) -> TruncatedSeries | tuple[TruncatedSeries, ...]:
+    """Last-exit series: paths from ``x`` to ``y`` avoiding ``x`` after time 0.
+
+    Coefficient ``n`` is ``P_x[X_n = y, X_m != x for 1 <= m <= n]``; in
+    particular the series for ``y = x`` is identically ``(1, 0, 0, ...)``.
+    A sequence of targets gives a tuple of series from one walk, as in
+    :func:`enum_green_series`.
+    """
+    return _source_series(x, y, N, cfg, exact, cap, taboo=True)
 
 
 def enum_xi_series(
@@ -359,10 +398,8 @@ def occupation_probabilities(
 ) -> list[float]:
     """``P_o[X_n = w]`` for each word ``w`` given as letter codes (float mode)."""
     walk = _Walk(compile_kernel(cfg), (), n, exact=False)
-    for _ in range(n):
-        walk.step()
-    nodes = [walk.find(codes) for codes in endpoints]
-    return [0.0 if i is None else float(walk.mass[i]) for i in nodes]
+    series = walk.series([walk.find(codes) for codes in endpoints], n, taboo=[])
+    return [s[n] for s in series]
 
 
 # -- factor-level series (dense DP on one factor graph) -----------------------

@@ -32,6 +32,7 @@ from freewalk.oracle import (
     enum_xi_series,
     exact_renewal_increment_dist,
     factor_L_series,
+    max_coeff_gap,
     series_combine,
 )
 from freewalk.simulator import (
@@ -79,24 +80,21 @@ def _forced_chain(x: Word, y: Word) -> list[Word]:
     return chain
 
 
-def _max_coeff_err(a, b) -> float:
-    return max(abs(float(x) - float(y)) for x, y in zip(a.coeffs, b.coeffs))
-
-
 def _identity_suite(cfg, order: int, exact: bool, tol: float) -> int:
     words = _word_set(cfg)
     green = {}
     last_exit = {}
     for x in words:
-        for y in words:
-            green[(x, y)] = enum_green_series(x, y, order, cfg, exact=exact)
-            last_exit[(x, y)] = enum_L_series(x, y, order, cfg, exact=exact)
+        green_x = enum_green_series(x, words, order, cfg, exact=exact)
+        last_exit_x = enum_L_series(x, words, order, cfg, exact=exact)
+        green.update(((x, y), s) for y, s in zip(words, green_x))
+        last_exit.update(((x, y), s) for y, s in zip(words, last_exit_x))
     checked = 0
     # G(x,y) = G(x,x) * L(x,y), coefficientwise
     for x in words:
         for y in words:
             product = series_combine(green[(x, x)], last_exit[(x, y)], "multiply")
-            assert _max_coeff_err(green[(x, y)], product) <= tol, (x, y)
+            assert max_coeff_gap(green[(x, y)], product) <= tol, (x, y)
             checked += 1
     # L(x,y) factors through every forced intermediate word
     for x in words:
@@ -113,7 +111,7 @@ def _identity_suite(cfg, order: int, exact: bool, tol: float) -> int:
                 if step is None:
                     step = enum_L_series(a, b, order, cfg, exact=exact)
                 product = series_combine(product, step, "multiply")
-            assert _max_coeff_err(last_exit[(x, y)], product) <= tol, (x, y)
+            assert max_coeff_gap(last_exit[(x, y)], product) <= tol, (x, y)
             checked += 1
     # free-product L between same-factor words composes the factor L with xi
     for i in (1, 2):
@@ -126,7 +124,7 @@ def _identity_suite(cfg, order: int, exact: bool, tol: float) -> int:
                 lhs = last_exit[(wx, wy)]
                 factor = factor_L_series(i, xv, yv, order, cfg, exact=exact)
                 rhs = series_combine(factor, xi, "compose")
-                assert _max_coeff_err(lhs, rhs) <= tol, (i, xv, yv)
+                assert max_coeff_gap(lhs, rhs) <= tol, (i, xv, yv)
                 checked += 1
     return checked
 

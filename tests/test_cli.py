@@ -285,6 +285,16 @@ class TestArtifactPins:
             assert "no walks" in doc[s]["warnings"]
             assert doc[s]["sample_mean"] is None and doc[s]["sample_var"] is None
 
+    def test_clt_with_too_few_walks_says_so(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["clt", "--n", "100", "--M", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        doc = json.loads((tmp_path / "clt_summary.json").read_text())
+        for s in ("dist", "block", "entropy"):
+            assert doc[s]["warnings"] == ["too few walks"]
+            assert doc[s]["ks_stat"] is None and doc[s]["sample_var"] is None
+
 
 class TestMain:
     def test_unknown_command_usage_exit(self, capsys):
@@ -306,6 +316,14 @@ class TestMain:
     def test_negative_counts_usage_exit(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert "must be a non-negative integer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_clt_without_steps_usage_exit(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["clt", "--n", "0", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "argument --n: must be positive, got 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("grid", [",", "", " , "])

@@ -26,6 +26,7 @@ from freewalk.oracle import (
     exact_renewal_increment_dist,
     factor_green_series,
     factor_L_series,
+    max_coeff_gap,
     return_probability_proxy,
     series_combine,
 )
@@ -117,6 +118,58 @@ class TestFirstPassage:
         assert via_kind.coeffs == direct.coeffs
         via_xi = enum_first_passage_series(("xi", 2), 6, instance_a, exact=True)
         assert via_xi.coeffs == enum_xi_series(2, 6, instance_a, exact=True).coeffs
+
+
+def _oracle_check_words(cfg):
+    """The word set of ``oracle-check``: o and every one-letter word."""
+    return [O] + [Word(((i, v),)) for i in (1, 2) for v in cfg.factor(i).nonroot]
+
+
+class TestOneWalkPerSource:
+    @pytest.mark.parametrize("shape", ["instance_a", "instance_b"])
+    @pytest.mark.parametrize("exact, order", [(False, 14), (True, 10)])
+    @pytest.mark.parametrize("enum", [enum_green_series, enum_L_series])
+    def test_per_source_equals_per_pair(self, shape, exact, order, enum, request):
+        cfg = request.getfixturevalue(shape)
+        words = _oracle_check_words(cfg)
+        for x in words:
+            per_source = enum(x, words, order, cfg, exact=exact)
+            per_pair = tuple(enum(x, y, order, cfg, exact=exact) for y in words)
+            assert per_source == per_pair, x
+
+    @pytest.mark.parametrize("shape", ["instance_a", "instance_b"])
+    def test_L_at_the_source_is_unit(self, shape, request):
+        cfg = request.getfixturevalue(shape)
+        words = _oracle_check_words(cfg)
+        for i, x in enumerate(words):
+            last_exit = enum_L_series(x, words, 10, cfg, exact=True)
+            assert last_exit[i].coeffs == (1,) + (0,) * 10
+
+    def test_out_of_reach_target_reads_zero(self, instance_a):
+        for exact in (False, True):
+            green = enum_green_series(O, [CA, O, A1], 1, instance_a, exact=exact)
+            assert [s.coeffs for s in green] == [(0, 0), (1, 0), (0, Fraction(1, 4))]
+            assert enum_L_series(O, [CA], 1, instance_a, exact=exact)[0].coeffs == (0, 0)
+
+    def test_a_word_gives_one_series_and_a_sequence_a_tuple(self, instance_a):
+        single = enum_green_series(O, A1, 4, instance_a)
+        assert isinstance(single, TruncatedSeries)
+        assert enum_green_series(O, (A1,), 4, instance_a) == (single,)
+        assert enum_green_series(O, [], 4, instance_a) == ()
+
+
+class TestMaxCoeffGap:
+    def test_rational_gap_below_one_ulp_is_flagged(self):
+        a = TruncatedSeries((Fraction(1), Fraction(1, 3), Fraction(0)))
+        b = TruncatedSeries((Fraction(1), Fraction(1, 3) + Fraction(1, 3**80), Fraction(0)))
+        assert float(a[1]) == float(b[1])  # a float comparison cannot see it
+        assert max_coeff_gap(a, b) == Fraction(1, 3**80)
+        assert max_coeff_gap(a, b) > 0.0
+        assert max_coeff_gap(a, a) == 0
+
+    def test_float_gap(self):
+        a = TruncatedSeries((1.0, 0.5))
+        assert max_coeff_gap(a, TruncatedSeries((1.0, 0.25))) == 0.25
 
 
 class TestIdentitiesSmallOrder:
