@@ -59,6 +59,7 @@ from .genfun import (
     NonpositiveL,
     SingularSolve,
     build_context,
+    clt_constants,
     radius_diagnostic,
     renewal_increment_law,
 )
@@ -301,6 +302,7 @@ def _cmd_genfun(args, manifest: RunManifest) -> int:
     ctx = build_context(cfg)
     radius = radius_diagnostic(cfg)
     law = renewal_increment_law(cfg)
+    constants = clt_constants(law, cfg, ctx)
     doc = {
         "context": ctx.to_json_dict(),
         "radius": radius.to_json_dict(),
@@ -310,6 +312,7 @@ def _cmd_genfun(args, manifest: RunManifest) -> int:
             "block_speed": law.block_speed(),
             "unassigned_mass": law.unassigned,
         },
+        "clt_constants": {s: c._asdict() for s, c in constants.items()},
     }
     emit_report(doc, manifest, cfg, "genfun")
     print(
@@ -404,7 +407,6 @@ def _cmd_clt(args, manifest: RunManifest) -> int:
         args.M,
         manifest.master_seed,
         statistics=stats,
-        buffer=args.buffer,
     )
     doc = {s: r.to_json_dict() for s, r in reports.items()}
     csv_rows = {
@@ -523,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", choices=["dist", "block", "entropy", "all"], default="all")
     p.add_argument("--n", type=positive_int, default=5000)
     p.add_argument("--M", type=non_negative_int, default=2000)
-    p.add_argument("--buffer", type=non_negative_int, default=500)
     p.add_argument("--ks-threshold", type=float, default=0.05)
 
     p = sub.add_parser("diagnostics", help="i.i.d. and tail diagnostics")

@@ -17,11 +17,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FreewalkError, WalkConfig, compile_kernel, validate_config
-from .genfun import GenFunContext, build_context
+from .genfun import (
+    GenFunContext,
+    build_context,
+    clt_constants,
+    renewal_increment_law,
+)
 from .simulator import (
     DEFAULT_BUFFER,
     BlockPool,
-    PURPOSE_CALIBRATION,
     PURPOSE_GRID,
     PURPOSE_MAIN,
     WalkStatsArrays,
@@ -303,7 +307,12 @@ STATISTICS = ("dist", "block", "entropy")
 
 @dataclass
 class CltReport:
-    """Standardized endpoint samples of one statistic plus the test result."""
+    """Standardized endpoint samples of one statistic plus the test result.
+
+    ``rate_estimate`` and ``sigma_estimate`` hold the exact constants the
+    samples were standardized with (:func:`freewalk.genfun.clt_constants`),
+    not estimates; the field names are kept for readers of the summary.
+    """
 
     statistic: str
     n: int
@@ -360,20 +369,14 @@ def run_clt_suite(
     M: int,
     master_seed: int,
     statistics: Sequence[str] = STATISTICS,
-    M_cal: int = 1200,
-    n_cal: Optional[int] = None,
-    buffer: int = DEFAULT_BUFFER,
     ctx: Optional[GenFunContext] = None,
-    calibration: Optional[tuple[RateEstimates, SigmaEstimates]] = None,
 ) -> dict[str, CltReport]:
     """Sample M walks of length n and standardize each requested statistic.
 
-    Standardization constants come from an independent calibration pool
-    (separate streams), avoiding self-standardization bias.  The pool is
-    restricted to a fixed block count per walk before estimation: rate
-    errors enter the standardized samples multiplied by sqrt(n), so even the
-    small completed-block inspection bias (order one over the window) would
-    otherwise shift the whole sample visibly.  All requested statistics
+    Each statistic is centered at ``n * rate`` and scaled by
+    ``sqrt(n) * sigma``, with the exact constants of
+    :func:`freewalk.genfun.clt_constants` taken from the renewal increment
+    law; no walk is spent on estimating them.  All requested statistics
     share the same walks, which is deterministic given the seed.  With no
     walks or fewer than ``MIN_KS_WALKS`` the KS test is skipped and each
     report's warnings say "no walks" or "too few walks".
@@ -385,37 +388,17 @@ def run_clt_suite(
     kernel = compile_kernel(cfg)
     if ctx is None:
         ctx = build_context(cfg)
-    if calibration is None:
-        if n_cal is None:
-            n_cal = max(2 * buffer + 1000, min(2 * n, 8000))
-        pool, cal_stats = simulate_pool(
-            cfg, ctx, n_cal, M_cal, master_seed, buffer, purpose=PURPOSE_CALIBRATION
-        )
-        pool = truncate_pool(pool)
-        rates = estimate_rates(pool, cal_stats)
-        sigmas = estimate_sigmas(pool)
-    else:
-        rates, sigmas = calibration
+    constants = clt_constants(renewal_increment_law(cfg), cfg, ctx)
 
     streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
     batch = simulate_batch(cfg, n, master_seed, streams)
     stats = batch_walk_stats(batch, kernel, ctx)
 
-    rate_of = {
-        "dist": rates.lambda_renewal.value,
-        "block": rates.ell_renewal.value,
-        "entropy": rates.h_renewal.value,
-    }
-    sigma_of = {
-        "dist": math.sqrt(sigmas.lambda_sq) if sigmas.lambda_sq > 0 else float("nan"),
-        "block": math.sqrt(sigmas.ell_sq) if sigmas.ell_sq > 0 else float("nan"),
-        "entropy": math.sqrt(sigmas.h_sq) if sigmas.h_sq > 0 else float("nan"),
-    }
-
     out: dict[str, CltReport] = {}
     for statistic in statistics:
         raw = _raw_statistic(stats, statistic)
-        rate, sigma = rate_of[statistic], sigma_of[statistic]
+        rate, sigma_sq = constants[statistic]
+        sigma = math.sqrt(sigma_sq) if sigma_sq > 0 else float("nan")
         warnings = ["no walks"] if M == 0 else ["too few walks"] if M < MIN_KS_WALKS else []
         if not (sigma > 0):
             warnings.append("degenerate-sigma")

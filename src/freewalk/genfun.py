@@ -22,6 +22,7 @@ from .core import FreewalkError, Word, WalkConfig, compile_kernel
 XI_TOL = 1e-12
 XI_MAX_ITER = 10**6
 MONOTONE_SLACK = 1e-12  # rounding allowed in a step that must not decrease
+UNASSIGNED_TOL = 1e-9  # increment-law mass the CLT constants may leave out
 
 
 class SingularSolve(FreewalkError):
@@ -505,6 +506,43 @@ def renewal_increment_law(
         full[: half + 1] = upper
         full[half + 1 :] = np.conj(upper[1:half][::-1])
         coeffs = (np.fft.fft(full).real / fft_size)[:n_terms]
-        coeffs[np.abs(coeffs) < 1e-15] = 0.0
         out[(y, x)] = coeffs
     return RenewalLaw(pairs=pairs, pair_probs=out, config_digest=cfg.digest())
+
+
+class CltConstant(NamedTuple):
+    """Centering rate and renewal variance of one CLT statistic."""
+
+    rate: float
+    sigma_sq: float
+
+
+def clt_constants(
+    law: RenewalLaw, cfg: WalkConfig, ctx: GenFunContext
+) -> dict[str, CltConstant]:
+    """Exact rate and sigma^2 of each CLT statistic, from the increment law.
+
+    Each statistic adds one reward per renewal block, a function of the
+    appended pair ``(y, x)``: the graph distance ``f_2(y) + f_1(x)``
+    ("dist"), the two letters of the block ("block"), and the letter
+    distance ``-log L_2(o_2, y | xi_2) - log L_1(o_1, x | xi_1)`` ("entropy").
+    A law leaving more than ``UNASSIGNED_TOL`` of its mass out (an FFT too
+    short for the tail) raises :class:`NoConvergence` rather than give
+    constants of a truncated law.
+    """
+    if law.unassigned > UNASSIGNED_TOL:
+        raise NoConvergence(
+            f"increment law leaves {law.unassigned:.3g} of its mass unassigned "
+            f"(tolerance {UNASSIGNED_TOL:g})"
+        )
+    d1 = cfg.factor1.distances_from_root()
+    d2 = cfg.factor2.distances_from_root()
+    rewards = {
+        "dist": lambda pair: float(d2[pair[0]] + d1[pair[1]]),
+        "block": lambda _pair: 2.0,
+        "entropy": lambda pair: ctx.letter_dl(2, pair[0]) + ctx.letter_dl(1, pair[1]),
+    }
+    return {
+        stat: CltConstant(law.rate(reward), law.sigma_sq(reward))
+        for stat, reward in rewards.items()
+    }

@@ -49,9 +49,9 @@ from .genfun import GenFunContext, dL_word
 
 DEFAULT_BUFFER = 500
 
-# stream purposes keep seed spaces of different experiment roles disjoint
+# stream purposes keep seed spaces of different experiment roles disjoint;
+# 1 is unused, and the others keep their numbers so that no stream moves
 PURPOSE_MAIN = 0
-PURPOSE_CALIBRATION = 1
 PURPOSE_HIT_MC = 2
 PURPOSE_GRID = 3
 PURPOSE_POOL = 4

@@ -213,7 +213,7 @@ def test_criterion_4_rate_consistency(instance_a, instance_b, ctx_a, ctx_b):
 def test_criterion_5_clt_suite(instance_a):
     t0 = time.perf_counter()
     n, M = 5000, 2000
-    suite = run_clt_suite(instance_a, n, M, 2024, M_cal=1200, n_cal=8000)
+    suite = run_clt_suite(instance_a, n, M, 2024)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"CLT suite exceeded runtime target: {elapsed:.0f}s"
     lines = []

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freewalk.cli import (
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_STATISTICAL,
     EXIT_USAGE,
@@ -28,8 +29,11 @@ from freewalk.cli import (
     main,
     parse_config,
 )
-from freewalk.core import InvalidConfig
+from freewalk.core import InvalidConfig, compile_kernel
+from freewalk.estimators import run_clt_suite
+from freewalk.genfun import build_context, clt_constants, renewal_increment_law
 from freewalk.instances import instance_k3_k3, instance_path_k3
+from freewalk.simulator import PURPOSE_MAIN, batch_walk_stats, simulate_batch, stream_id
 
 
 class TestParseConfig:
@@ -233,8 +237,11 @@ class TestArtifactPins:
 
     Re-captured when the fixed point became exact to rounding (Newton from 0):
     only the entropy values derived from it moved, by at most 1.5e-11
-    relative.  Summaries are pinned without their manifest, which holds the
-    output directory; any other difference is a regression.
+    relative.  The four ``clt`` pins were re-captured when ``clt`` began to
+    standardize with the exact constants of the increment law instead of a
+    calibration pool's estimates; ``CLT_MAIN_BATCH`` shows that its walks
+    did not move.  Summaries are pinned without their manifest, which holds
+    the output directory; any other difference is a regression.
     """
 
     PINS = {
@@ -246,11 +253,11 @@ class TestArtifactPins:
             "simulate_blocks.csv": "b88ab508463a41ef26d0a5db1145ba1658583304e277b5ba85f22f14faaf6bcf",
             "simulate_summary.json": "ffff6fd874d897b7b8ba99c52ad6171a4e256f35f9fc4a71b2ec7a2a4b6b1eb5",
         },
-        ("clt", "--stat", "all", "--n", "300", "--M", "200", "--buffer", "100"): {
-            "clt_samples_dist.csv": "8564d9dfab54009ad899c53393f75a54405205c4247b9d8eef2c40efcfa5bb6b",
-            "clt_samples_block.csv": "149637b9aa86a225d1a330a0305934dffba74b2f221d5669a476bbdbd4936a78",
-            "clt_samples_entropy.csv": "b93dbc8444c58d05c78d4b98d3910d63e1bc5cbf5b2f29f0ab73878e9046bda4",
-            "clt_summary.json": "96d5877b79997903903220667dbb80125eea8cabe6e3aae1a6e3c377c49e2042",
+        ("clt", "--stat", "all", "--n", "300", "--M", "200"): {
+            "clt_samples_dist.csv": "80b9ab5a7e1047211331981b0b46bc948c8c72dfa4cd6ac9f078d67bf9bcf216",
+            "clt_samples_block.csv": "2308ce46aa338d85c0d4768736277d3ca48e3555ea8620fdbabfb8a16b73c92d",
+            "clt_samples_entropy.csv": "80c9e6b44a06e2fac7454ae332963688a7166311ec47f8ce6a245bc010841507",
+            "clt_summary.json": "758e62f47e39fb8af2b1a990d990ee46d84159053fe8844761e7a5e6c5abbbae",
         },
         ("sweep", "--grid", "0.4,0.5,0.6", "--n", "400", "--M", "40", "--buffer", "100"): {
             "sweep_table.csv": "87af3a93a7f5debaec16c3e2ecd3b952dc23b73aad3075e240635e1ed771a9f9",
@@ -268,6 +275,32 @@ class TestArtifactPins:
                 del doc["manifest"]
                 blob = json.dumps(doc, sort_keys=True).encode()
             assert hashlib.sha256(blob).hexdigest() == digest, name
+
+    # sha256 of the raw statistics of the main batch behind the clt pin
+    # (K3xK3, n=300, M=200, seed 3), captured while clt still drew a
+    # calibration pool: dist and length agree because every letter of K3 is
+    # one step from its root
+    CLT_MAIN_BATCH = {
+        "dist": "d3fbaa286e30593ae7fbf588bb79b5235a16258b00ace648882f0c5169ef16f9",
+        "length": "d3fbaa286e30593ae7fbf588bb79b5235a16258b00ace648882f0c5169ef16f9",
+        "dl": "0125ff54cff68920e7090621dd1c4c0b4a0b635a1973fbfd1501a9d95b60f97d",
+    }
+
+    def test_clt_standardizes_the_pinned_main_batch(self):
+        cfg, n, M, seed = instance_k3_k3(), 300, 200, 3
+        streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
+        batch = simulate_batch(cfg, n, seed, streams)
+        stats = batch_walk_stats(batch, compile_kernel(cfg), build_context(cfg))
+        for name, digest in self.CLT_MAIN_BATCH.items():
+            a = getattr(stats, name)
+            blob = a.dtype.str.encode() + a.tobytes()
+            assert hashlib.sha256(blob).hexdigest() == digest, name
+        suite = run_clt_suite(cfg, n, M, seed)
+        raws = {"dist": stats.dist, "block": stats.length, "entropy": stats.dl}
+        for stat, raw in raws.items():
+            r = suite[stat]
+            want = (raw - n * r.rate_estimate) / (r.sigma_estimate * math.sqrt(n))
+            assert np.array_equal(r.standardized_samples, want), stat
 
     def test_clt_without_walks_writes_headers(self, tmp_path, capsys):
         assert main(["clt", "--n", "100", "--M", "0", "--out", str(tmp_path)]) == EXIT_OK
@@ -317,6 +350,33 @@ class TestMain:
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert "must be a non-negative integer" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_clt_has_no_buffer(self, tmp_path, capsys):
+        assert main(["clt", "--buffer", "100", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "unrecognized arguments: --buffer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_clt_refuses_a_truncated_law(self, tmp_path, capsys):
+        """At alpha 0.02 the increment law leaves 7.2e-4 of its mass out."""
+        cfg_path = tmp_path / "skewed.json"
+        cfg_path.write_text(json.dumps(instance_k3_k3(0.02).to_json_dict()))
+        out = tmp_path / "out"
+        argv = ["clt", "--config", str(cfg_path), "--n", "100", "--M", "20"]
+        rc = main([*argv, "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert "unassigned" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_genfun_reports_clt_constants(self, tmp_path, capsys):
+        assert main(["genfun", "--config", "PathxK3", "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "genfun_summary.json").read_text())
+        cfg = instance_path_k3()
+        want = clt_constants(renewal_increment_law(cfg), cfg, build_context(cfg))
+        assert sorted(doc["clt_constants"]) == ["block", "dist", "entropy"]
+        for stat, (rate, sigma_sq) in want.items():
+            got = doc["clt_constants"][stat]
+            assert math.isclose(got["rate"], rate, rel_tol=1e-11), stat
+            assert math.isclose(got["sigma_sq"], sigma_sq, rel_tol=1e-11), stat
 
     def test_clt_without_steps_usage_exit(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -27,6 +27,7 @@ from freewalk.estimators import (
     run_clt_suite,
     smoothness_probe,
     tail_diagnostic,
+    truncate_pool,
     two_sample_ks,
 )
 from freewalk.instances import instance_k3_k3
@@ -51,6 +52,29 @@ class TestRateArithmetic:
         pool = make_pool([[], []])
         with pytest.raises(EmptyPool):
             estimate_rates(pool, stats_of(10, [1.0, 1.0]))
+
+
+class TestTruncatePool:
+    def test_keeps_the_least_yield(self):
+        walks = [[(2, 2.0, 1.0)] * 3, [(4, 2.0, 1.5)] * 5, [], [(6, 2.0, 0.5)] * 4]
+        pool = make_pool(walks)
+        cut = truncate_pool(pool)
+        assert cut.size == 9
+        assert cut.n_blocks.tolist() == [3, 3, 0, 3]
+        assert cut.index.max() == 3
+        assert cut.walk.tolist() == [0, 0, 0, 1, 1, 1, 3, 3, 3]
+        assert cut.delta_t.tolist() == [2] * 3 + [4] * 3 + [6] * 3
+        assert np.array_equal(cut.tau, pool.tau)
+
+    def test_explicit_count(self):
+        pool = make_pool([[(2, 2.0, 1.0)] * 3, [(4, 2.0, 1.5)] * 5])
+        cut = truncate_pool(pool, max_index=4)
+        assert cut.n_blocks.tolist() == [3, 4]
+        assert cut.size == 7
+
+    def test_empty_pool(self):
+        with pytest.raises(EmptyPool):
+            truncate_pool(make_pool([[], []]))
 
 
 class TestSigmaArithmetic:
@@ -207,7 +231,7 @@ class TestTailDiagnostic:
 
 class TestCltExperiment:
     def test_pre_asymptotic_warning(self, instance_a):
-        report = clt_experiment(instance_a, "block", 1, 50, 3, M_cal=40, n_cal=2000)
+        report = clt_experiment(instance_a, "block", 1, 50, 3)
         assert "pre-asymptotic" in report.warnings
         assert report.ks_stat is None and report.ks_pvalue is None
 
@@ -222,7 +246,7 @@ class TestCltExperiment:
             clt_experiment(bare, "entropy", 500, 50, 3)
 
     def test_block_raw_values_are_integers_in_range(self, instance_a):
-        report = clt_experiment(instance_a, "block", 400, 60, 3, M_cal=60, n_cal=2000)
+        report = clt_experiment(instance_a, "block", 400, 60, 3)
         raw = report.standardized_samples * report.sigma_estimate * math.sqrt(
             400
         ) + 400 * report.rate_estimate
@@ -230,8 +254,8 @@ class TestCltExperiment:
         assert np.all(raw >= 0) and np.all(raw <= 400)
 
     def test_deterministic(self, instance_a):
-        a = clt_experiment(instance_a, "dist", 300, 40, 11, M_cal=40, n_cal=2000)
-        b = clt_experiment(instance_a, "dist", 300, 40, 11, M_cal=40, n_cal=2000)
+        a = clt_experiment(instance_a, "dist", 300, 40, 11)
+        b = clt_experiment(instance_a, "dist", 300, 40, 11)
         assert np.array_equal(a.standardized_samples, b.standardized_samples)
 
 
@@ -276,11 +300,34 @@ class TestCltOnAsymmetricInstance:
         """On the path factor the three raw statistics are genuinely distinct."""
         from freewalk.instances import instance_path_k3
 
-        suite = run_clt_suite(instance_path_k3(), 3000, 600, 31, M_cal=400, n_cal=4000)
+        suite = run_clt_suite(instance_path_k3(), 3000, 600, 31)
         rates = {s: r.rate_estimate for s, r in suite.items()}
         assert rates["dist"] > rates["block"] > rates["entropy"]
         for r in suite.values():
             assert r.ks_stat <= 0.06
+
+
+class TestCltConstantsOfTheSuite:
+    def test_rate_and_sigma_are_the_renewal_formulas(
+        self, instance_a, instance_b, ctx_a, ctx_b, law_a, law_b
+    ):
+        """The constants clt standardizes with are criterion 10's formulas."""
+        for cfg, ctx, law in ((instance_a, ctx_a, law_a), (instance_b, ctx_b, law_b)):
+            f1 = cfg.factor1.distances_from_root()
+            f2 = cfg.factor2.distances_from_root()
+            dist_of = lambda pair: float(f2[pair[0]] + f1[pair[1]])
+            dl_of = lambda pair: ctx.letter_dl(2, pair[0]) + ctx.letter_dl(1, pair[1])
+            exact = {
+                "dist": (law.rate(dist_of), law.sigma_sq(dist_of)),
+                "block": (law.block_speed(), law.sigma_block_sq()),
+                "entropy": (law.rate(dl_of), law.sigma_sq(dl_of)),
+            }
+            suite = run_clt_suite(cfg, 200, 20, 5)
+            for stat, (rate, sigma_sq) in exact.items():
+                r = suite[stat]
+                assert abs(r.rate_estimate - rate) <= 1e-12 * rate, (cfg.name, stat)
+                sigma = math.sqrt(sigma_sq)
+                assert abs(r.sigma_estimate - sigma) <= 1e-12 * sigma, (cfg.name, stat)
 
 
 class TestEntropyProxyGap:

@@ -12,6 +12,7 @@ from freewalk.genfun import (
     SingularSolve,
     _solve_xi_array,
     build_context,
+    clt_constants,
     dL_word,
     entropy_bound_CL,
     factor_L,
@@ -404,3 +405,24 @@ class TestRenewalIncrementLaw:
         # E[(2 - increment * speed)^2] / E[increment] with speed = 2/mean
         m, v = law_a.mean(), law_a.variance()
         assert math.isclose(law_a.sigma_block_sq(), 4.0 * v / m**3, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("make", [instance_k3_k3, instance_path_k3])
+    def test_mean_is_complex_step_slope(self, make):
+        """No coefficient is cut: the whole geometric tail enters the mean."""
+        cfg = make()
+        h = 1e-8
+        slope = renewal_increment_gf(1.0 + 1j * h, cfg).imag / h
+        assert abs(renewal_increment_law(cfg).mean() - slope) <= 1e-12 * slope
+
+
+class TestCltConstants:
+    def test_block_rate_is_one_quarter(self, instance_a, ctx_a, law_a):
+        constants = clt_constants(law_a, instance_a, ctx_a)
+        assert abs(constants["block"].rate - 0.25) < 1e-13
+
+    def test_truncated_law_is_refused(self):
+        cfg = instance_k3_k3(0.02)
+        law = renewal_increment_law(cfg)
+        assert law.unassigned > 1e-4
+        with pytest.raises(NoConvergence, match="unassigned"):
+            clt_constants(law, cfg, build_context(cfg))
