@@ -240,8 +240,10 @@ class TestArtifactPins:
     relative.  The four ``clt`` pins were re-captured when ``clt`` began to
     standardize with the exact constants of the increment law instead of a
     calibration pool's estimates; ``CLT_MAIN_BATCH`` shows that its walks
-    did not move.  Summaries are pinned without their manifest, which holds
-    the output directory; any other difference is a regression.
+    did not move.  The ``oracle-check`` and ``genfun`` pins were captured
+    before the enumeration table and the FFT law became one type.  Summaries
+    are pinned without their manifest, which holds the output directory; any
+    other difference is a regression.
     """
 
     PINS = {
@@ -262,6 +264,22 @@ class TestArtifactPins:
         ("sweep", "--grid", "0.4,0.5,0.6", "--n", "400", "--M", "40", "--buffer", "100"): {
             "sweep_table.csv": "87af3a93a7f5debaec16c3e2ecd3b952dc23b73aad3075e240635e1ed771a9f9",
             "sweep_summary.json": "e25788071602f43c5c63b3767d9955705daeba93809e77de2d99903e06f89272",
+        },
+        ("oracle-check", "--config", "K3xK3"): {
+            "oracle_check_increment_table.csv": "dcb58e96ac0b33378652945d98382424297126a574df587698616692505264d7",
+            "oracle_check_summary.json": "55aeefb8f114848319a46a151ddd05f8dba16694c64e6f02bec01eeb90e8f719",
+            "oracle_check_xi_series.csv": "1dead416a1c5f8e70a6386198ed15a6108349ac3af57bfc5a67dfef16a4f6e36",
+        },
+        ("oracle-check", "--config", "PathxK3", "--float", "--order", "14"): {
+            "oracle_check_increment_table.csv": "3c1b1030e75973e1a63d1f79883f2aafe06a7c88b1d9513da54fa140e300fc1b",
+            "oracle_check_summary.json": "5d206c3f4eda1f16f4c3e7ff672414912a3fabe2b8d29273d9da54bb837ea2c8",
+            "oracle_check_xi_series.csv": "97225250489b9784e88433adde048dc3e97e4bc0a9942a925748a4e0f4097480",
+        },
+        ("genfun", "--config", "K3xK3"): {
+            "genfun_summary.json": "62bc960bf562d65d3d2826a4c405b17a383dd76df52663b00e18e451fd17b872",
+        },
+        ("genfun", "--config", "PathxK3"): {
+            "genfun_summary.json": "4c53fd3d21b9e87681acbb1a91c8e25606bc722e4c938e7ed6ba419588809784",
         },
     }
 
