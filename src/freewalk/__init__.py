@@ -26,9 +26,10 @@ from .core import (
 )
 from .genfun import (
     GenFunContext,
+    RenewalLaw,
     build_context,
+    clt_constants,
     dL_word,
-    entropy_bound_CL,
     factor_L,
     factor_green,
     radius_diagnostic,
@@ -38,7 +39,6 @@ from .genfun import (
 from .instances import NAMED_INSTANCES, instance_k3_k3, instance_path_k3
 from .oracle import (
     TruncatedSeries,
-    enum_first_passage_series,
     enum_green_series,
     enum_L_series,
     enum_xi_series,
@@ -51,7 +51,6 @@ from .simulator import (
     RenewalSample,
     Trajectory,
     detect_exit_times,
-    k_of_n,
     renewal_decompose,
     sample_trajectory,
     simulate_batch,
@@ -59,7 +58,6 @@ from .simulator import (
 )
 from .estimators import (
     CltReport,
-    clt_experiment,
     estimate_rates,
     estimate_sigmas,
     iid_diagnostics,

@@ -353,13 +353,13 @@ def _cmd_oracle_check(args, manifest: RunManifest) -> int:
         for i in (1, 2)
     )
     xi_rows = {k: xi1[k] + xi2[k] for k in xi1}
-    table = exact_renewal_increment_dist(min(order, DEFAULT_ORDER_CAP), cfg)
+    law = exact_renewal_increment_dist(min(order, DEFAULT_ORDER_CAP), cfg)
     emit_report(
         doc,
         manifest,
         cfg,
         "oracle_check",
-        csv_rows={"xi_series": xi_rows, "increment_table": table.to_rows()},
+        csv_rows={"xi_series": xi_rows, "increment_table": law.to_rows()},
     )
     print(f"{len(words)**2} identities at order {order}: {len(failures)} failures")
     return EXIT_OK if not failures else EXIT_STATISTICAL

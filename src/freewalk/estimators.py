@@ -53,7 +53,7 @@ class DegenerateSample(FreewalkError):
 
 
 class InsufficientBlocks(FreewalkError):
-    """Not enough blocks (or block indices) for the requested diagnostic."""
+    """Not enough blocks, block indices or walks for the requested estimate."""
 
 
 class InvalidGridPoint(FreewalkError):
@@ -79,13 +79,13 @@ def _ratio_estimate(pool: BlockPool, rewards: np.ndarray) -> Estimate:
     sums_t = pool.walk_sums(pool.delta_t.astype(float))
     resid = sums_d - r * sums_t
     w = len(resid)
-    var = float((resid**2).sum()) * w / max(w - 1, 1) / total_t**2
+    var = float((resid**2).sum()) * w / (w - 1) / total_t**2
     return Estimate(r, Z95 * math.sqrt(max(var, 0.0)))
 
 
 def _mean_estimate(values: np.ndarray) -> Estimate:
     m = float(values.mean())
-    se = float(values.std(ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    se = float(values.std(ddof=1)) / math.sqrt(len(values))
     return Estimate(m, Z95 * se)
 
 
@@ -146,10 +146,16 @@ def estimate_rates(pool: BlockPool, stats: WalkStatsArrays) -> RateEstimates:
 
     Renewal estimates are reward-over-increment ratios (the block-length
     reward is identically 2, so its rate is ``2 / mean(increment)``); direct
-    estimates average ``statistic / n`` over walks.
+    estimates average ``statistic / n`` over walks.  The CIs spread over
+    walks, so a pool of one walk raises :class:`InsufficientBlocks` rather
+    than claim a zero width.
     """
     if pool.size == 0:
         raise EmptyPool("no blocks in pool")
+    if pool.n_walks < 2:
+        raise InsufficientBlocks(
+            f"rate CIs need at least 2 walks, got {pool.n_walks}"
+        )
     n = float(stats.n)
     return RateEstimates(
         lambda_renewal=_ratio_estimate(pool, pool.d_dist),
@@ -424,15 +430,6 @@ def run_clt_suite(
             config_digest=cfg.digest(),
         )
     return out
-
-
-def clt_experiment(
-    cfg: WalkConfig, statistic: str, n: int, M: int, master_seed: int, **kwargs
-) -> CltReport:
-    """One statistic's CLT experiment; see :func:`run_clt_suite`."""
-    return run_clt_suite(cfg, n, M, master_seed, statistics=(statistic,), **kwargs)[
-        statistic
-    ]
 
 
 # -- i.i.d. / tail diagnostics ---------------------------------------------------

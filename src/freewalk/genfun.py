@@ -302,11 +302,6 @@ def dL_word(w: Word, ctx: GenFunContext) -> float:
     return sum(ctx.letter_dl(i, v) for i, v in w.letters)
 
 
-def entropy_bound_CL(ctx: GenFunContext) -> float:
-    """The uniform bound ``-log((1 - xi_1)(1 - xi_2))`` on appended-pair values."""
-    return -math.log(ctx.cone_stay[0] * ctx.cone_stay[1])
-
-
 @dataclass
 class RadiusReport:
     """Numeric plausibility probe for the strictly-larger-than-1 radius."""
@@ -367,8 +362,26 @@ def radius_diagnostic(
 # -- renewal increment generating function -------------------------------------
 
 
-def renewal_pair_gf(z: complex, cfg: WalkConfig) -> dict[tuple[str, str], complex]:
-    """Generating function of (increment, appended pair), one value per pair.
+def renewal_pairs(cfg: WalkConfig) -> tuple[tuple[str, str], ...]:
+    """The appended pairs ``(y, x)``, a factor-2 then a factor-1 letter, sorted."""
+    return tuple(sorted((y, x) for y in cfg.factor2.nonroot for x in cfg.factor1.nonroot))
+
+
+def _factor_L_row_grid(
+    cfg: WalkConfig, i: int, ts: np.ndarray
+) -> dict[str, np.ndarray]:
+    """``L_i(o_i, v | t)`` for every non-root ``v``, batched over ``ts``."""
+    f = cfg.factor(i)
+    mats = np.eye(f.size, dtype=complex)[None, :, :] - ts[:, None, None] * f.matrix()
+    inv = np.linalg.inv(mats)
+    root = f.root_index
+    return {
+        v: inv[:, root, f.index(v)] / inv[:, root, root] for v in f.nonroot
+    }
+
+
+def _pair_gf_grid(zs: np.ndarray, cfg: WalkConfig) -> dict[tuple[str, str], np.ndarray]:
+    """Generating function of (increment, appended pair) at every point of ``zs``.
 
     Paths contributing to the increment law avoid one-letter factor-1 words
     and enter the two-letter cone at the last step, either by appending the
@@ -378,41 +391,52 @@ def renewal_pair_gf(z: complex, cfg: WalkConfig) -> dict[tuple[str, str], comple
 
         F_{y,x}(z) = xi_1(z) * L_2(o_2, y | xi_2(z))
                      * [ p_1(o_1, x) + sum_{x'} L_1(o_1, x' | xi_1(z)) p_1(x', x) ]
+
+    One array per pair of :func:`renewal_pairs`, indexed like ``zs``; a
+    point where the fixed point is not reached raises :class:`NoConvergence`.
     """
-    sol = solve_xi(z, cfg)
-    f1, f2 = cfg.factor1, cfg.factor2
-    L2 = {y: factor_L(cfg, 2, f2.root, y, sol.xi2) for y in f2.nonroot}
-    L1 = {x: factor_L(cfg, 1, f1.root, x, sol.xi1) for x in f1.nonroot}
-    out: dict[tuple[str, str], complex] = {}
-    for y in f2.nonroot:
-        for x in f1.nonroot:
-            arrivals = f1.transition[f1.root_index][f1.index(x)] + sum(
-                L1[xp] * f1.transition[f1.index(xp)][f1.index(x)]
-                for xp in f1.nonroot
-            )
-            out[(y, x)] = sol.xi1 * L2[y] * arrivals
+    fp = _solve_xi_array(zs, cfg)
+    if not fp.converged.all():
+        raise NoConvergence(
+            f"first-passage fixed point not reached at {np.sum(~fp.converged)} "
+            f"of {len(fp.converged)} points"
+        )
+    f1 = cfg.factor1
+    L1 = _factor_L_row_grid(cfg, 1, fp.xi1)
+    L2 = _factor_L_row_grid(cfg, 2, fp.xi2)
+    out: dict[tuple[str, str], np.ndarray] = {}
+    for y, x in renewal_pairs(cfg):
+        arrivals = f1.transition[f1.root_index][f1.index(x)] + sum(
+            L1[xp] * f1.transition[f1.index(xp)][f1.index(x)] for xp in f1.nonroot
+        )
+        out[(y, x)] = fp.xi1 * L2[y] * arrivals
     return out
 
 
 def renewal_increment_gf(z: complex, cfg: WalkConfig) -> complex:
     """The increment generating function ``F(z)``; equals 1 at z = 1."""
-    return sum(renewal_pair_gf(z, cfg).values())
+    return sum(_pair_gf_grid(np.array([z]), cfg).values())[0]
 
 
 @dataclass
 class RenewalLaw:
-    """Full numeric law of (increment, appended pair), from FFT inversion.
+    """Joint law of (increment, appended pair), from FFT inversion or enumeration.
 
-    ``pair_probs[pair][n]`` approximates the joint probability of increment
-    ``n`` with appended pair ``pair`` to near machine precision; the law is
-    effectively complete (the reported ``unassigned`` mass is at rounding
-    level), which is what makes moment-accurate oracle values possible where
-    plain truncation at enumeration order loses a visible tail.
+    ``pair_probs[pair][n]`` is the probability of increment ``n`` with
+    appended pair ``pair``, one float64 array per pair of
+    :func:`renewal_pairs`.  ``unassigned`` is the mass outside the arrays:
+    the tail beyond the enumeration order, or what an FFT too short for the
+    tail leaves out (5e-11 on K3xK3 at alpha 0.1 at the default sizes).
+    :func:`clt_constants` refuses a law leaving out more than
+    ``UNASSIGNED_TOL``.
     """
 
-    pairs: tuple[tuple[str, str], ...]
     pair_probs: dict[tuple[str, str], np.ndarray]
     config_digest: str
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(self.pair_probs)
 
     @property
     def delta_t_probs(self) -> np.ndarray:
@@ -457,18 +481,18 @@ class RenewalLaw:
     def sigma_block_sq(self) -> float:
         return self.sigma_sq(lambda _pair: 2.0)
 
-
-def _factor_L_row_grid(
-    cfg: WalkConfig, i: int, ts: np.ndarray
-) -> dict[str, np.ndarray]:
-    """``L_i(o_i, v | t)`` for every non-root ``v``, batched over ``ts``."""
-    f = cfg.factor(i)
-    mats = np.eye(f.size, dtype=complex)[None, :, :] - ts[:, None, None] * f.matrix()
-    inv = np.linalg.inv(mats)
-    root = f.root_index
-    return {
-        v: inv[:, root, f.index(v)] / inv[:, root, root] for v in f.nonroot
-    }
+    def to_rows(self) -> dict[str, list]:
+        """The CSV form: the nonzero cells by increment, then pair, marked
+        ``exact``; then the pair ``*`` with the unassigned mass."""
+        grid = np.column_stack(list(self.pair_probs.values()))
+        n, j = np.nonzero(grid)
+        names = ["".join(pair) for pair in self.pair_probs]
+        return {
+            "n": n.tolist() + [len(grid) - 1],
+            "pair": [names[k] for k in j.tolist()] + ["*"],
+            "probability": grid[n, j].tolist() + [self.unassigned],
+            "provenance": ["exact"] * len(n) + ["tail-bound"],
+        }
 
 
 def renewal_increment_law(
@@ -477,37 +501,20 @@ def renewal_increment_law(
     """Invert the increment generating function on the unit circle.
 
     The coefficients decay geometrically (the radius exceeds 1), so with a
-    transform length well beyond the effective support the aliasing error is
-    far below double precision.
+    transform length well beyond the effective support the aliasing error
+    is far below double precision; the first ``n_terms`` are kept, and the
+    mass beyond them is the law's ``unassigned``.
     """
-    f1 = cfg.factor1
     half = fft_size // 2
     zs = np.exp(2j * np.pi * np.arange(half + 1) / fft_size)
-    fp = _solve_xi_array(zs, cfg)
-    if not fp.converged.all():
-        raise NoConvergence(
-            f"first-passage fixed point not reached at {np.sum(~fp.converged)} "
-            f"of {len(zs)} points of the unit circle"
-        )
-    xi1, xi2 = fp.xi1, fp.xi2
-    L1 = _factor_L_row_grid(cfg, 1, xi1)
-    L2 = _factor_L_row_grid(cfg, 2, xi2)
-    pairs = tuple(
-        sorted((y, x) for y in cfg.factor2.nonroot for x in cfg.factor1.nonroot)
-    )
     n_terms = min(n_terms, fft_size)
     out: dict[tuple[str, str], np.ndarray] = {}
-    for y, x in pairs:
-        arrivals = f1.transition[f1.root_index][f1.index(x)] + sum(
-            L1[xp] * f1.transition[f1.index(xp)][f1.index(x)] for xp in f1.nonroot
-        )
-        upper = xi1 * L2[y] * arrivals
+    for pair, upper in _pair_gf_grid(zs, cfg).items():
         full = np.empty(fft_size, dtype=complex)
         full[: half + 1] = upper
         full[half + 1 :] = np.conj(upper[1:half][::-1])
-        coeffs = (np.fft.fft(full).real / fft_size)[:n_terms]
-        out[(y, x)] = coeffs
-    return RenewalLaw(pairs=pairs, pair_probs=out, config_digest=cfg.digest())
+        out[pair] = (np.fft.fft(full).real / fft_size)[:n_terms]
+    return RenewalLaw(pair_probs=out, config_digest=cfg.digest())
 
 
 class CltConstant(NamedTuple):

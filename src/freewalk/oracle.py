@@ -16,7 +16,6 @@ independent ground truth against which the linear-solve evaluations in
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +33,7 @@ from .core import (
     WalkConfig,
     compile_kernel,
 )
+from .genfun import RenewalLaw, renewal_pairs
 
 DEFAULT_ORDER_CAP = 14
 
@@ -378,21 +378,6 @@ def enum_xi_series(
     return TruncatedSeries(tuple(coeffs))
 
 
-def enum_first_passage_series(
-    kind: tuple,
-    N: int,
-    cfg: WalkConfig,
-    exact: bool = False,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> TruncatedSeries:
-    """Dispatch on ``("L", x, y)`` or ``("xi", i)``."""
-    if kind[0] == "L":
-        return enum_L_series(kind[1], kind[2], N, cfg, exact=exact, cap=cap)
-    if kind[0] == "xi":
-        return enum_xi_series(kind[1], N, cfg, exact=exact, cap=cap)
-    raise ValueError(f"unknown first-passage kind {kind!r}")
-
-
 def occupation_probabilities(
     cfg: WalkConfig, n: int, endpoints: list[tuple[int, ...]]
 ) -> list[float]:
@@ -452,60 +437,12 @@ def factor_L_series(
 # -- renewal increment law -----------------------------------------------------
 
 
-@dataclass
-class RenewalIncrementTable:
-    """Exact truncated joint law of the renewal increment and the appended pair.
-
-    ``joint[n][pair]`` is the probability that the increment equals ``n`` and
-    the two appended letters are ``pair`` (a factor-2 letter then a factor-1
-    letter, as vertex names).  The truncation tail ``1 - sum`` is reported,
-    never dropped.
-    """
-
-    n_max: int
-    pairs: tuple[tuple[str, str], ...]
-    joint: list[dict[tuple[str, str], float]]
-    config_digest: str
-
-    @property
-    def delta_t_probs(self) -> list[float]:
-        return [sum(row.values()) for row in self.joint]
-
-    @property
-    def assigned_mass(self) -> float:
-        return sum(self.delta_t_probs)
-
-    @property
-    def tail_mass(self) -> float:
-        return 1.0 - self.assigned_mass
-
-    def pair_marginal(self) -> dict[tuple[str, str], float]:
-        out: dict[tuple[str, str], float] = defaultdict(float)
-        for row in self.joint:
-            for pair, p in row.items():
-                out[pair] += p
-        return dict(out)
-
-    def to_rows(self) -> dict[str, list]:
-        items = [
-            (n, "".join(pair), p)
-            for n, row in enumerate(self.joint)
-            for pair, p in sorted(row.items())
-        ]
-        return {
-            "n": [n for n, _, _ in items] + [self.n_max],
-            "pair": [pair for _, pair, _ in items] + ["*"],
-            "probability": [p for _, _, p in items] + [self.tail_mass],
-            "provenance": ["exact"] * len(items) + ["tail-bound"],
-        }
-
-
 def exact_renewal_increment_dist(
     n_max: int,
     cfg: WalkConfig,
     exact: bool = False,
     cap: int = DEFAULT_ORDER_CAP,
-) -> RenewalIncrementTable:
+) -> RenewalLaw:
     """Joint law of (increment, appended pair) by taboo enumeration.
 
     The increment between consecutive renewal points equals ``n`` with the
@@ -514,19 +451,15 @@ def exact_renewal_increment_dist(
     ``y1 x1`` at time ``n`` from outside its cone.  Arrivals from outside the
     cone are the appends from ``y1`` and the sibling moves from ``y1 x'``, so
     they are the moves out of words of at most two letters; pop moves from
-    inside the cone are excluded.
+    inside the cone are excluded.  Increments up to ``n_max`` are assigned
+    (exact coefficients rounded to float); the truncation tail is the law's
+    ``unassigned`` mass.
     """
     _check_order(n_max, cap)
     kernel = compile_kernel(cfg)
     walk = _Walk(kernel, (), n_max, exact)
     taboo = walk.one_letter_nodes(kernel, 1)
-    pairs = tuple(
-        sorted(
-            (y, x)
-            for y in cfg.factor2.nonroot
-            for x in cfg.factor1.nonroot
-        )
-    )
+    pairs = renewal_pairs(cfg)
     pair_of = np.full(walk.size, -1)
     for j, (y, x) in enumerate(pairs):
         node = walk.find(kernel.encode(Word(((2, y), (1, x)))))
@@ -537,18 +470,14 @@ def exact_renewal_increment_dist(
     hit = pair_of[walk.index.succ[short]]
     arrive = hit >= 0
 
-    joint: list[dict[tuple[str, str], float]] = [{}]
-    for _ in range(n_max):
+    probs = np.zeros((len(pairs), n_max + 1))
+    for t in range(1, n_max + 1):
         moved = walk.mass[short, None] * walk.weight[short]
         walk.step()
         walk.mass[taboo] = 0
         arrivals = walk.scatter(hit[arrive], moved[arrive], len(pairs))
-        joint.append(
-            {pairs[j]: float(walk.value(a)) for j, a in enumerate(arrivals) if a != 0}
-        )
-    return RenewalIncrementTable(
-        n_max=n_max, pairs=pairs, joint=joint, config_digest=cfg.digest()
-    )
+        probs[:, t] = [float(walk.value(a)) for a in arrivals]
+    return RenewalLaw(pair_probs=dict(zip(pairs, probs)), config_digest=cfg.digest())
 
 
 def return_probability_proxy(

@@ -198,19 +198,6 @@ def detect_exit_times(traj: Trajectory, buffer: int = DEFAULT_BUFFER) -> list[Ex
     return out
 
 
-def k_of_n(renewal_times: Sequence[int], n: int) -> Optional[int]:
-    """Largest index ``m`` with ``T_m <= n``; ``None`` when ``T_0 > n``."""
-    if not renewal_times:
-        raise ValueError("renewal_times must be nonempty")
-    best = None
-    for m, t in enumerate(renewal_times):
-        if t <= n:
-            best = m
-        else:
-            break
-    return best
-
-
 @dataclass(frozen=True)
 class Block:
     """One renewal block: increment, reward increments, and the appended pair."""

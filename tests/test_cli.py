@@ -369,6 +369,22 @@ class TestMain:
         assert "must be a non-negative integer" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "400", "--buffer", "50"],
+            ["sweep", "--n", "200", "--grid", "0.4,0.5,0.6", "--buffer", "20"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_one_walk_gives_no_confidence_interval(self, argv, tmp_path, capsys):
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main([*argv, "--M", "1", "--out", str(one)]) == EXIT_STATISTICAL
+        assert "at least 2 walks, got 1" in capsys.readouterr().err
+        assert not one.exists()
+        assert main([*argv, "--M", "2", "--out", str(two)]) == EXIT_OK
+        assert len(list(two.iterdir())) == 2
+
     def test_clt_has_no_buffer(self, tmp_path, capsys):
         assert main(["clt", "--buffer", "100", "--out", str(tmp_path)]) == EXIT_USAGE
         assert "unrecognized arguments: --buffer" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from freewalk.estimators import (
     InsufficientBlocks,
     MissingEpsilon0,
     bootstrap_sigma_se,
-    clt_experiment,
     entropy_proxy_gap,
     estimate_rates,
     estimate_sigmas,
@@ -52,6 +51,11 @@ class TestRateArithmetic:
         pool = make_pool([[], []])
         with pytest.raises(EmptyPool):
             estimate_rates(pool, stats_of(10, [1.0, 1.0]))
+
+    def test_one_walk_has_no_interval(self):
+        pool = make_pool([[(5, 3, 1.0), (4, 2, 1.0)]])
+        with pytest.raises(InsufficientBlocks, match="got 1"):
+            estimate_rates(pool, stats_of(10, [5.0]))
 
 
 class TestTruncatePool:
@@ -231,7 +235,7 @@ class TestTailDiagnostic:
 
 class TestCltExperiment:
     def test_pre_asymptotic_warning(self, instance_a):
-        report = clt_experiment(instance_a, "block", 1, 50, 3)
+        report = run_clt_suite(instance_a, 1, 50, 3, statistics=("block",))["block"]
         assert "pre-asymptotic" in report.warnings
         assert report.ks_stat is None and report.ks_pvalue is None
 
@@ -243,10 +247,10 @@ class TestCltExperiment:
             loop_witness=instance_a.loop_witness,
         )
         with pytest.raises(MissingEpsilon0):
-            clt_experiment(bare, "entropy", 500, 50, 3)
+            run_clt_suite(bare, 500, 50, 3, statistics=("entropy",))["entropy"]
 
     def test_block_raw_values_are_integers_in_range(self, instance_a):
-        report = clt_experiment(instance_a, "block", 400, 60, 3)
+        report = run_clt_suite(instance_a, 400, 60, 3, statistics=("block",))["block"]
         raw = report.standardized_samples * report.sigma_estimate * math.sqrt(
             400
         ) + 400 * report.rate_estimate
@@ -254,8 +258,8 @@ class TestCltExperiment:
         assert np.all(raw >= 0) and np.all(raw <= 400)
 
     def test_deterministic(self, instance_a):
-        a = clt_experiment(instance_a, "dist", 300, 40, 11)
-        b = clt_experiment(instance_a, "dist", 300, 40, 11)
+        a = run_clt_suite(instance_a, 300, 40, 11, statistics=("dist",))["dist"]
+        b = run_clt_suite(instance_a, 300, 40, 11, statistics=("dist",))["dist"]
         assert np.array_equal(a.standardized_samples, b.standardized_samples)
 
 

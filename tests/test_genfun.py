@@ -7,14 +7,12 @@ import pytest
 
 from freewalk.core import Word
 from freewalk.genfun import (
-    GenFunContext,
     NoConvergence,
     SingularSolve,
     _solve_xi_array,
     build_context,
     clt_constants,
     dL_word,
-    entropy_bound_CL,
     factor_L,
     factor_green,
     radius_diagnostic,
@@ -262,29 +260,9 @@ class TestContext:
     def test_cl_constant_instance_a(self, ctx_a):
         assert math.isclose(ctx_a.cl_constant, math.log(9.0), abs_tol=1e-8)
 
-    def test_cl_formula(self):
-        ctx = GenFunContext(
-            config_digest="synthetic",
-            xi1=0.5,
-            xi2=0.5,
-            cone_stay=(0.5, 0.5),
-            letter_L={},
-            cl_constant=-math.log(0.25),
-        )
-        assert math.isclose(entropy_bound_CL(ctx), math.log(4.0))
-        boundary = GenFunContext(
-            config_digest="synthetic",
-            xi1=0.0,
-            xi2=0.0,
-            cone_stay=(1.0, 1.0),
-            letter_L={},
-            cl_constant=0.0,
-        )
-        assert entropy_bound_CL(boundary) == 0.0
-
     def test_consistency_with_cached_xi(self, ctx_a):
         assert math.isclose(
-            entropy_bound_CL(ctx_a),
+            ctx_a.cl_constant,
             -math.log((1 - ctx_a.xi1) * (1 - ctx_a.xi2)),
         )
 
@@ -376,7 +354,7 @@ class TestRenewalIncrementLaw:
             dp = np.array(table.delta_t_probs)
             assert np.max(np.abs(dp - law.delta_t_probs[:13])) < 1e-12
             for pair in law.pairs:
-                dp_pair = np.array([row.get(pair, 0.0) for row in table.joint])
+                dp_pair = table.pair_probs[pair]
                 assert np.max(np.abs(dp_pair - law.pair_probs[pair][:13])) < 1e-12
 
     def test_moments_match_gf_derivatives(self, instance_a, law_a):

@@ -20,7 +20,6 @@ from freewalk.simulator import (
     default_workers,
     detect_exit_times,
     hit_probability_mc,
-    k_of_n,
     renewal_decompose,
     sample_trajectory,
     simulate_batch,
@@ -248,17 +247,6 @@ class TestRenewalDecompose:
                 continue
             expect = pool.t0_dist[m] + np.cumsum(pool.d_dist[idx])
             assert np.array_equal(pool.d_at[idx], expect)
-
-
-class TestKofN:
-    def test_examples(self):
-        assert k_of_n([4, 9, 15], 10) == 1
-        assert k_of_n([4, 9, 15], 3) is None
-        assert k_of_n([4], 4) == 0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            k_of_n([], 3)
 
 
 class TestWalkStats:
