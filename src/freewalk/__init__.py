@@ -45,17 +45,7 @@ from .oracle import (
     exact_renewal_increment_dist,
     series_combine,
 )
-from .simulator import (
-    Block,
-    BlockPool,
-    RenewalSample,
-    Trajectory,
-    detect_exit_times,
-    renewal_decompose,
-    sample_trajectory,
-    simulate_batch,
-    simulate_pool,
-)
+from .simulator import BlockPool, simulate_batch, simulate_pool
 from .estimators import (
     CltReport,
     estimate_rates,

@@ -46,6 +46,7 @@ from .estimators import (
     InsufficientBlocks,
     InvalidGridPoint,
     MissingEpsilon0,
+    STATISTICS,
     DiagnosticsReport,
     estimate_rates,
     estimate_sigmas,
@@ -400,7 +401,7 @@ def _cmd_simulate(args, manifest: RunManifest) -> int:
 
 def _cmd_clt(args, manifest: RunManifest) -> int:
     cfg = parse_config(args.config)
-    stats = ("dist", "block", "entropy") if args.stat == "all" else (args.stat,)
+    stats = STATISTICS if args.stat == "all" else (args.stat,)
     reports = run_clt_suite(
         cfg,
         args.n,
@@ -522,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt", help="CLT experiment")
     common(p)
-    p.add_argument("--stat", choices=["dist", "block", "entropy", "all"], default="all")
+    p.add_argument("--stat", choices=[*STATISTICS, "all"], default="all")
     p.add_argument("--n", type=positive_int, default=5000)
     p.add_argument("--M", type=non_negative_int, default=2000)
     p.add_argument("--ks-threshold", type=float, default=0.05)

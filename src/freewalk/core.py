@@ -118,15 +118,6 @@ def in_cone(w: Word, u: Word) -> bool:
     return w.letters[: len(u.letters)] == u.letters
 
 
-def common_prefix_length(u: Word, v: Word) -> int:
-    n = 0
-    for a, b in zip(u.letters, v.letters):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
 @dataclass(frozen=True)
 class FactorSpec:
     """One finite rooted factor graph with a row-stochastic transition matrix.
@@ -461,8 +452,9 @@ class CompiledKernel:
     moves are stored in a canonical order (factor 1 then factor 2, targets in
     vertex order) together with cumulative probabilities, so that one
     uniform variate drives one step via inversion.  The same tables back the
-    scalar sampler and the vectorized batch sampler, and the word index of
-    the exact enumeration oracle (:class:`freewalk.oracle.WordIndex`, built
+    batch sampler and the word-level reference walk of the tests
+    (``tests/reference_walk.py``), and the word index of the exact
+    enumeration oracle (:class:`freewalk.oracle.WordIndex`, built
     on first use, not here) takes its successor table and weights from
     ``moves``, which keeps all of them consistent by construction.
     """

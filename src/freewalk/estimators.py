@@ -38,6 +38,12 @@ from .simulator import (
 Z95 = 1.959963984540054
 PRE_ASYMPTOTIC_N = 100
 MIN_KS_WALKS = 20  # fewer standardized samples get no KS test
+N_BOOT = 200  # walk resamples per bootstrap standard error
+IID_FIRST_INDEX = 1  # block indices whose increments iid_diagnostics compares
+IID_LATER_INDEX = 5
+IID_MAX_LAG = 2
+TAIL_FIT_QUANTILE = 0.9  # upper end of the log-survival fit range
+FLAG_FACTOR = 5.0  # second differences beyond this many noise scales are flagged
 
 
 class EmptyPool(FreewalkError):
@@ -64,10 +70,6 @@ class InvalidGridPoint(FreewalkError):
 class Estimate:
     value: float
     half_width: float  # half of the 95% normal CI
-
-    def __iter__(self):
-        yield self.value
-        yield self.half_width
 
 
 def _ratio_estimate(pool: BlockPool, rewards: np.ndarray) -> Estimate:
@@ -176,9 +178,6 @@ class SigmaEstimates:
     h_sq: float
     degenerate: tuple[bool, bool, bool]
 
-    def values(self) -> tuple[float, float, float]:
-        return (self.lambda_sq, self.ell_sq, self.h_sq)
-
     def to_json_dict(self) -> dict:
         return {
             "sigma_lambda_sq": self.lambda_sq,
@@ -217,9 +216,7 @@ def estimate_sigmas(pool: BlockPool) -> SigmaEstimates:
     )
 
 
-def bootstrap_sigma_se(
-    pool: BlockPool, which: str, n_boot: int = 200, seed: int = 0
-) -> float:
+def bootstrap_sigma_se(pool: BlockPool, which: str, seed: int = 0) -> float:
     """Walk-resampling standard error of a plug-in variance estimate."""
     rewards = {
         "lambda": pool.d_dist,
@@ -240,8 +237,8 @@ def bootstrap_sigma_se(
         axis=1,
     )
     rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.integers(0, w, size=(n_boot, w))
-    sums = agg[idx].sum(axis=1)  # (n_boot, 6)
+    idx = rng.integers(0, w, size=(N_BOOT, w))
+    sums = agg[idx].sum(axis=1)  # (N_BOOT, 6)
     s_d, s_dt, s_d2, s_t, s_t2, s_k = sums.T
     ok = (s_t > 0) & (s_k > 1)
     r = s_d[ok] / s_t[ok]
@@ -441,8 +438,6 @@ class IidDiagnostics:
 
     ks_stat: float
     ks_pvalue: float
-    first_index: int
-    later_index: int
     n_first: int
     n_later: int
     lag_corr_dt: dict[int, Optional[float]]
@@ -454,7 +449,7 @@ class IidDiagnostics:
         return {
             "ks_stat": self.ks_stat,
             "ks_pvalue": self.ks_pvalue,
-            "indices": [self.first_index, self.later_index],
+            "indices": [IID_FIRST_INDEX, IID_LATER_INDEX],
             "sample_sizes": [self.n_first, self.n_later],
             "lag_corr_dt": {str(k): v for k, v in self.lag_corr_dt.items()},
             "lag_corr_dd": {str(k): v for k, v in self.lag_corr_dd.items()},
@@ -476,28 +471,28 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def iid_diagnostics(
-    pool: BlockPool, first_index: int = 1, later_index: int = 5, max_lag: int = 2
-) -> IidDiagnostics:
+def iid_diagnostics(pool: BlockPool) -> IidDiagnostics:
     """Detect departures from the i.i.d. block structure.
 
     Compares the increment distribution at an early and a late block index
-    across walks (one block per walk per index preserves independence) and
-    reports within-walk lag correlations of the increments and the distance
-    rewards.
+    (``IID_FIRST_INDEX``, ``IID_LATER_INDEX``) across walks (one block per
+    walk per index preserves independence) and reports within-walk lag
+    correlations of the increments and the distance rewards up to
+    ``IID_MAX_LAG``.
     """
-    first = pool.delta_t[pool.index == first_index].astype(float)
-    later = pool.delta_t[pool.index == later_index].astype(float)
+    first = pool.delta_t[pool.index == IID_FIRST_INDEX].astype(float)
+    later = pool.delta_t[pool.index == IID_LATER_INDEX].astype(float)
     if len(first) < 20 or len(later) < 20:
         raise InsufficientBlocks(
-            f"need >= 20 walks with blocks at indices {first_index} and {later_index}"
+            f"need >= 20 walks with blocks at indices {IID_FIRST_INDEX} "
+            f"and {IID_LATER_INDEX}"
         )
     ks, pv = two_sample_ks(first, later)
     lag_dt: dict[int, Optional[float]] = {}
     lag_dd: dict[int, Optional[float]] = {}
     n_pairs: dict[int, int] = {}
     thresholds: dict[int, float] = {}
-    for lag in range(1, max_lag + 1):
+    for lag in range(1, IID_MAX_LAG + 1):
         x, y = _lagged_pairs(pool, pool.delta_t.astype(float), lag)
         lag_dt[lag] = _pearson(x, y)
         xd, yd = _lagged_pairs(pool, pool.d_dist, lag)
@@ -507,8 +502,6 @@ def iid_diagnostics(
     return IidDiagnostics(
         ks_stat=ks,
         ks_pvalue=pv,
-        first_index=first_index,
-        later_index=later_index,
         n_first=len(first),
         n_later=len(later),
         lag_corr_dt=lag_dt,
@@ -560,10 +553,10 @@ def _ls_line(ts: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _log_survival_fit(values: np.ndarray, upper_quantile: float = 0.9):
-    """LS fit of log P[X > t] over integer t up to the given quantile."""
+def _log_survival_fit(values: np.ndarray):
+    """LS fit of log P[X > t] over integer t up to the ``TAIL_FIT_QUANTILE``."""
     t_lo = int(values.min())
-    t_hi = int(np.quantile(values, upper_quantile))
+    t_hi = int(np.quantile(values, TAIL_FIT_QUANTILE))
     ts = np.arange(t_lo, t_hi)
     if len(ts) < 3:
         raise InsufficientBlocks("tail fit range too short")
@@ -679,14 +672,13 @@ def smoothness_probe(
     M: int,
     master_seed: int,
     buffer: int = DEFAULT_BUFFER,
-    flag_factor: float = 5.0,
 ) -> SmoothnessReport:
     """Estimate rates and variances on a parameter grid with common random numbers.
 
     Every grid point reuses the same streams, so differences along the grid
     are strongly positively correlated and second differences are sensitive
     to genuine kinks.  A column flags position ``i`` when its second
-    difference exceeds ``flag_factor`` times the local noise scale (the
+    difference exceeds ``FLAG_FACTOR`` times the local noise scale (the
     independent-sum bound, conservative under common random numbers).
     """
     values: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
@@ -728,7 +720,7 @@ def smoothness_probe(
             d2 = v[i - 1] - 2 * v[i] + v[i + 1]
             second[col].append(d2)
             noise = math.sqrt(s[i - 1] ** 2 + 4 * s[i] ** 2 + s[i + 1] ** 2)
-            if abs(d2) > flag_factor * max(noise, 1e-15):
+            if abs(d2) > FLAG_FACTOR * max(noise, 1e-15):
                 flags.append((col, i))
     return SmoothnessReport(
         params=params,

@@ -21,6 +21,9 @@ from .core import FreewalkError, Word, WalkConfig, compile_kernel
 
 XI_TOL = 1e-12
 XI_MAX_ITER = 10**6
+RADIUS_PROXY_ORDER = 14  # enumeration order of the return-probability proxy
+LAW_FFT_SIZE = 2048  # points on the unit circle for the increment-law inversion
+LAW_TERMS = 1200  # leading increment-law coefficients kept
 MONOTONE_SLACK = 1e-12  # rounding allowed in a step that must not decrease
 UNASSIGNED_TOL = 1e-9  # increment-law mass the CLT constants may leave out
 
@@ -66,8 +69,8 @@ class XiSolution:
 
     ``returns[(j, v)]`` is the generating function, at the evaluation point,
     of the first passage from the one-letter word ``v`` (factor ``j``) to the
-    root; ``xi[i]`` the generating function of the first visit to the set of
-    one-letter factor-``i`` words from the root.
+    root; ``xi1`` and ``xi2`` the generating functions of the first visit to
+    the set of one-letter factor-1, resp. factor-2, words from the root.
     """
 
     z: complex
@@ -77,9 +80,6 @@ class XiSolution:
     iterations: int
     converged: bool
     residual: float
-
-    def xi(self, i: int) -> complex:
-        return self.xi1 if i == 1 else self.xi2
 
 
 class _FixedPoint(NamedTuple):
@@ -94,19 +94,19 @@ class _FixedPoint(NamedTuple):
 
 
 def _solve_xi_array(
-    zs: np.ndarray, cfg: WalkConfig, tol: float = XI_TOL, max_iter: int = XI_MAX_ITER
+    zs: np.ndarray, cfg: WalkConfig, max_iter: int = XI_MAX_ITER
 ) -> _FixedPoint:
     """Least fixed point of the first-passage system at every point of ``zs``.
 
     The system of :func:`solve_xi` reads ``R = Phi(R) = z [c + A R + (C^T R) * R]``
     in ``R = (R_1, R_2)``, ``*`` entrywise.  Newton's method from 0 solves
     ``(I - Phi'(R)) step = Phi(R) - R`` for all points still active at once;
-    each point stops once ``max|step| < tol``.  For ``z >= 0`` the system is
+    each point stops once ``max|step| < XI_TOL``.  For ``z >= 0`` the system is
     monotone and Newton increases to the least fixed point (Etessami &
     Yannakakis 2009), so a decreasing step, or a singular or non-finite
     solve, marks a point past the radius, where Newton would land on a
     spurious root.  Other points must be dominated by the solution at ``|z|``
-    (nonnegative coefficients): ``|R(z)| <= R(|z|) + tol``, and likewise
+    (nonnegative coefficients): ``|R(z)| <= R(|z|) + XI_TOL``, and likewise
     ``xi``, which follows in closed form: ``xi_1 = a_1 z / (1 - a_2 z s_2)``,
     ``s_2 = sum_y p_2(o_2, y) R_2(y)``.
     """
@@ -137,8 +137,8 @@ def _solve_xi_array(
     off_axis = np.flatnonzero(~monotone)
     if off_axis.size:  # solve at |z| first: a point past the radius is not tried
         moduli, of_point = np.unique(np.abs(zs[off_axis]), return_inverse=True)
-        ref = _solve_xi_array(moduli, cfg, tol, max_iter)
-        bound = np.column_stack([ref.returns, ref.xi1, ref.xi2])[of_point].real + tol
+        ref = _solve_xi_array(moduli, cfg, max_iter)
+        bound = np.column_stack([ref.returns, ref.xi1, ref.xi2])[of_point].real + XI_TOL
         active = np.concatenate([active, off_axis[ref.converged[of_point]]])
     for it in range(1, max_iter + 1):
         if not active.size:
@@ -155,7 +155,7 @@ def _solve_xi_array(
         R[active] = np.where(failed[:, None], Ra, Ra + step)
         iterations[active] = it
         residual[active] = size
-        done = ~failed & (size < tol)
+        done = ~failed & (size < XI_TOL)
         converged[active[done]] = True
         active = active[~(failed | done)]
 
@@ -185,7 +185,6 @@ def _batched_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_xi(
     z: complex,
     cfg: WalkConfig,
-    tol: float = XI_TOL,
     max_iter: int = XI_MAX_ITER,
     raise_on_divergence: bool = True,
 ) -> XiSolution:
@@ -206,7 +205,7 @@ def solve_xi(
     not raised, when requested.  ``iterations`` counts Newton steps and
     ``residual`` is the size of the last one.
     """
-    fp = _solve_xi_array(np.array([z]), cfg, tol, max_iter)
+    fp = _solve_xi_array(np.array([z]), cfg, max_iter)
     converged = bool(fp.converged[0])
     if not converged and raise_on_divergence:
         raise NoConvergence(
@@ -247,9 +246,6 @@ class GenFunContext:
     letter_L: dict[tuple[int, str], float]
     cl_constant: float
 
-    def xi(self, i: int) -> float:
-        return self.xi1 if i == 1 else self.xi2
-
     def letter_dl(self, i: int, v: str) -> float:
         L = self.letter_L[(i, v)]
         if L <= 0:
@@ -266,9 +262,9 @@ class GenFunContext:
         }
 
 
-def build_context(cfg: WalkConfig, tol: float = XI_TOL) -> GenFunContext:
+def build_context(cfg: WalkConfig) -> GenFunContext:
     """Solve the fixed point at z = 1 and cache the per-letter L values."""
-    sol = solve_xi(1.0, cfg, tol=tol)
+    sol = solve_xi(1.0, cfg)
     xi1, xi2 = float(sol.xi1.real), float(sol.xi2.real)
     if not (0.0 < xi1 < 1.0 and 0.0 < xi2 < 1.0):
         raise NoConvergence(f"xi out of (0,1): xi1 = {xi1}, xi2 = {xi2}")
@@ -325,7 +321,7 @@ class RadiusReport:
 
 
 def radius_diagnostic(
-    cfg: WalkConfig, grid: Optional[list[float]] = None, proxy_order: int = 14
+    cfg: WalkConfig, grid: Optional[list[float]] = None
 ) -> RadiusReport:
     """Probe whether the Green function radius exceeds 1.
 
@@ -347,7 +343,7 @@ def radius_diagnostic(
     if largest is not None:
         k = grid.index(largest)
         xi_at_largest = (float(fp.xi1[k].real), float(fp.xi2[k].real))
-    proxy = return_probability_proxy(cfg, proxy_order)
+    proxy = return_probability_proxy(cfg, RADIUS_PROXY_ORDER)
     plausible = largest is not None and largest > 1.0
     return RadiusReport(
         grid=grid,
@@ -495,25 +491,23 @@ class RenewalLaw:
         }
 
 
-def renewal_increment_law(
-    cfg: WalkConfig, fft_size: int = 2048, n_terms: int = 1200
-) -> RenewalLaw:
+def renewal_increment_law(cfg: WalkConfig) -> RenewalLaw:
     """Invert the increment generating function on the unit circle.
 
     The coefficients decay geometrically (the radius exceeds 1), so with a
     transform length well beyond the effective support the aliasing error
-    is far below double precision; the first ``n_terms`` are kept, and the
-    mass beyond them is the law's ``unassigned``.
+    is far below double precision; the first ``LAW_TERMS`` of the
+    ``LAW_FFT_SIZE`` are kept, and the mass beyond them is the law's
+    ``unassigned``.
     """
-    half = fft_size // 2
-    zs = np.exp(2j * np.pi * np.arange(half + 1) / fft_size)
-    n_terms = min(n_terms, fft_size)
+    half = LAW_FFT_SIZE // 2
+    zs = np.exp(2j * np.pi * np.arange(half + 1) / LAW_FFT_SIZE)
     out: dict[tuple[str, str], np.ndarray] = {}
     for pair, upper in _pair_gf_grid(zs, cfg).items():
-        full = np.empty(fft_size, dtype=complex)
+        full = np.empty(LAW_FFT_SIZE, dtype=complex)
         full[: half + 1] = upper
         full[half + 1 :] = np.conj(upper[1:half][::-1])
-        out[pair] = (np.fft.fft(full).real / fft_size)[:n_terms]
+        out[pair] = (np.fft.fft(full).real / LAW_FFT_SIZE)[:LAW_TERMS]
     return RenewalLaw(pair_probs=out, config_digest=cfg.digest())
 
 

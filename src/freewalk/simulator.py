@@ -1,13 +1,13 @@
-"""Trajectory sampling, retrospective exit-time detection, renewal decomposition.
+"""Batch walk sampling, retrospective exit-time detection, renewal decomposition.
 
 Sampling is driven by counter-based Philox streams keyed by
 ``(master_seed, stream_id)``: every walk owns its stream and consumes exactly
-one uniform per step through cumulative-probability inversion, so scalar and
-vectorized simulation produce bit-identical walks and results do not depend
-on scheduling or worker count.  The batch kernel inverts through the sorted
-distinct thresholds of all states at once: the number of thresholds ``<= u``
-fixes every comparison with ``u``, so a flat table indexed by the state and
-that count gives the same move as inversion on the state's own row.
+one uniform per step through cumulative-probability inversion, so results do
+not depend on chunking, scheduling or worker count.  The batch kernel inverts
+through the sorted distinct thresholds of all states at once: the number of
+thresholds ``<= u`` fixes every comparison with ``u``, so a flat table
+indexed by the state and that count gives the same move as inversion on the
+state's own row.
 
 Exit times are detected retrospectively.  Writing ``c_t`` for the common
 prefix length of consecutive states, the level-k candidate exit time is the
@@ -18,9 +18,9 @@ stack of a batch walk carries all renewal words.  The candidate itself is
 the last step that wrote stack depth ``k``: the batch kernel records that
 time per depth next to the stack, and the batch decomposition reads every
 exit time off the final write times without storing intermediate states.
-The word-level path (:func:`sample_trajectory`, :func:`detect_exit_times`,
-:func:`renewal_decompose`) computes the same times from whole words and is
-the reference the batch path is tested against.
+The word-level reference in ``tests/reference_walk.py`` materializes every
+state, computes the same times from whole words, and is what the batch path
+is tested against.
 """
 
 from __future__ import annotations
@@ -31,21 +31,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    POP,
-    PUSH,
-    REPLACE,
-    CompiledKernel,
-    FreewalkError,
-    Word,
-    WalkConfig,
-    common_prefix_length,
-    compile_kernel,
-    concat,
-    graph_distance,
-    in_cone,
-)
-from .genfun import GenFunContext, dL_word
+from .core import POP, PUSH, CompiledKernel, WalkConfig, compile_kernel
+from .genfun import GenFunContext
 
 DEFAULT_BUFFER = 500
 
@@ -58,10 +45,6 @@ PURPOSE_POOL = 4
 PURPOSE_DIAG = 5
 
 _MASK64 = (1 << 64) - 1
-
-
-class NoConfirmedExit(FreewalkError):
-    """No exit time could be confirmed within the censored horizon."""
 
 
 def stream_id(purpose: int, index: int) -> int:
@@ -78,233 +61,6 @@ def stream_uniforms(
         return gen.random(n)
     gen.random(out=out)
     return out
-
-
-@dataclass
-class Trajectory:
-    """A fully materialized walk ``X_0 .. X_n`` (desk scale only).
-
-    Large experiments use :func:`simulate_batch`, which keeps only the final
-    stack and the time each of its depths was last written; this object
-    exists for tests, diagnostics and the word-level decomposition path,
-    which is the independent reference for the batch path.
-    """
-
-    seed: int
-    stream: int
-    cfg: WalkConfig
-    states: tuple[Word, ...]
-
-    def __len__(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def config_digest(self) -> str:
-        return self.cfg.digest()
-
-    @property
-    def lengths(self) -> list[int]:
-        return [len(w) for w in self.states]
-
-
-def sample_trajectory(
-    cfg: WalkConfig, n: int, seed: int, stream: int = 0
-) -> Trajectory:
-    """Sample ``n`` steps from the one-step law; bit-reproducible per seed."""
-    kernel = compile_kernel(cfg)
-    u = stream_uniforms(seed, stream, n)
-    cum, act, let = kernel.cum, kernel.act, kernel.let
-    codes: list[int] = []
-    state = 0
-    states = [Word()]
-    for t in range(n):
-        x = u[t]
-        row = cum[state]
-        j = 0
-        while x >= row[j]:
-            j += 1
-        a = act[state, j]
-        if a == PUSH:
-            state = int(let[state, j])
-            codes.append(state)
-        elif a == REPLACE:
-            state = int(let[state, j])
-            codes[-1] = state
-        else:
-            codes.pop()
-            state = codes[-1] if codes else 0
-        states.append(kernel.decode(codes))
-    return Trajectory(seed=seed, stream=stream, cfg=cfg, states=tuple(states))
-
-
-class ExitTime(NamedTuple):
-    k: int
-    time: int
-    confirmed: bool
-
-
-def _exit_candidates(lengths: np.ndarray, cps: np.ndarray) -> list[tuple[int, int]]:
-    """Candidate exit times ``(k, e_k)`` for ``k = 1 .. ||X_N||`` from profiles.
-
-    ``lengths`` has ``N + 1`` entries and ``cps`` the ``N`` common prefix
-    lengths of consecutive states.  Candidates exist for every level up to
-    the final length because the last visit to each level is stable.
-    """
-    n = len(cps)
-    final_len = int(lengths[-1])
-    if final_len == 0:
-        return []
-    if n == 0:
-        return []
-    suffix_min = np.minimum.accumulate(cps[::-1])[::-1]
-    stable = np.nonzero(lengths[:-1] <= suffix_min)[0]
-    out: list[tuple[int, int]] = []
-    next_k = 1
-    for m in stable:
-        if lengths[m] == next_k:
-            out.append((next_k, int(m)))
-            next_k += 1
-    if next_k == final_len:
-        out.append((next_k, n))
-        next_k += 1
-    if next_k != final_len + 1:
-        raise AssertionError(
-            f"exit detection inconsistency: found {next_k - 1} of {final_len} levels"
-        )
-    return out
-
-
-def detect_exit_times(traj: Trajectory, buffer: int = DEFAULT_BUFFER) -> list[ExitTime]:
-    """All candidate exit times with confirmation flags.
-
-    A candidate is confirmed when it falls at least ``buffer`` steps before
-    the horizon, so that a later cone exit would almost surely have been
-    observed.  Guarantees on candidates: the state just before a candidate
-    lies outside the candidate's cone, and candidate cones are nested.
-    """
-    states = traj.states
-    lengths = np.array([len(w) for w in states], dtype=np.int64)
-    cps = np.array(
-        [common_prefix_length(states[t], states[t + 1]) for t in range(len(states) - 1)],
-        dtype=np.int64,
-    )
-    horizon = len(states) - 1
-    cutoff = horizon - buffer
-    out = []
-    for k, m in _exit_candidates(lengths, cps):
-        if m >= 1 and not cps[m - 1] < k:
-            raise AssertionError(f"candidate e_{k}={m} entered its cone from inside")
-        out.append(ExitTime(k=k, time=m, confirmed=m <= cutoff))
-    return out
-
-
-@dataclass(frozen=True)
-class Block:
-    """One renewal block: increment, reward increments, and the appended pair."""
-
-    index: int
-    delta_t: int
-    d_dist: int
-    d_block: int
-    d_ent: float
-    word: Word
-
-
-@dataclass
-class RenewalSample:
-    """Renewal decomposition of one trajectory.
-
-    ``renewal_times[j]`` is the confirmed time ``T_j`` (the exit time at
-    level ``2 j + tau``), ``renewal_distances[j]`` the graph distance of the
-    corresponding word from the root; blocks pair consecutive confirmed
-    renewal times.
-    """
-
-    tau: int
-    exit_times: list[ExitTime]
-    renewal_times: list[int]
-    renewal_distances: list[int]
-    blocks: list[Block]
-    buffer: int
-    censored_count: int
-    config_digest: str = ""
-
-
-def renewal_decompose(
-    traj: Trajectory, ctx: GenFunContext, buffer: int = DEFAULT_BUFFER
-) -> RenewalSample:
-    """Decompose a trajectory at its confirmed renewal times.
-
-    Every structural identity is asserted on the way: alternation and
-    nesting of the exit words, the two-letter appended pattern, the level
-    identity ``||X_{T_j}|| = 2 j + tau``, and the exact telescoping of graph
-    distances along renewal words.  Distances here are recomputed from whole
-    words, independently of the incremental bookkeeping used by the batch
-    path.
-    """
-    cfg_digest = traj.config_digest
-    exits = detect_exit_times(traj, buffer)
-    confirmed = [e for e in exits if e.confirmed]
-    if not confirmed:
-        raise NoConfirmedExit(
-            f"no confirmed exit with horizon {len(traj)} and buffer {buffer}"
-        )
-    states = traj.states
-    for prev, cur in zip(confirmed, confirmed[1:]):
-        if not in_cone(states[cur.time], states[prev.time]):
-            raise AssertionError("exit cones are not nested")
-        if (states[cur.time].letters[-1][0]) == (states[prev.time].letters[-1][0]):
-            raise AssertionError("exit word factors do not alternate")
-    first_factor = states[confirmed[0].time].letters[-1][0]
-    tau = 1 if first_factor == 1 else 2
-
-    by_level = {e.k: e for e in confirmed}
-    renewal_times: list[int] = []
-    renewal_words: list[Word] = []
-    k = tau
-    while k in by_level:
-        e = by_level[k]
-        w = states[e.time]
-        if len(w) != k or w.letters[-1][0] != 1:
-            raise AssertionError("renewal word has wrong level or factor")
-        renewal_times.append(e.time)
-        renewal_words.append(w)
-        k += 2
-    if not renewal_times:
-        raise NoConfirmedExit(f"no confirmed renewal time (tau = {tau})")
-
-    blocks: list[Block] = []
-    for j in range(1, len(renewal_times)):
-        prev_w, cur_w = renewal_words[j - 1], renewal_words[j]
-        pair = Word(cur_w.letters[-2:])
-        if concat(prev_w, pair) != cur_w:
-            raise AssertionError("renewal words do not extend by the appended pair")
-        if pair.letters[0][0] != 2 or pair.letters[1][0] != 1:
-            raise AssertionError("appended pair does not match (factor2, factor1)")
-        blocks.append(
-            Block(
-                index=j,
-                delta_t=renewal_times[j] - renewal_times[j - 1],
-                d_dist=graph_distance(pair, traj.cfg),
-                d_block=2,
-                d_ent=dL_word(pair, ctx),
-                word=pair,
-            )
-        )
-    distances = [graph_distance(w, traj.cfg) for w in renewal_words]
-    for j in range(1, len(distances)):
-        if distances[j] != distances[0] + sum(b.d_dist for b in blocks[:j]):
-            raise AssertionError("graph distance does not telescope along renewals")
-    return RenewalSample(
-        tau=tau,
-        exit_times=exits,
-        renewal_times=renewal_times,
-        renewal_distances=distances,
-        blocks=blocks,
-        buffer=buffer,
-        censored_count=sum(1 for e in exits if not e.confirmed),
-        config_digest=cfg_digest,
-    )
 
 
 # -- batch simulation ----------------------------------------------------------
@@ -477,11 +233,12 @@ def simulate_batch(
 ) -> BatchWalks:
     """Simulate one walk per stream, vectorized across walks.
 
-    Identical to running :func:`sample_trajectory` per stream: both consume
-    the same uniforms and compare them with the same thresholds.  With ``workers``
-    above 1 (default from ``FREEWALK_WORKERS``) stream spans run in separate
-    processes; per-stream keying makes the result independent of worker
-    count and scheduling, and results are assembled in stream order.
+    Identical to the word-level reference walk of ``tests/reference_walk.py``
+    run per stream: both consume the same uniforms and compare them with the
+    same thresholds.  With ``workers`` above 1 (default from
+    ``FREEWALK_WORKERS``) stream spans run in separate processes; per-stream
+    keying makes the result independent of worker count and scheduling, and
+    results are assembled in stream order.
     """
     streams = np.asarray(list(streams), dtype=np.uint64)
     M = len(streams)
@@ -713,33 +470,33 @@ def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict[str, np.nd
     }
 
 
+HIT_HORIZON = 200
+HIT_ESCAPE_LENGTH = 40
+_HIT_CHUNK = 1024
+
+
 def hit_probability_mc(
-    cfg: WalkConfig,
-    factor: int,
-    n_walks: int,
-    master_seed: int,
-    horizon: int = 200,
-    escape_length: int = 40,
-    chunk_size: int = 1024,
+    cfg: WalkConfig, factor: int, n_walks: int, master_seed: int
 ) -> tuple[float, float]:
     """Monte Carlo frequency of ever visiting a one-letter word of ``factor``.
 
-    Walks are stopped early once their word grows beyond ``escape_length``
+    Walks are stopped early once their word grows beyond ``HIT_ESCAPE_LENGTH``
     (the return probability from there is geometrically negligible) or at
-    the horizon; both truncations bias the frequency down by far less than a
-    standard error at desk scale.  Returns ``(frequency, standard_error)``.
+    ``HIT_HORIZON`` steps; both truncations bias the frequency down by far
+    less than a standard error at desk scale.  Returns
+    ``(frequency, standard_error)``.
     """
     kernel = compile_kernel(cfg)
     tables = _step_tables(kernel)
     fac = kernel.factor_of_code
-    cols = escape_length + 2
+    cols = HIT_ESCAPE_LENGTH + 2
     hits = 0
-    for lo in range(0, n_walks, chunk_size):
-        m = min(chunk_size, n_walks - lo)
-        u = np.empty((m, horizon))
+    for lo in range(0, n_walks, _HIT_CHUNK):
+        m = min(_HIT_CHUNK, n_walks - lo)
+        u = np.empty((m, HIT_HORIZON))
         for i in range(m):
             stream_uniforms(
-                master_seed, stream_id(PURPOSE_HIT_MC, lo + i), horizon, out=u[i]
+                master_seed, stream_id(PURPOSE_HIT_MC, lo + i), HIT_HORIZON, out=u[i]
             )
         g = np.searchsorted(tables.grid, u, side="right")
         sf = np.zeros(m * cols, dtype=np.int16)
@@ -748,14 +505,14 @@ def hit_probability_mc(
         alive = np.arange(m)
         base = alive * cols
         pos = base.copy()
-        for t in range(horizon):
+        for t in range(HIT_HORIZON):
             if not len(alive):
                 break
             _step(tables, sf, wf, pos, g[alive, t], t)
             sp = pos - base
             hit = (sp == 1) & (fac[sf[pos]] == factor)
             hits += int(hit.sum())
-            keep = ~hit & (sp < escape_length)
+            keep = ~hit & (sp < HIT_ESCAPE_LENGTH)
             if not keep.all():
                 alive, base, pos = alive[keep], base[keep], pos[keep]
     freq = hits / n_walks

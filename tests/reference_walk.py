@@ -1,0 +1,244 @@
+"""Word-level reference walk: sampling, exit-time detection, renewal decomposition.
+
+The library keeps only each batch walk's final stack and the step that last
+wrote each depth (:func:`freewalk.simulator.simulate_batch`,
+:func:`freewalk.simulator.batch_decompose`).  This module materializes every
+state ``X_0 .. X_n`` instead, finds the exit times from the common prefix
+lengths of consecutive states, and recomputes renewal distances from whole
+words.  It consumes the same Philox uniforms with the same thresholds, so it
+reproduces the batch walks bit for bit and is the independent reference the
+batch path is tested against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from freewalk.core import (
+    PUSH,
+    REPLACE,
+    FreewalkError,
+    Word,
+    WalkConfig,
+    compile_kernel,
+    concat,
+    graph_distance,
+    in_cone,
+)
+from freewalk.genfun import GenFunContext, dL_word
+from freewalk.simulator import DEFAULT_BUFFER, stream_uniforms
+
+
+class NoConfirmedExit(FreewalkError):
+    """No exit time could be confirmed within the censored horizon."""
+
+
+def common_prefix_length(u: Word, v: Word) -> int:
+    n = 0
+    for a, b in zip(u.letters, v.letters):
+        if a != b:
+            break
+        n += 1
+    return n
+
+
+@dataclass
+class Trajectory:
+    """A fully materialized walk ``X_0 .. X_n`` (desk scale only)."""
+
+    cfg: WalkConfig
+    states: tuple[Word, ...]
+
+
+def sample_trajectory(
+    cfg: WalkConfig, n: int, seed: int, stream: int = 0
+) -> Trajectory:
+    """Sample ``n`` steps from the one-step law; bit-reproducible per seed."""
+    kernel = compile_kernel(cfg)
+    u = stream_uniforms(seed, stream, n)
+    cum, act, let = kernel.cum, kernel.act, kernel.let
+    codes: list[int] = []
+    state = 0
+    states = [Word()]
+    for t in range(n):
+        x = u[t]
+        row = cum[state]
+        j = 0
+        while x >= row[j]:
+            j += 1
+        a = act[state, j]
+        if a == PUSH:
+            state = int(let[state, j])
+            codes.append(state)
+        elif a == REPLACE:
+            state = int(let[state, j])
+            codes[-1] = state
+        else:
+            codes.pop()
+            state = codes[-1] if codes else 0
+        states.append(kernel.decode(codes))
+    return Trajectory(cfg=cfg, states=tuple(states))
+
+
+class ExitTime(NamedTuple):
+    k: int
+    time: int
+    confirmed: bool
+
+
+def _exit_candidates(lengths: np.ndarray, cps: np.ndarray) -> list[tuple[int, int]]:
+    """Candidate exit times ``(k, e_k)`` for ``k = 1 .. ||X_N||`` from profiles.
+
+    ``lengths`` has ``N + 1`` entries and ``cps`` the ``N`` common prefix
+    lengths of consecutive states.  Candidates exist for every level up to
+    the final length because the last visit to each level is stable.
+    """
+    n = len(cps)
+    final_len = int(lengths[-1])
+    if final_len == 0:
+        return []
+    if n == 0:
+        return []
+    suffix_min = np.minimum.accumulate(cps[::-1])[::-1]
+    stable = np.nonzero(lengths[:-1] <= suffix_min)[0]
+    out: list[tuple[int, int]] = []
+    next_k = 1
+    for m in stable:
+        if lengths[m] == next_k:
+            out.append((next_k, int(m)))
+            next_k += 1
+    if next_k == final_len:
+        out.append((next_k, n))
+        next_k += 1
+    if next_k != final_len + 1:
+        raise AssertionError(
+            f"exit detection inconsistency: found {next_k - 1} of {final_len} levels"
+        )
+    return out
+
+
+def detect_exit_times(traj: Trajectory, buffer: int = DEFAULT_BUFFER) -> list[ExitTime]:
+    """All candidate exit times with confirmation flags.
+
+    A candidate is confirmed when it falls at least ``buffer`` steps before
+    the horizon, so that a later cone exit would almost surely have been
+    observed.  Guarantees on candidates: the state just before a candidate
+    lies outside the candidate's cone, and candidate cones are nested.
+    """
+    states = traj.states
+    lengths = np.array([len(w) for w in states], dtype=np.int64)
+    cps = np.array(
+        [common_prefix_length(states[t], states[t + 1]) for t in range(len(states) - 1)],
+        dtype=np.int64,
+    )
+    horizon = len(states) - 1
+    cutoff = horizon - buffer
+    out = []
+    for k, m in _exit_candidates(lengths, cps):
+        if m >= 1 and not cps[m - 1] < k:
+            raise AssertionError(f"candidate e_{k}={m} entered its cone from inside")
+        out.append(ExitTime(k=k, time=m, confirmed=m <= cutoff))
+    return out
+
+
+@dataclass(frozen=True)
+class Block:
+    """One renewal block: increment, reward increments, and the appended pair."""
+
+    index: int
+    delta_t: int
+    d_dist: int
+    d_block: int
+    d_ent: float
+    word: Word
+
+
+@dataclass
+class RenewalSample:
+    """Renewal decomposition of one trajectory.
+
+    ``renewal_times[j]`` is the confirmed time ``T_j`` (the exit time at
+    level ``2 j + tau``), ``renewal_distances[j]`` the graph distance of the
+    corresponding word from the root; blocks pair consecutive confirmed
+    renewal times.
+    """
+
+    tau: int
+    renewal_times: list[int]
+    renewal_distances: list[int]
+    blocks: list[Block]
+
+
+def renewal_decompose(
+    traj: Trajectory, ctx: GenFunContext, buffer: int = DEFAULT_BUFFER
+) -> RenewalSample:
+    """Decompose a trajectory at its confirmed renewal times.
+
+    Every structural identity is asserted on the way: alternation and
+    nesting of the exit words, the two-letter appended pattern, the level
+    identity ``||X_{T_j}|| = 2 j + tau``, and the exact telescoping of graph
+    distances along renewal words.  Distances here are recomputed from whole
+    words, independently of the incremental bookkeeping used by the batch
+    path.
+    """
+    exits = detect_exit_times(traj, buffer)
+    confirmed = [e for e in exits if e.confirmed]
+    if not confirmed:
+        raise NoConfirmedExit(
+            f"no confirmed exit with horizon {len(traj.states) - 1} and buffer {buffer}"
+        )
+    states = traj.states
+    for prev, cur in zip(confirmed, confirmed[1:]):
+        if not in_cone(states[cur.time], states[prev.time]):
+            raise AssertionError("exit cones are not nested")
+        if (states[cur.time].letters[-1][0]) == (states[prev.time].letters[-1][0]):
+            raise AssertionError("exit word factors do not alternate")
+    first_factor = states[confirmed[0].time].letters[-1][0]
+    tau = 1 if first_factor == 1 else 2
+
+    by_level = {e.k: e for e in confirmed}
+    renewal_times: list[int] = []
+    renewal_words: list[Word] = []
+    k = tau
+    while k in by_level:
+        e = by_level[k]
+        w = states[e.time]
+        if len(w) != k or w.letters[-1][0] != 1:
+            raise AssertionError("renewal word has wrong level or factor")
+        renewal_times.append(e.time)
+        renewal_words.append(w)
+        k += 2
+    if not renewal_times:
+        raise NoConfirmedExit(f"no confirmed renewal time (tau = {tau})")
+
+    blocks: list[Block] = []
+    for j in range(1, len(renewal_times)):
+        prev_w, cur_w = renewal_words[j - 1], renewal_words[j]
+        pair = Word(cur_w.letters[-2:])
+        if concat(prev_w, pair) != cur_w:
+            raise AssertionError("renewal words do not extend by the appended pair")
+        if pair.letters[0][0] != 2 or pair.letters[1][0] != 1:
+            raise AssertionError("appended pair does not match (factor2, factor1)")
+        blocks.append(
+            Block(
+                index=j,
+                delta_t=renewal_times[j] - renewal_times[j - 1],
+                d_dist=graph_distance(pair, traj.cfg),
+                d_block=2,
+                d_ent=dL_word(pair, ctx),
+                word=pair,
+            )
+        )
+    distances = [graph_distance(w, traj.cfg) for w in renewal_words]
+    for j in range(1, len(distances)):
+        if distances[j] != distances[0] + sum(b.d_dist for b in blocks[:j]):
+            raise AssertionError("graph distance does not telescope along renewals")
+    return RenewalSample(
+        tau=tau,
+        renewal_times=renewal_times,
+        renewal_distances=distances,
+        blocks=blocks,
+    )

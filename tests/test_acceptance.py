@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import POOL_SEED_A, POOL_SEED_B
+from reference_walk import renewal_decompose, sample_trajectory
 
 from freewalk.core import Word, compile_kernel, concat, graph_distance
 from freewalk.estimators import (
@@ -35,12 +36,7 @@ from freewalk.oracle import (
     max_coeff_gap,
     series_combine,
 )
-from freewalk.simulator import (
-    hit_probability_mc,
-    renewal_decompose,
-    sample_trajectory,
-    simulate_pool,
-)
+from freewalk.simulator import hit_probability_mc, simulate_pool
 
 O = Word()
 

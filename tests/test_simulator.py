@@ -9,19 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewalk.core import POP, PUSH, Word, compile_kernel, in_cone, step_distribution
-from freewalk.instances import instance_k3_k3, instance_path_k3
-from freewalk.simulator import (
+from reference_walk import (
     ExitTime,
     NoConfirmedExit,
     Trajectory,
+    detect_exit_times,
+    renewal_decompose,
+    sample_trajectory,
+)
+
+from freewalk.core import POP, PUSH, Word, compile_kernel, in_cone, step_distribution
+from freewalk.instances import instance_k3_k3, instance_path_k3
+from freewalk.simulator import (
     batch_decompose,
     batch_walk_stats,
     default_workers,
-    detect_exit_times,
     hit_probability_mc,
-    renewal_decompose,
-    sample_trajectory,
     simulate_batch,
     stream_id,
     stream_uniforms,
@@ -37,7 +40,7 @@ WCA = Word(((2, "c"), (1, "a")))
 
 
 def hand_trajectory(cfg, words):
-    return Trajectory(seed=0, stream=0, cfg=cfg, states=tuple(words))
+    return Trajectory(cfg=cfg, states=tuple(words))
 
 
 class TestSampling:
@@ -200,14 +203,19 @@ class TestRenewalDecompose:
         for j, t in enumerate(sample.renewal_times):
             assert len(traj.states[t]) == 2 * j + sample.tau
 
-    def test_batch_matches_trajectory_path(self, instance_a, ctx_a):
-        kernel = compile_kernel(instance_a)
+    # on K3xK3 every block has d_dist == 2; PathxK3 makes the distances differ
+    @pytest.mark.parametrize("buffer", [0, 100])
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_batch_matches_trajectory_path(self, label, buffer, request):
+        cfg = request.getfixturevalue(f"instance_{label}")
+        ctx = request.getfixturevalue(f"ctx_{label}")
+        kernel = compile_kernel(cfg)
         streams = [stream_id(4, i) for i in range(4)]
-        batch = simulate_batch(instance_a, 800, 55, streams)
-        pool = batch_decompose(batch, kernel, ctx_a, 100)
+        batch = simulate_batch(cfg, 800, 55, streams)
+        pool = batch_decompose(batch, kernel, ctx, buffer)
         for i, s in enumerate(streams):
-            traj = sample_trajectory(instance_a, 800, 55, stream=s)
-            sample = renewal_decompose(traj, ctx_a, 100)
+            traj = sample_trajectory(cfg, 800, 55, stream=s)
+            sample = renewal_decompose(traj, ctx, buffer)
             idx = pool.blocks_of_walk(i)
             assert pool.tau[i] == sample.tau
             assert pool.t0_time[i] == sample.renewal_times[0]
@@ -250,19 +258,23 @@ class TestRenewalDecompose:
 
 
 class TestWalkStats:
-    def test_lengths_match_final_words(self, instance_a, ctx_a):
-        kernel = compile_kernel(instance_a)
-        batch = simulate_batch(instance_a, 200, 77, [stream_id(4, i) for i in range(3)])
-        stats = batch_walk_stats(batch, kernel, ctx_a)
+    # on K3xK3 every endpoint has dist == length; on PathxK3 they differ
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_lengths_match_final_words(self, label, request):
+        cfg = request.getfixturevalue(f"instance_{label}")
+        ctx = request.getfixturevalue(f"ctx_{label}")
+        kernel = compile_kernel(cfg)
+        batch = simulate_batch(cfg, 200, 77, [stream_id(4, i) for i in range(3)])
+        stats = batch_walk_stats(batch, kernel, ctx)
         for i in range(3):
-            traj = sample_trajectory(instance_a, 200, 77, stream=stream_id(4, i))
+            traj = sample_trajectory(cfg, 200, 77, stream=stream_id(4, i))
             final = traj.states[-1]
             assert stats.length[i] == len(final)
             from freewalk.core import graph_distance
             from freewalk.genfun import dL_word
 
-            assert stats.dist[i] == graph_distance(final, instance_a)
-            assert math.isclose(stats.dl[i], dL_word(final, ctx_a))
+            assert stats.dist[i] == graph_distance(final, cfg)
+            assert math.isclose(stats.dl[i], dL_word(final, ctx))
 
 
 class TestHitProbability:
