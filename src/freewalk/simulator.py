@@ -4,10 +4,10 @@ Sampling is driven by counter-based Philox streams keyed by
 ``(master_seed, stream_id)``: every walk owns its stream and consumes exactly
 one uniform per step through cumulative-probability inversion, so results do
 not depend on chunking, scheduling or worker count.  The batch kernel inverts
-through the sorted distinct thresholds of all states at once: the number of
-thresholds ``<= u`` fixes every comparison with ``u``, so a flat table
-indexed by the state and that count gives the same move as inversion on the
-state's own row.
+through the sorted distinct thresholds of all states at once: the count of
+thresholds ``<= u``, the cell of ``u``, fixes every comparison with ``u``, so
+a flat table indexed by the state's row offset (which the stack holds) plus
+the cell gives the same move as inversion on the state's own row.
 
 Exit times are detected retrospectively.  Writing ``c_t`` for the common
 prefix length of consecutive states, the level-k candidate exit time is the
@@ -102,23 +102,20 @@ def default_workers() -> int:
 
 class _StepTables(NamedTuple):
     grid: np.ndarray  # sorted distinct thresholds of ``kernel.cum``
-    # state -> ``state * (len(grid) + 1)``, the first flat index of its row; a
-    # gather rather than a product, which int16 states could overflow
-    row: np.ndarray
     up: np.ndarray  # write offset above the current depth: 1 for a push, else 0
     dsp: np.ndarray  # depth change: +1 push, 0 replace, -1 pop
-    let: np.ndarray  # new letter code (0 for a pop)
+    let: np.ndarray  # new letter as a row offset, ``code * (len(grid) + 1)`` (0 for a pop)
 
 
 def _step_tables(kernel: CompiledKernel) -> _StepTables:
-    """Flat step tables indexed by ``row[state] + g`` for ``g`` in ``0 .. len(grid)``.
+    """Flat step tables indexed by a row offset plus a cell ``g`` in ``0 .. len(grid)``.
 
-    ``g = searchsorted(grid, u, side="right")`` counts the thresholds ``<= u``,
-    so it fixes every comparison ``u < cum[state, j]`` for all states at once.
-    Each cell is filled by inversion on ``cum[state]`` at the cell's lowest
-    point, hence a lookup picks the same move as inversion does.  Every row
-    ends at exactly 1, so the last cell, ``u >= grid[-1] >= 1``, is never
-    reached by uniforms in ``[0, 1)``.
+    The cell of ``u`` (:func:`_cells`) fixes every comparison with ``u`` for
+    all states at once.  Each cell is filled by inversion on ``cum[state]`` at
+    its lowest point, hence a lookup picks the same move as inversion does.
+    Every row ends at exactly 1, so the last cell, ``u >= grid[-1] >= 1``, is
+    never reached by uniforms in ``[0, 1)``.  Tables and cells cost
+    O(len(grid)) per state and per uniform; shipped configs have four.
     """
     cum = kernel.cum
     grid = np.unique(cum)
@@ -128,32 +125,41 @@ def _step_tables(kernel: CompiledKernel) -> _StepTables:
     act = kernel.act[states, j].ravel()
     return _StepTables(
         grid=grid,
-        row=np.arange(len(cum)) * len(lowest),
-        up=(act == PUSH).astype(np.int64),
-        dsp=(act == PUSH).astype(np.int64) - (act == POP),
-        let=kernel.let[states, j].ravel(),
+        up=(act == PUSH).astype(np.intp),
+        dsp=(act == PUSH).astype(np.intp) - (act == POP),
+        let=kernel.let[states, j].ravel().astype(np.intp) * len(lowest),
     )
+
+
+def _cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Grid cells of uniforms in ``[0, 1)``: the count of thresholds ``<= u``.
+
+    Branch-free, unlike a binary search; ``grid[-1] >= 1`` is never reached.
+    """
+    g = np.zeros(u.shape, dtype=np.min_scalar_type(len(grid)))
+    for c in grid[:-1]:
+        g += u >= c
+    return g
 
 
 def _step(tables: _StepTables, sf, wf, pos, g, t) -> None:
     """Advance every walk by one step, in place, from its grid cell ``g``.
 
-    ``sf`` and ``wf`` are flat views of the stack and write-time arrays and
-    ``pos`` holds each walk's flat index of its current depth.  The new
-    letter and the time ``t + 1`` go to depth ``max(old sp, new sp)``: for a
-    push that is the new top, for a replace the current one, and a pop
-    writes one cell above its new top, which nothing reads before a push
-    overwrites it.
+    ``sf`` and ``wf`` are flat views of the stack of row offsets and of the
+    write times, and ``pos`` holds each walk's flat index of its current
+    depth.  The new letter and the time ``t + 1`` go to depth ``max(old sp,
+    new sp)``: for a push that is the new top, for a replace the current
+    one, and a pop writes one cell above its new top, which nothing reads
+    before a push overwrites it.
     """
-    o = tables.row[sf[pos]] + g
+    o = sf[pos] + g
     w = pos + tables.up[o]
     sf[w] = tables.let[o]
     wf[w] = t + 1
     pos += tables.dsp[o]
 
 
-_FIRST_DEPTH = 64
-_SLICE = 512  # steps whose grid cells are computed at once
+_FIRST_DEPTH = 64  # also the steps between two checks of the stack depth
 
 
 def _simulate_chunk(tables, n, master_seed, streams):
@@ -162,36 +168,30 @@ def _simulate_chunk(tables, n, master_seed, streams):
     u = np.empty((m, n))
     for i in range(m):
         stream_uniforms(master_seed, int(streams[i]), n, out=u[i])
+    g = _cells(tables.grid, u)
+    del u
     cap = min(n, _FIRST_DEPTH) + 1
-    stack = np.zeros((m, cap), dtype=np.int16)
-    wtime = np.zeros((m, cap), dtype=np.int32)  # n < 2**31: a chunk holds (m, n) uniforms
-    sf, wf = stack.reshape(-1), wtime.reshape(-1)
-    base = np.arange(m) * cap
-    pos = base.copy()
-    t = 0
-    while t < n:
-        sp = pos - base
-        # depth rises by at most one per step, so ``room`` steps cannot overflow
-        room = cap - 1 - int(sp.max())
-        if room < min(n - t, cap // 2):
+    stack = np.zeros((m, cap), dtype=np.intp)
+    wtime = np.zeros((m, cap), dtype=np.int32)  # n < 2**31: a chunk holds (m, n) cells
+    sp = np.zeros(m, dtype=np.intp)
+    for t0 in range(0, n, _FIRST_DEPTH):
+        # depth rises by at most one per step, so the segment fits above the top
+        if cap <= n and int(sp.max()) + _FIRST_DEPTH >= cap:
             cap = min(2 * cap, n + 1)
             stack = np.pad(stack, ((0, 0), (0, cap - stack.shape[1])))
             wtime = np.pad(wtime, ((0, 0), (0, cap - wtime.shape[1])))
-            sf, wf = stack.reshape(-1), wtime.reshape(-1)
-            base = np.arange(m) * cap
-            pos = base + sp
-            continue
-        stop = min(n, t + room, t + _SLICE)
-        g = np.searchsorted(tables.grid, u[:, t:stop].T, side="right")
-        for s in range(t, stop):
-            _step(tables, sf, wf, pos, g[s - t], s)
-        t = stop
-    sp = pos - base
+        sf, wf = stack.reshape(-1), wtime.reshape(-1)
+        base = np.arange(m) * cap
+        pos = base + sp
+        for t in range(t0, min(n, t0 + _FIRST_DEPTH)):
+            _step(tables, sf, wf, pos, g[:, t], t)
+        sp = pos - base
     width = int(sp.max()) + 1
     # a pop's last write lies above the final depth; correctness, not only
     # tidiness, needs these cells zeroed
     dead = np.arange(width) > sp[:, None]
-    return np.where(dead, 0, stack[:, :width]), np.where(dead, 0, wtime[:, :width]), sp
+    codes = np.where(dead, 0, stack[:, :width] // (len(tables.grid) + 1))
+    return codes.astype(np.int16), np.where(dead, 0, wtime[:, :width]), sp
 
 
 def _simulate_span(
@@ -351,9 +351,9 @@ class BlockPool:
         return np.bincount(self.walk, weights=values, minlength=self.n_walks)
 
     def blocks_of_walk(self, m: int) -> np.ndarray:
-        """Block positions of walk ``m``; ``walk`` is sorted."""
-        lo, hi = np.searchsorted(self.walk, (m, m + 1))
-        return np.arange(lo, hi)
+        """Block positions of walk ``m``; blocks are stored walk by walk."""
+        lo = int(self.n_blocks[:m].sum())
+        return np.arange(lo, lo + int(self.n_blocks[m : m + 1].sum()))
 
 
 def batch_decompose(
@@ -488,7 +488,7 @@ def hit_probability_mc(
     """
     kernel = compile_kernel(cfg)
     tables = _step_tables(kernel)
-    fac = kernel.factor_of_code
+    fac = np.repeat(kernel.factor_of_code, len(tables.grid) + 1)  # by row offset
     cols = HIT_ESCAPE_LENGTH + 2
     hits = 0
     for lo in range(0, n_walks, _HIT_CHUNK):
@@ -498,8 +498,8 @@ def hit_probability_mc(
             stream_uniforms(
                 master_seed, stream_id(PURPOSE_HIT_MC, lo + i), HIT_HORIZON, out=u[i]
             )
-        g = np.searchsorted(tables.grid, u, side="right")
-        sf = np.zeros(m * cols, dtype=np.int16)
+        g = _cells(tables.grid, u)
+        sf = np.zeros(m * cols, dtype=np.intp)
         wf = np.zeros(m * cols, dtype=np.int32)
         # running walks only: finished ones leave ``alive``, their rows go stale
         alive = np.arange(m)

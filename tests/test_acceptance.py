@@ -9,9 +9,7 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from conftest import POOL_SEED_A, POOL_SEED_B
 from reference_walk import renewal_decompose, sample_trajectory
 
 from freewalk.core import Word, compile_kernel, concat, graph_distance
@@ -23,7 +21,6 @@ from freewalk.estimators import (
     run_clt_suite,
     smoothness_probe,
     tail_diagnostic,
-    two_sample_ks,
 )
 from freewalk.genfun import solve_xi
 from freewalk.instances import instance_k3_k3

@@ -18,7 +18,17 @@ from reference_walk import (
     sample_trajectory,
 )
 
-from freewalk.core import POP, PUSH, Word, compile_kernel, in_cone, step_distribution
+from freewalk.core import (
+    POP,
+    PUSH,
+    FactorSpec,
+    WalkConfig,
+    Word,
+    compile_kernel,
+    in_cone,
+    step_distribution,
+)
+from freewalk.genfun import build_context
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import (
     batch_decompose,
@@ -29,7 +39,7 @@ from freewalk.simulator import (
     stream_id,
     stream_uniforms,
 )
-from freewalk.simulator import _step_tables
+from freewalk.simulator import _FIRST_DEPTH, _cells, _step_tables
 
 O = Word()
 WA = Word(((1, "a"),))
@@ -41,6 +51,38 @@ WCA = Word(((2, "c"), (1, "a")))
 
 def hand_trajectory(cfg, words):
     return Trajectory(cfg=cfg, states=tuple(words))
+
+
+def instance_uneven(alpha: float = 0.4) -> WalkConfig:
+    """Non-uniform factor rows: ten distinct thresholds in the step grid."""
+    return WalkConfig(
+        factor1=FactorSpec(
+            1,
+            ("o1", "a", "b", "e"),
+            "o1",
+            (
+                (0.0, 0.5, 0.3, 0.2),
+                (0.6, 0.0, 0.4, 0.0),
+                (0.1, 0.2, 0.0, 0.7),
+                (0.5, 0.0, 0.5, 0.0),
+            ),
+        ),
+        factor2=FactorSpec(
+            2, ("o2", "c", "d"), "o2", ((0.0, 0.7, 0.3), (0.4, 0.0, 0.6), (0.8, 0.2, 0.0))
+        ),
+        alpha=alpha,
+        name="uneven",
+    )
+
+
+@pytest.fixture(scope="module")
+def instance_c():
+    return instance_uneven()
+
+
+@pytest.fixture(scope="module")
+def ctx_c(instance_c):
+    return build_context(instance_c)
 
 
 class TestSampling:
@@ -118,6 +160,20 @@ class TestSampling:
         assert np.array_equal(serial.sp, parallel.sp)
         assert np.array_equal(serial.stacks, parallel.stacks)
         assert np.array_equal(serial.wtime, parallel.wtime)
+
+    # the stacks are widened in the middle of a chunk, and chunks of one walk
+    # end at different depths, which the join pads to one width
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_chunk_size_does_not_change_results(self, label, request):
+        cfg = request.getfixturevalue(f"instance_{label}")
+        streams = [stream_id(4, i) for i in range(9)]
+        default = simulate_batch(cfg, 600, 5, streams, workers=1)
+        assert default.sp.max() > _FIRST_DEPTH and len(set(default.sp)) > 1
+        for chunk_size in (1, 7):
+            other = simulate_batch(cfg, 600, 5, streams, chunk_size=chunk_size, workers=1)
+            assert np.array_equal(default.sp, other.sp)
+            assert np.array_equal(default.stacks, other.stacks)
+            assert np.array_equal(default.wtime, other.wtime)
 
 
 class TestExitDetection:
@@ -203,9 +259,10 @@ class TestRenewalDecompose:
         for j, t in enumerate(sample.renewal_times):
             assert len(traj.states[t]) == 2 * j + sample.tau
 
-    # on K3xK3 every block has d_dist == 2; PathxK3 makes the distances differ
+    # on K3xK3 every block has d_dist == 2; PathxK3 makes the distances differ,
+    # and the uneven rows of ``c`` give a ten-threshold step grid
     @pytest.mark.parametrize("buffer", [0, 100])
-    @pytest.mark.parametrize("label", ["a", "b"])
+    @pytest.mark.parametrize("label", ["a", "b", "c"])
     def test_batch_matches_trajectory_path(self, label, buffer, request):
         cfg = request.getfixturevalue(f"instance_{label}")
         ctx = request.getfixturevalue(f"ctx_{label}")
@@ -298,7 +355,7 @@ class TestHitProbability:
 
 
 class TestStepTables:
-    @pytest.mark.parametrize("make", [instance_k3_k3, instance_path_k3])
+    @pytest.mark.parametrize("make", [instance_k3_k3, instance_path_k3, instance_uneven])
     @pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.98])
     def test_lookup_equals_inversion(self, make, alpha):
         kernel = compile_kernel(make(alpha))
@@ -314,15 +371,28 @@ class TestStepTables:
             ]
         )
         u = u[u < 1]  # the uniforms of a stream lie in [0, 1)
-        g = np.searchsorted(grid, u, side="right")
+        g = _cells(grid, u).astype(np.intp)
+        assert np.array_equal(g, np.searchsorted(grid, u, side="right"))
         assert g.max() < len(grid)  # the cell of u >= 1 is never reached
+        row = len(grid) + 1
         for state in range(len(kernel.cum)):
             j = (u[:, None] < kernel.cum[state]).argmax(axis=1)
             act = kernel.act[state, j]
-            o = tables.row[state] + g
-            assert np.array_equal(tables.let[o], kernel.let[state, j])
+            o = state * row + g
+            assert np.array_equal(tables.let[o], kernel.let[state, j] * row)
             assert np.array_equal(tables.up[o], act == PUSH)
             assert np.array_equal(tables.dsp[o], (act == PUSH).astype(int) - (act == POP))
+
+    def test_uneven_rows_give_a_wide_grid(self):
+        assert len(_step_tables(compile_kernel(instance_uneven())).grid) >= 8
+
+    # 300 thresholds overflow a byte: the count widens its accumulator
+    @pytest.mark.parametrize("size", [1, 4, 300])
+    def test_cells_equal_binary_search(self, size):
+        rng = np.random.default_rng(size)
+        grid = np.append(np.sort(rng.random(size - 1)), 1.0)
+        u = np.concatenate([[0.0, 1 - 2**-53], grid[:-1], rng.random(5_000)])
+        assert np.array_equal(_cells(grid, u), np.searchsorted(grid, u, side="right"))
 
 
 class TestCensoringBias:
