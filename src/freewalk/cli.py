@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -233,35 +235,84 @@ def emit_json(doc: dict, path: Path) -> None:
     path.write_text(blob)
 
 
-def _csv_cells(column) -> list:
-    """One column's cells as ``csv.writer`` takes them: floats as ``.12g``."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            # one format per distinct bit pattern; unique floats would merge -0.0 into 0.0
-            bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-            text = np.array([f"{v:.12g}" for v in bits.view(np.float64)], dtype=object)
-            return text[inverse].tolist()
-        if column.dtype.kind in "iubU":
-            return column.tolist()
-    return [f"{v:.12g}" if isinstance(v, float) else v for v in column]
+EMIT_BLOCK_ROWS = 65536
+_NEEDS_CSV = re.compile('[,"\r\n]')  # delimiter, quote, line terminator of csv.excel
+
+
+def _cell_text(v) -> str:
+    """A cell as ``csv.writer`` writes it before quoting, floats as ``.12g``."""
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    if isinstance(v, str):
+        return v
+    return "" if v is None else str(v)
+
+
+def _distinct_fields(column, lone: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One column as its distinct fields and each row's index into them.
+
+    Each distinct text is quoted once.  A text holding a special character of
+    ``csv.excel`` is quoted by the ``csv`` module itself, and so is the empty
+    cell of a one-column table (``lone``), which it writes as ``""``; every
+    other text is its own field.
+    """
+    array = isinstance(column, np.ndarray)
+    if array and column.dtype == np.float64:
+        # by bit pattern: unique floats would merge -0.0 into 0.0
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = [f"{v:.12g}" for v in bits.view(np.float64)]
+    elif array and column.dtype.kind in "iubU":
+        values, inverse = np.unique(column, return_inverse=True)
+        texts = [str(v) for v in values.tolist()]
+    else:
+        memo: dict[str, int] = {}
+        inverse = np.array([memo.setdefault(_cell_text(v), len(memo)) for v in column])
+        texts = list(memo)
+    fields = np.array(texts, dtype=object)
+    if _NEEDS_CSV.search("".join(texts)) or (lone and "" in texts):
+        for i, text in enumerate(texts):
+            if _NEEDS_CSV.search(text) or (lone and not text):
+                buf = io.StringIO()
+                csv.writer(buf).writerow([text])
+                fields[i] = buf.getvalue().removesuffix("\r\n")
+    # the narrowest index type: a byte or two per row rather than eight
+    return fields, inverse.astype(np.min_scalar_type(len(texts)))
 
 
 def emit_csv(table: Mapping[str, Sequence], path: Path) -> None:
     """Write a table given as column name -> column (numpy array or list).
 
-    A float cell, numpy float64 included, is written as ``f"{v:.12g}"``;
-    every other cell goes to ``csv.writer`` as it is, so ``None`` becomes an
-    empty field and a ``Fraction`` or ``bool`` its ``str``.  Lists are never
-    converted to arrays, so an int in a list of floats stays an int.  A table
-    with no rows is its header line; columns of unequal length raise
-    ``ValueError``.
+    The bytes are those ``csv.DictWriter`` writes row by row: a float cell,
+    numpy float64 included, is written as ``f"{v:.12g}"``, ``None`` as an
+    empty field, and any other cell, a ``Fraction`` or ``bool`` say, as its
+    ``str``.  Lists are never converted to arrays, so an int in a list of
+    floats stays an int.  A table with no rows is its header line; columns
+    of unequal length raise ``ValueError``.
+
+    No row is built as a Python object.  Each column becomes a table of its
+    distinct fields, quoted once, and an index array into it.  Rows are
+    written in blocks of ``EMIT_BLOCK_ROWS``: each block gathers every
+    column's fields into a ``(rows, 2 * columns)`` object array interleaved
+    with the separators, and one join of it is written.
     """
-    cells = [_csv_cells(column) for column in table.values()]
+    lengths = [len(column) for column in table.values()]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length {lengths} do not zip into rows")
+    n_rows = lengths[0] if lengths else 0
+    columns = [_distinct_fields(column, len(table) == 1) for column in table.values()]
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.keys())
-        writer.writerows(zip(*cells, strict=True))
+        csv.writer(fh).writerow(table.keys())
+        if not n_rows:
+            return
+        block = np.empty((min(n_rows, EMIT_BLOCK_ROWS), 2 * len(columns)), dtype=object)
+        block[:, 1::2] = ","
+        block[:, -1] = "\r\n"
+        for lo in range(0, n_rows, EMIT_BLOCK_ROWS):
+            rows = block[: min(EMIT_BLOCK_ROWS, n_rows - lo)]
+            for j, (fields, inverse) in enumerate(columns):
+                rows[:, 2 * j] = fields[inverse[lo : lo + len(rows)]]
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def emit_report(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freewalk.cli import (
+    EMIT_BLOCK_ROWS,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_STATISTICAL,
@@ -232,6 +234,59 @@ class TestEmitCsvContract:
         assert new.split(b"\r\n")[1].startswith(b"-0,1000000000000,,")
 
 
+class TestEmitCsvBlocks:
+    """The row-dict contract across the boundaries of ``emit_csv``'s row blocks."""
+
+    @staticmethod
+    def _assert_dictwriter_bytes(table: dict, tmp_path: Path) -> None:
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        emit_csv(table, new)
+        dictwriter_reference(table, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+    def test_every_kind_of_column_across_blocks(self, tmp_path):
+        n = 2 * EMIT_BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        floats = np.resize([-0.0, math.nan, math.inf, -math.inf, 0.0, 1.0 / 3.0], n)
+        floats[::7] = rng.normal(size=len(floats[::7]))
+        cells = [None, Fraction(2, 3), True, False, Fraction(-1, 7)]
+        table = {
+            "float64": floats,
+            "int64": rng.integers(-(2**62), 2**62, size=n),
+            "str": np.resize(np.array(["a,b", 'q"q', "r\rs", "n\nm", "", "plain"]), n),
+            "cells": [cells[i % len(cells)] for i in range(n)],
+        }
+        self._assert_dictwriter_bytes(table, tmp_path)
+
+    def test_lone_column_with_empty_cells_at_a_boundary(self, tmp_path):
+        n = 2 * EMIT_BLOCK_ROWS + 3
+        column = ["x"] * n
+        for i in (0, EMIT_BLOCK_ROWS - 1, EMIT_BLOCK_ROWS, 2 * EMIT_BLOCK_ROWS, n - 1):
+            column[i] = None if i % 2 else ""
+        self._assert_dictwriter_bytes({"only": column}, tmp_path)
+
+    def test_peak_memory_stays_below_twice_the_columns(self, tmp_path):
+        walks, blocks = 400, 600  # 240,000 rows shaped like pool_to_csv_rows
+        n = walks * blocks
+        rng = np.random.default_rng(11)
+        table = {
+            "trajectory_id": np.repeat(np.arange(walks), blocks),
+            "k": np.tile(np.arange(1, blocks + 1), walks),
+            "delta_t": 2 + rng.geometric(0.2, size=n),
+            "d_dist": rng.choice([1.0, 2.0], size=n),
+            "d_ent": rng.choice([0.6931471805599453, 1.0986122886681098], size=n),
+            "pair": rng.choice(np.array(["ab", "ba", "ac", "ca"]), size=n),
+        }
+        columns_bytes = sum(column.nbytes for column in table.values())
+        tracemalloc.start()
+        try:
+            emit_csv(table, tmp_path / "blocks.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * columns_bytes, peak / columns_bytes
+
+
 class TestArtifactPins:
     """sha256 of command artifacts, captured before CSV emission became columnar.
 
@@ -286,13 +341,31 @@ class TestArtifactPins:
     @pytest.mark.parametrize("argv", sorted(PINS), ids=lambda a: "-".join(a[:3]))
     def test_artifacts(self, argv, tmp_path, capsys):
         main([*argv, "--seed", "3", "--out", str(tmp_path)])
-        for name, digest in self.PINS[argv].items():
-            blob = (tmp_path / name).read_bytes()
+        self._assert_digests(self.PINS[argv], tmp_path)
+
+    @staticmethod
+    def _assert_digests(pins: dict, out: Path) -> None:
+        for name, digest in pins.items():
+            blob = (out / name).read_bytes()
             if name.endswith(".json"):
                 doc = json.loads(blob)
                 del doc["manifest"]
                 blob = json.dumps(doc, sort_keys=True).encode()
             assert hashlib.sha256(blob).hexdigest() == digest, name
+
+    # a block CSV of more than two of emit_csv's row blocks (147,620 rows),
+    # captured while emit_csv still wrote row by row
+    MULTI_BLOCK_PIN = {
+        "simulate_blocks.csv": "3678fb6f339414de6c7be665b013945e3c1cde4b0ce74ed0c4b2dd6dc1eaf12a",
+        "simulate_summary.json": "886536cdc4b1ef4d5b9d5e47c2775166265513c773e5382b852be318dcec1010",
+    }
+
+    def test_multi_block_simulate_artifacts(self, tmp_path, capsys):
+        argv = ["simulate", "--config", "PathxK3", "--n", "4000", "--M", "300"]
+        main([*argv, "--seed", "3", "--out", str(tmp_path)])
+        lines = (tmp_path / "simulate_blocks.csv").read_bytes().count(b"\r\n")
+        assert lines > 1 + 2 * EMIT_BLOCK_ROWS
+        self._assert_digests(self.MULTI_BLOCK_PIN, tmp_path)
 
     # sha256 of the raw statistics of the main batch behind the clt pin
     # (K3xK3, n=300, M=200, seed 3), captured while clt still drew a
