@@ -3,7 +3,7 @@
 Commands
 --------
 validate      check a configuration against every structural invariant
-genfun        exit probabilities, letter L-table, C_L, radius diagnostic
+genfun        exit probabilities, letter L-table, C_L, radius bracket, CLT constants
 oracle-check  coefficientwise identity suite (enumeration vs linear solves)
 simulate      sample walks, decompose, write block CSV + summary
 clt           CLT experiment for one or all statistics
@@ -369,7 +369,8 @@ def _cmd_genfun(args, manifest: RunManifest) -> int:
     emit_report(doc, manifest, cfg, "genfun")
     print(
         f"xi = ({ctx.xi1:.6f}, {ctx.xi2:.6f}), C_L = {ctx.cl_constant:.6f}, "
-        f"radius plausible: {radius.plausible}"
+        f"radius in [{radius.lower:.6f}, {radius.upper:.6f}], "
+        f"plausible: {radius.plausible}"
     )
     return EXIT_OK
 
@@ -558,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a configuration")
     common(p)
 
-    p = sub.add_parser("genfun", help="exit probabilities and radius diagnostic")
+    p = sub.add_parser("genfun", help="exit probabilities, radius bracket, CLT constants")
     common(p)
 
     p = sub.add_parser("oracle-check", help="coefficientwise identity suite")
@@ -588,9 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mgf-base",
         type=float,
         default=1.05,
-        help="base for the moment stability check; pick it inside the "
-        "increment gf radius (see the genfun command) or the check is "
-        "comparing heavy-tailed half-samples",
+        help="base for the moment stability check; pick it below the "
+        "radius, radius.lower in the genfun command's genfun_summary.json, "
+        "or the check is comparing heavy-tailed half-samples",
     )
 
     p = sub.add_parser("sweep", help="smoothness probe over an alpha grid")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .core import FreewalkError, Word, WalkConfig, compile_kernel
 
 XI_TOL = 1e-12
 XI_MAX_ITER = 10**6
-RADIUS_PROXY_ORDER = 14  # enumeration order of the return-probability proxy
+RADIUS_CAP = 64.0  # largest upper end the radius bracket tries
+RADIUS_POINTS = 16  # interior points solved per bisection round
+RADIUS_WIDTH = 2e-5  # width at which the radius bracket stops
 LAW_FFT_SIZE = 2048  # points on the unit circle for the increment-law inversion
 LAW_TERMS = 1200  # leading increment-law coefficients kept
 MONOTONE_SLACK = 1e-12  # rounding allowed in a step that must not decrease
@@ -300,58 +302,68 @@ def dL_word(w: Word, ctx: GenFunContext) -> float:
 
 @dataclass
 class RadiusReport:
-    """Numeric plausibility probe for the strictly-larger-than-1 radius."""
+    """Bracket ``[lower, upper]`` on the radius R of the first-passage system.
 
-    grid: list[float]
-    converged_at: list[float]
-    largest_converging: Optional[float]
-    xi_at_largest: Optional[tuple[float, float]]
-    spectral_proxy: list[tuple[int, float]]
+    The fixed point is inside at ``lower`` (converged, both exit
+    probabilities below 1; ``xi_at_lower`` holds them) and not at ``upper``.
+    The standing assumption R > 1 is ``plausible`` iff ``lower > 1``.
+    """
+
+    lower: float
+    upper: float
+    xi_at_lower: tuple[float, float]
     plausible: bool
 
     def to_json_dict(self) -> dict:
         return {
-            "grid": self.grid,
-            "converged_at": self.converged_at,
-            "largest_converging": self.largest_converging,
-            "xi_at_largest": list(self.xi_at_largest) if self.xi_at_largest else None,
-            "spectral_proxy": [[n, v] for n, v in self.spectral_proxy],
+            "lower": self.lower,
+            "upper": self.upper,
+            "xi_at_lower": list(self.xi_at_lower),
             "plausible": self.plausible,
         }
 
 
-def radius_diagnostic(
-    cfg: WalkConfig, grid: Optional[list[float]] = None
-) -> RadiusReport:
-    """Probe whether the Green function radius exceeds 1.
-
-    Reports the largest grid point where the fixed point still converges with
-    both exit probabilities below 1, together with the even-order return
-    probability proxy; the standing assumption is declared plausible iff
-    convergence holds strictly beyond 1.  A heuristic diagnostic, not a
-    certificate.
-    """
-    from .oracle import return_probability_proxy
-
-    if grid is None:
-        grid = [round(1.0 + 0.02 * k, 2) for k in range(11)]
-    fp = _solve_xi_array(np.array(grid), cfg)
+def _inside_radius(zs: np.ndarray, cfg: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each point of ``zs`` is inside (converged, ``|xi_i| < 1``), with
+    ``(xi_1, xi_2)`` per point."""
+    fp = _solve_xi_array(zs, cfg)
     inside = fp.converged & (np.abs(fp.xi1) < 1.0) & (np.abs(fp.xi2) < 1.0)
-    converged_at = [z for z, ok in zip(grid, inside) if ok]
-    largest = max(converged_at, default=None)
-    xi_at_largest = None
-    if largest is not None:
-        k = grid.index(largest)
-        xi_at_largest = (float(fp.xi1[k].real), float(fp.xi2[k].real))
-    proxy = return_probability_proxy(cfg, RADIUS_PROXY_ORDER)
-    plausible = largest is not None and largest > 1.0
+    return inside, np.column_stack([fp.xi1.real, fp.xi2.real])
+
+
+def radius_diagnostic(cfg: WalkConfig) -> RadiusReport:
+    """Bracket the radius R by batched bisection on the fixed point.
+
+    Starting from ``[1, 2]``, the upper end doubles while it is still inside,
+    up to ``RADIUS_CAP`` (a radius beyond it is reported as ``[cap, cap]``).
+    Each round then solves ``RADIUS_POINTS`` equally spaced interior points
+    in one batch and keeps the sub-interval between the last point inside
+    and the first point outside, until the bracket is at most
+    ``RADIUS_WIDTH`` wide.  A valid configuration has R > 1: its free
+    product is non-amenable.
+    """
+    lower, upper = 1.0, 2.0
+    inside, xi = _inside_radius(np.array([lower, upper]), cfg)
+    xi_at_lower = xi[0]
+    while inside[-1] and upper < RADIUS_CAP:
+        lower, xi_at_lower, upper = upper, xi[-1], 2.0 * upper
+        inside, xi = _inside_radius(np.array([upper]), cfg)
+    if inside[-1]:
+        lower, xi_at_lower = upper, xi[-1]
+    fractions = np.arange(1, RADIUS_POINTS + 1) / (RADIUS_POINTS + 1)
+    while upper - lower > RADIUS_WIDTH:
+        zs = lower + (upper - lower) * fractions
+        inside, xi = _inside_radius(zs, cfg)
+        first_out = len(zs) if inside.all() else int(np.argmin(inside))
+        if first_out:
+            lower, xi_at_lower = float(zs[first_out - 1]), xi[first_out - 1]
+        if first_out < len(zs):
+            upper = float(zs[first_out])
     return RadiusReport(
-        grid=grid,
-        converged_at=converged_at,
-        largest_converging=largest,
-        xi_at_largest=xi_at_largest,
-        spectral_proxy=proxy,
-        plausible=plausible,
+        lower=lower,
+        upper=upper,
+        xi_at_lower=(float(xi_at_lower[0]), float(xi_at_lower[1])),
+        plausible=lower > 1.0,
     )
 
 

@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freewalk import oracle
 from freewalk.cli import (
     EMIT_BLOCK_ROWS,
     EXIT_NUMERIC,
@@ -296,9 +299,11 @@ class TestArtifactPins:
     standardize with the exact constants of the increment law instead of a
     calibration pool's estimates; ``CLT_MAIN_BATCH`` shows that its walks
     did not move.  The ``oracle-check`` and ``genfun`` pins were captured
-    before the enumeration table and the FFT law became one type.  Summaries
-    are pinned without their manifest, which holds the output directory; any
-    other difference is a regression.
+    before the enumeration table and the FFT law became one type; the
+    ``genfun`` pins were re-captured when the radius became a bisection
+    bracket, and ``GENFUN_PINS_WITHOUT_RADIUS`` shows that nothing else in
+    those summaries moved.  Summaries are pinned without their manifest,
+    which holds the output directory; any other difference is a regression.
     """
 
     PINS = {
@@ -331,10 +336,10 @@ class TestArtifactPins:
             "oracle_check_xi_series.csv": "97225250489b9784e88433adde048dc3e97e4bc0a9942a925748a4e0f4097480",
         },
         ("genfun", "--config", "K3xK3"): {
-            "genfun_summary.json": "62bc960bf562d65d3d2826a4c405b17a383dd76df52663b00e18e451fd17b872",
+            "genfun_summary.json": "a6b3908d05b4ad6f6e3e18963b1c5257b3c1eae164869b1b2eb69c26a8671805",
         },
         ("genfun", "--config", "PathxK3"): {
-            "genfun_summary.json": "4c53fd3d21b9e87681acbb1a91c8e25606bc722e4c938e7ed6ba419588809784",
+            "genfun_summary.json": "d54e49726c6f532125848692ebd0e5e65df4f143fecaa27fc887bc1fb388e020",
         },
     }
 
@@ -343,13 +348,29 @@ class TestArtifactPins:
         main([*argv, "--seed", "3", "--out", str(tmp_path)])
         self._assert_digests(self.PINS[argv], tmp_path)
 
+    # genfun summaries without their radius as well, captured while the
+    # radius was still probed on a fixed grid
+    GENFUN_PINS_WITHOUT_RADIUS = {
+        ("genfun", "--config", "K3xK3"): "c9eb534e1e1604dbe027d4beed55bcd30bf4c636e8adbdb1b10d547960722b5d",
+        ("genfun", "--config", "PathxK3"): "5d6a63b77c40e471d462c0081ce4df67f53a1cd168b1a543fcf1a9a0872c2393",
+    }
+
+    @pytest.mark.parametrize(
+        "argv", sorted(GENFUN_PINS_WITHOUT_RADIUS), ids=lambda a: "-".join(a[:3])
+    )
+    def test_genfun_moves_only_in_radius(self, argv, tmp_path, capsys):
+        main([*argv, "--seed", "3", "--out", str(tmp_path)])
+        pins = {"genfun_summary.json": self.GENFUN_PINS_WITHOUT_RADIUS[argv]}
+        self._assert_digests(pins, tmp_path, drop=("manifest", "radius"))
+
     @staticmethod
-    def _assert_digests(pins: dict, out: Path) -> None:
+    def _assert_digests(pins: dict, out: Path, drop=("manifest",)) -> None:
         for name, digest in pins.items():
             blob = (out / name).read_bytes()
             if name.endswith(".json"):
                 doc = json.loads(blob)
-                del doc["manifest"]
+                for key in drop:
+                    del doc[key]
                 blob = json.dumps(doc, sort_keys=True).encode()
             assert hashlib.sha256(blob).hexdigest() == digest, name
 
@@ -484,6 +505,20 @@ class TestMain:
             got = doc["clt_constants"][stat]
             assert math.isclose(got["rate"], rate, rel_tol=1e-11), stat
             assert math.isclose(got["sigma_sq"], sigma_sq, rel_tol=1e-11), stat
+
+    @pytest.mark.parametrize("shape", ["K3xK3", "PathxK3"])
+    def test_genfun_runs_no_path_enumeration(self, shape, tmp_path, capsys, monkeypatch):
+        """Every function of the oracle raises, wherever a freewalk module binds it."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("genfun reached the enumeration oracle")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("freewalk")]:
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value.__module__ == "freewalk.oracle":
+                    monkeypatch.setattr(module, attr, refuse)
+        assert oracle.enum_green_series is refuse
+        assert main(["genfun", "--config", shape, "--out", str(tmp_path)]) == EXIT_OK
 
     def test_clt_without_steps_usage_exit(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from freewalk import genfun
 from freewalk.core import Word
 from freewalk.genfun import (
+    RADIUS_CAP,
+    RADIUS_WIDTH,
     NoConvergence,
     SingularSolve,
+    _inside_radius,
     _solve_xi_array,
     build_context,
     clt_constants,
@@ -238,8 +242,8 @@ class TestSolveXi:
         """At z = 4 the first Newton matrix ``I - z A`` is exactly singular."""
         sol = solve_xi(4.0, instance_a, raise_on_divergence=False)
         assert not sol.converged and sol.iterations == 1
-        report = radius_diagnostic(instance_a, grid=[1.0, 4.0])
-        assert report.converged_at == [1.0]
+        inside, _ = _inside_radius(np.array([1.0, 4.0]), instance_a)
+        assert inside.tolist() == [True, False]
 
     def test_circle_beyond_radius_not_converged(self, instance_a):
         """Points whose modulus is past the radius fail, those inside pass."""
@@ -311,17 +315,67 @@ class TestLetterDistance:
 
 class TestRadiusDiagnostic:
     def test_instance_a(self, instance_a):
-        report = radius_diagnostic(instance_a, grid=[1.0, 1.02, 1.04, 1.06, 1.1])
+        report = radius_diagnostic(instance_a)
         assert report.plausible
-        assert report.largest_converging >= 1.02
-        assert report.largest_converging < RADIUS_A
-        values = [v for _, v in report.spectral_proxy]
-        assert values[-1] < 1.0
+        assert report.lower < RADIUS_A <= report.upper
+        assert report.upper - report.lower <= 2e-5
+
+    def test_symmetric_in_alpha(self):
+        """K3xK3 at alpha and 1 - alpha is one walk with the factors swapped."""
+        low = radius_diagnostic(instance_k3_k3(0.1))
+        high = radius_diagnostic(instance_k3_k3(0.9))
+        assert (low.lower, low.upper) == (high.lower, high.upper)
+        assert low.xi_at_lower == pytest.approx(high.xi_at_lower[::-1], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "make, alpha, radius",
+        [
+            (instance_k3_k3, 0.02, 1.00329),
+            (instance_k3_k3, 0.1, 1.01539),
+            (instance_k3_k3, 0.5, 1.04482),
+            (instance_k3_k3, 0.9, 1.01539),
+            (instance_k3_k3, 0.98, 1.00329),
+            (instance_path_k3, 0.02, 1.00426),
+            (instance_path_k3, 0.1, 1.02035),
+            (instance_path_k3, 0.5, 1.06557),
+            (instance_path_k3, 0.9, 1.02408),
+            (instance_path_k3, 0.98, 1.00517),
+        ],
+    )
+    def test_brackets_the_radius(self, make, alpha, radius):
+        """The bracket holds R (measured to 5 decimals by scalar bisection);
+        the fixed point is reached at its lower end and not at its upper."""
+        cfg = make(alpha)
+        report = radius_diagnostic(cfg)
+        assert report.plausible
+        assert report.lower - 5e-6 <= radius <= report.upper + 5e-6
+        sol = solve_xi(report.lower, cfg)
+        assert (sol.xi1, sol.xi2) == pytest.approx(report.xi_at_lower, abs=1e-12)
+        assert not solve_xi(report.upper, cfg, raise_on_divergence=False).converged
 
     def test_always_converges_at_one(self, instance_a, instance_b):
         for cfg in (instance_a, instance_b):
-            report = radius_diagnostic(cfg, grid=[1.0])
-            assert report.converged_at == [1.0]
+            inside, _ = _inside_radius(np.array([1.0]), cfg)
+            assert inside.tolist() == [True]
+            report = radius_diagnostic(cfg)
+            assert report.lower >= 1.0 and solve_xi(report.lower, cfg).converged
+
+    @pytest.mark.parametrize("radius", [1.0 + 1e-7, 5.3, 1e3])
+    def test_bisection_against_a_known_boundary(self, radius, instance_a, monkeypatch):
+        """Doubling, bisection and the cap, on an inside test with a known edge."""
+
+        def inside(zs, cfg):
+            return zs < radius, np.column_stack([zs, -zs])
+
+        monkeypatch.setattr(genfun, "_inside_radius", inside)
+        report = radius_diagnostic(instance_a)
+        if radius > RADIUS_CAP:
+            assert report.lower == report.upper == RADIUS_CAP
+        else:
+            assert report.lower < radius <= report.upper
+            assert report.upper - report.lower <= RADIUS_WIDTH
+        assert report.xi_at_lower == (report.lower, -report.lower)
+        assert report.plausible == (report.lower > 1.0)
 
     def test_refused_for_invalid_config(self, instance_a):
         from freewalk.core import InvalidConfig, WalkConfig
@@ -330,7 +384,7 @@ class TestRadiusDiagnostic:
             factor1=instance_a.factor1, factor2=instance_a.factor2, alpha=1.5
         )
         with pytest.raises(InvalidConfig):
-            radius_diagnostic(bad, grid=[1.0])
+            radius_diagnostic(bad)
 
 
 class TestRenewalIncrementLaw:

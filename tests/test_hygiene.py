@@ -1,6 +1,8 @@
-"""Source hygiene: every imported name in the package and the tests is used."""
+"""Source hygiene: every imported name in the package and the tests is used,
+and every module-level constant of the package is read somewhere."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,73 @@ def test_the_check_sees_unused_and_annotation_only_names():
         "    return np.zeros(1)\n"
     )
     assert _unused_imports(source) == [("os", 2)]
+
+
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def _constants(tree: ast.Module) -> dict[str, int]:
+    """Each ALL_CAPS name a module-level assignment binds, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                    names[name.id] = node.lineno
+    return names
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names and attributes the module loads, also inside string annotations;
+    an import alone is not a read."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads |= _reads(ast.parse(node.value, mode="eval"))
+    return reads
+
+
+def _unread_constants(
+    modules: dict[str, str], readers: list[str]
+) -> list[tuple[str, str, int]]:
+    """``(module, name, line)`` of each constant no module or reader loads."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = set().union(*map(_reads, trees.values()), *(_reads(ast.parse(s)) for s in readers))
+    return sorted(
+        (module, name, line)
+        for module, tree in trees.items()
+        for name, line in _constants(tree).items()
+        if name not in read
+    )
+
+
+def test_every_package_constant_is_read():
+    modules = {p.name: p.read_text() for p in sorted(ROOT.glob("src/freewalk/*.py"))}
+    readers = [p.read_text() for p in sorted(ROOT.glob("tests/*.py"))]
+    assert _unread_constants(modules, readers) == []
+
+
+def test_the_constant_check_sees_unread_and_annotation_only_names():
+    module = (
+        "LIMIT, _private = 3, 4\n"
+        "UNREAD: int = 1\n"
+        "BY_ATTRIBUTE = 2\n"
+        "IN_ANNOTATION = int\n"
+        "lowercase = 5\n"
+        "def f(x: 'IN_ANNOTATION') -> int:\n"
+        "    return x * LIMIT\n"
+    )
+    reader = "import m\nfrom m import UNREAD\nprint(m.BY_ATTRIBUTE)\n"
+    assert _unread_constants({"m.py": module}, [reader]) == [("m.py", "UNREAD", 2)]
