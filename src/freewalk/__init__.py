@@ -16,20 +16,14 @@ from .core import (
     ValidationReport,
     WalkConfig,
     Word,
-    concat,
-    delta,
-    graph_distance,
-    in_cone,
     step_distribution,
     validate_config,
-    word_length,
 )
 from .genfun import (
     GenFunContext,
     RenewalLaw,
     build_context,
     clt_constants,
-    dL_word,
     factor_L,
     factor_green,
     radius_diagnostic,

@@ -69,7 +69,6 @@ from .genfun import (
 from .instances import NAMED_INSTANCES
 from .oracle import (
     DEFAULT_ORDER_CAP,
-    ComposeNeedsZeroConstant,
     OrderTooLarge,
     enum_green_series,
     enum_L_series,
@@ -98,7 +97,6 @@ NUMERIC_ERRORS = (
     NoConvergence,
     NonpositiveL,
     OrderTooLarge,
-    ComposeNeedsZeroConstant,
     UnreachableVertex,
 )
 STATISTICAL_ERRORS = (
@@ -394,7 +392,7 @@ def _cmd_oracle_check(args, manifest: RunManifest) -> int:
         green = enum_green_series(x, words, order, cfg, exact=args.exact)
         last_exit = enum_L_series(x, words, order, cfg, exact=args.exact)
         for y, gxy, lxy in zip(words, green, last_exit):
-            check(f"G-L {x} {y}", gxy, series_combine(green[i], lxy, "multiply"))
+            check(f"G-L {x} {y}", gxy, series_combine(green[i], lxy))
     doc = {
         "order": order,
         "exact": args.exact,

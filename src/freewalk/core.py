@@ -1,4 +1,5 @@
-"""Word algebra and walk kernel on the free product of two finite rooted graphs.
+"""Words, configurations and the walk kernel on the free product of two
+finite rooted graphs.
 
 The state space is the set of finite words over the non-root vertices of two
 rooted factor graphs, with no two consecutive letters from the same factor.
@@ -40,10 +41,6 @@ class IncompatibleLetters(FreewalkError):
     """Concatenation would place two letters of the same factor side by side."""
 
 
-class EmptyWord(FreewalkError):
-    """The factor index of the empty word is undefined."""
-
-
 class UnreachableVertex(FreewalkError):
     """A factor vertex has no positive-probability oriented path from the root."""
 
@@ -71,51 +68,10 @@ class Word:
                 )
             prev = fac
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __repr__(self) -> str:
         if not self.letters:
             return "Word(o)"
         return "Word(" + ".".join(f"{v}@{f}" for f, v in self.letters) + ")"
-
-
-O = Word()
-
-
-def word_length(u: Word) -> int:
-    """Word length (block length) ``||u||``: the number of letters."""
-    return len(u.letters)
-
-
-def delta(u: Word) -> int:
-    """Factor index of the last letter of ``u``; undefined for the root."""
-    if not u.letters:
-        raise EmptyWord("delta(o) is undefined")
-    return u.letters[-1][0]
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Partial composition ``u.v``.
-
-    Defined when either word is empty or the last letter of ``u`` and the
-    first letter of ``v`` lie in different factors; concatenating with the
-    root is the identity.
-    """
-    if not u.letters:
-        return v
-    if not v.letters:
-        return u
-    if u.letters[-1][0] == v.letters[0][0]:
-        raise IncompatibleLetters(
-            f"cannot concatenate: both boundary letters lie in factor {delta(u)}"
-        )
-    return Word(u.letters + v.letters)
-
-
-def in_cone(w: Word, u: Word) -> bool:
-    """True iff ``u`` is a prefix of ``w`` (so ``w`` lies in the cone at ``u``)."""
-    return w.letters[: len(u.letters)] == u.letters
 
 
 @dataclass(frozen=True)
@@ -444,7 +400,7 @@ class Move:
 
 
 class CompiledKernel:
-    """Tables for fast stepping, enumeration and distance computations.
+    """Tables for fast stepping and enumeration.
 
     Letters are encoded as integers ``1..C`` (factor-1 non-root vertices
     first, then factor-2), and a *sampling state* is the code of the last
@@ -538,9 +494,6 @@ class CompiledKernel:
     def decode(self, codes: Iterable[int]) -> Word:
         return Word(tuple(self.letter_of_code[c] for c in codes))
 
-    def word_distance(self, codes: Iterable[int]) -> float:
-        return float(sum(self.letter_distance[c] for c in codes))
-
     # -- successor enumeration ------------------------------------------------
 
     def successors(self, codes: tuple[int, ...]) -> list[tuple[tuple[int, ...], float]]:
@@ -572,13 +525,3 @@ def step_distribution(x: Word, cfg: WalkConfig) -> list[tuple[Word, float]]:
     kernel = compile_kernel(cfg)
     codes = kernel.encode(x)
     return [(kernel.decode(c), p) for c, p in kernel.successors(codes)]
-
-
-def graph_distance(u: Word, cfg: WalkConfig) -> int:
-    """Distance ``d(o, u)`` in the transition graph of the walk.
-
-    Each letter contributes the oriented BFS distance from its factor root,
-    so for compatible words ``d(x, x.w) = d(o, w)``.
-    """
-    kernel = compile_kernel(cfg)
-    return int(kernel.word_distance(kernel.encode(u)))

@@ -17,12 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FreewalkError, WalkConfig, compile_kernel, validate_config
-from .genfun import (
-    GenFunContext,
-    build_context,
-    clt_constants,
-    renewal_increment_law,
-)
+from .genfun import build_context, clt_constants, renewal_increment_law
 from .simulator import (
     DEFAULT_BUFFER,
     BlockPool,
@@ -372,7 +367,6 @@ def run_clt_suite(
     M: int,
     master_seed: int,
     statistics: Sequence[str] = STATISTICS,
-    ctx: Optional[GenFunContext] = None,
 ) -> dict[str, CltReport]:
     """Sample M walks of length n and standardize each requested statistic.
 
@@ -389,8 +383,7 @@ def run_clt_suite(
             "the entropy statistic requires a uniformity floor epsilon0"
         )
     kernel = compile_kernel(cfg)
-    if ctx is None:
-        ctx = build_context(cfg)
+    ctx = build_context(cfg)
     constants = clt_constants(renewal_increment_law(cfg), cfg, ctx)
 
     streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
@@ -729,39 +722,3 @@ def smoothness_probe(
         second_differences=second,
         flags=flags,
     )
-
-
-# -- small-n exact-entropy gap ----------------------------------------------------
-
-
-def entropy_proxy_gap(
-    cfg: WalkConfig,
-    ctx: GenFunContext,
-    n: int,
-    M: int,
-    master_seed: int,
-) -> list[tuple[float, float, float]]:
-    """Per-walk ``(-log pi_n(X_n), d_L(o, X_n), gap)`` at enumeration scale.
-
-    The exact occupation law ``pi_n`` comes from the enumeration oracle, so
-    ``n`` is limited by the enumeration cap; this quantifies, without any
-    asymptotic claim, how far the letter-distance proxy sits from the exact
-    occupation statistic whose growth rate defines the entropy.
-    """
-    from .oracle import occupation_probabilities
-    from .simulator import PURPOSE_DIAG, letter_dl_table
-
-    kernel = compile_kernel(cfg)
-    streams = [stream_id(PURPOSE_DIAG, i) for i in range(M)]
-    batch = simulate_batch(cfg, n, master_seed, streams)
-    endpoints = [tuple(int(c) for c in batch.final_codes(m)) for m in range(M)]
-    probs = occupation_probabilities(cfg, n, endpoints)
-    dl_tab = letter_dl_table(kernel, ctx)
-    out = []
-    for codes, p in zip(endpoints, probs):
-        if p <= 0:
-            raise AssertionError("realized endpoint carries zero exact probability")
-        mlp = -math.log(p)
-        dl = float(dl_tab[np.array(codes, dtype=np.int64)].sum()) if codes else 0.0
-        out.append((mlp, dl, mlp - dl))
-    return out

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import FreewalkError, Word, WalkConfig, compile_kernel
+from .core import FreewalkError, WalkConfig, compile_kernel
 
 XI_TOL = 1e-12
 XI_MAX_ITER = 10**6
@@ -95,9 +95,7 @@ class _FixedPoint(NamedTuple):
     residual: np.ndarray
 
 
-def _solve_xi_array(
-    zs: np.ndarray, cfg: WalkConfig, max_iter: int = XI_MAX_ITER
-) -> _FixedPoint:
+def _solve_xi_array(zs: np.ndarray, cfg: WalkConfig) -> _FixedPoint:
     """Least fixed point of the first-passage system at every point of ``zs``.
 
     The system of :func:`solve_xi` reads ``R = Phi(R) = z [c + A R + (C^T R) * R]``
@@ -139,10 +137,10 @@ def _solve_xi_array(
     off_axis = np.flatnonzero(~monotone)
     if off_axis.size:  # solve at |z| first: a point past the radius is not tried
         moduli, of_point = np.unique(np.abs(zs[off_axis]), return_inverse=True)
-        ref = _solve_xi_array(moduli, cfg, max_iter)
+        ref = _solve_xi_array(moduli, cfg)
         bound = np.column_stack([ref.returns, ref.xi1, ref.xi2])[of_point].real + XI_TOL
         active = np.concatenate([active, off_axis[ref.converged[of_point]]])
-    for it in range(1, max_iter + 1):
+    for it in range(1, XI_MAX_ITER + 1):
         if not active.size:
             break
         z = zs[active, None]
@@ -184,12 +182,7 @@ def _batched_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def solve_xi(
-    z: complex,
-    cfg: WalkConfig,
-    max_iter: int = XI_MAX_ITER,
-    raise_on_divergence: bool = True,
-) -> XiSolution:
+def solve_xi(z: complex, cfg: WalkConfig) -> XiSolution:
     """Solve the first-passage system at ``z`` by Newton's method from 0.
 
     One step from the one-letter word ``v`` of factor ``j`` either moves
@@ -203,13 +196,13 @@ def solve_xi(
 
     and symmetrically for ``xi_2``.  The least nonnegative solution is the
     probabilistic one for ``z <= 1``; :func:`_solve_xi_array` finds it and
-    recognises a point beyond the radius of convergence, which is reported,
-    not raised, when requested.  ``iterations`` counts Newton steps and
+    recognises a point beyond the radius of convergence, where this raises
+    :class:`NoConvergence`.  ``iterations`` counts Newton steps and
     ``residual`` is the size of the last one.
     """
-    fp = _solve_xi_array(np.array([z]), cfg, max_iter)
+    fp = _solve_xi_array(np.array([z]), cfg)
     converged = bool(fp.converged[0])
-    if not converged and raise_on_divergence:
+    if not converged:
         raise NoConvergence(
             f"first-passage fixed point not reached at z = {z} "
             f"(last step {fp.residual[0]:.3e} after {fp.iterations[0]} iterations)"
@@ -289,15 +282,6 @@ def build_context(cfg: WalkConfig) -> GenFunContext:
         letter_L=letter_L,
         cl_constant=-math.log((1.0 - xi1) * (1.0 - xi2)),
     )
-
-
-def dL_word(w: Word, ctx: GenFunContext) -> float:
-    """Letter-distance ``-log L(o, w | 1)``, additive over the letters of ``w``.
-
-    Every path from the root to ``w`` locks in the letters in order, so the
-    last-exit function factorizes into one factor value per letter.
-    """
-    return sum(ctx.letter_dl(i, v) for i, v in w.letters)
 
 
 @dataclass
@@ -443,10 +427,6 @@ class RenewalLaw:
     config_digest: str
 
     @property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self.pair_probs)
-
-    @property
     def delta_t_probs(self) -> np.ndarray:
         return sum(self.pair_probs.values())
 
@@ -485,9 +465,6 @@ class RenewalLaw:
             n = np.arange(len(probs), dtype=float)
             acc += float((((r - n * rate) ** 2) * probs).sum())
         return acc / self.mean()
-
-    def sigma_block_sq(self) -> float:
-        return self.sigma_sq(lambda _pair: 2.0)
 
     def to_rows(self) -> dict[str, list]:
         """The CSV form: the nonzero cells by increment, then pair, marked

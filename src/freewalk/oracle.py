@@ -9,8 +9,12 @@ while ``D**N < 2**63``, Python ints beyond), so ``Fraction`` appears only in
 the returned coefficients.  One walk from a source yields the series at
 every target it is asked for, read off the same mass vector after each step.
 The last-exit (taboo at the source), first-visit (absorbing) and renewal
-(arrival-recording) series are masks on that one step.  These series are the
-independent ground truth against which the linear-solve evaluations in
+(arrival-recording) series are masks on that one step.  The one operation
+on series is the Cauchy product :func:`series_combine`, which the identity
+``G(x, y) = G(x, x) L(x, y)`` of ``oracle-check`` needs; the series of a bare
+factor chain and series substitution, which only the identity suite uses,
+live in ``tests/reference_series.py``.  These series are the independent
+ground truth against which the linear-solve evaluations in
 :mod:`freewalk.genfun` and the Monte Carlo estimators are validated.
 """
 
@@ -44,10 +48,6 @@ class OrderTooLarge(FreewalkError):
     """Requested truncation order exceeds the configured enumeration cap."""
 
 
-class ComposeNeedsZeroConstant(FreewalkError):
-    """Series substitution requires the inner series to vanish at 0."""
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series coefficients ``c_0 .. c_N`` (rational or float)."""
@@ -58,69 +58,21 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Number:
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def partial_sums(self) -> tuple[Number, ...]:
-        out = []
-        acc: Number = 0
-        for c in self.coeffs:
-            acc = acc + c
-            out.append(acc)
-        return tuple(out)
-
-    def eval(self, z: Number) -> Number:
-        acc: Number = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def as_float(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(float(c) for c in self.coeffs))
 
 
-def series_combine(
-    a: TruncatedSeries, b: TruncatedSeries, mode: str
-) -> TruncatedSeries:
-    """Exact coefficient arithmetic, truncated at the smaller order.
-
-    ``add`` and ``multiply`` are the usual Cauchy operations; ``compose``
-    substitutes ``b`` into ``a`` and requires ``b(0) = 0`` so that the result
-    is determined by finitely many coefficients.
-    """
+def series_combine(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The Cauchy product of ``a`` and ``b`` in exact coefficient arithmetic,
+    truncated at the smaller order."""
     order = min(a.order, b.order)
-    zero = a.coeffs[0] * 0
-    if mode == "add":
-        return TruncatedSeries(
-            tuple(a.coeffs[n] + b.coeffs[n] for n in range(order + 1))
-        )
-    if mode == "multiply":
-        out = [zero] * (order + 1)
-        for i, ca in enumerate(a.coeffs[: order + 1]):
-            if ca == 0:
-                continue
-            for j in range(order + 1 - i):
-                out[i + j] += ca * b.coeffs[j]
-        return TruncatedSeries(tuple(out))
-    if mode == "compose":
-        if b.coeffs[0] != 0:
-            raise ComposeNeedsZeroConstant(
-                f"inner series has constant term {b.coeffs[0]}"
-            )
-        # Horner in the truncated coefficient ring
-        result = [zero] * (order + 1)
-        result[0] = a.coeffs[min(a.order, order)] + zero
-        acc = TruncatedSeries(tuple(result))
-        for k in range(min(a.order, order) - 1, -1, -1):
-            acc = series_combine(acc, b.truncate(order), "multiply")
-            coeffs = list(acc.coeffs)
-            coeffs[0] += a.coeffs[k]
-            acc = TruncatedSeries(tuple(coeffs))
-        return acc
-    raise ValueError(f"unknown mode {mode!r}")
+    out = [a.coeffs[0] * 0] * (order + 1)
+    for i, ca in enumerate(a.coeffs[: order + 1]):
+        if ca == 0:
+            continue
+        for j in range(order + 1 - i):
+            out[i + j] += ca * b.coeffs[j]
+    return TruncatedSeries(tuple(out))
 
 
 def max_coeff_gap(a: TruncatedSeries, b: TruncatedSeries) -> Number:
@@ -378,62 +330,6 @@ def enum_xi_series(
     return TruncatedSeries(tuple(coeffs))
 
 
-def occupation_probabilities(
-    cfg: WalkConfig, n: int, endpoints: list[tuple[int, ...]]
-) -> list[float]:
-    """``P_o[X_n = w]`` for each word ``w`` given as letter codes (float mode)."""
-    walk = _Walk(compile_kernel(cfg), (), n, exact=False)
-    series = walk.series([walk.find(codes) for codes in endpoints], n, taboo=[])
-    return [s[n] for s in series]
-
-
-# -- factor-level series (dense DP on one factor graph) -----------------------
-
-
-def _factor_series(
-    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool, taboo: bool
-) -> TruncatedSeries:
-    """n-step series of the bare factor chain ``P_i`` from ``x`` at ``y``,
-    with ``x`` deleted after time 0 when ``taboo``."""
-    f = cfg.factor(i)
-    size = f.size
-    one = Fraction(1) if exact else 1.0
-    zero = one * 0
-    if exact:
-        mat = [[Fraction(p) for p in row] for row in f.transition]
-    else:
-        mat = [list(row) for row in f.transition]
-    src = f.index(x)
-    tgt = f.index(y)
-    vec = [zero] * size
-    vec[src] = one
-    coeffs = [vec[tgt]]
-    for _ in range(N):
-        vec = [
-            sum(vec[k] * mat[k][j] for k in range(size) if vec[k] != 0)
-            for j in range(size)
-        ]
-        vec = [v + zero for v in vec]
-        if taboo:
-            vec[src] = zero
-        coeffs.append(vec[tgt])
-    return TruncatedSeries(tuple(coeffs))
-
-
-def factor_green_series(
-    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool = False
-) -> TruncatedSeries:
-    """n-step series of the bare factor chain ``P_i`` (no alpha weighting)."""
-    return _factor_series(i, x, y, N, cfg, exact, taboo=False)
-
-
-def factor_L_series(
-    i: int, x: str, y: str, N: int, cfg: WalkConfig, exact: bool = False
-) -> TruncatedSeries:
-    """Last-exit series of the bare factor chain (taboo at ``x`` after time 0)."""
-    return _factor_series(i, x, y, N, cfg, exact, taboo=True)
-
-
 # -- renewal increment law -----------------------------------------------------
 
 
@@ -483,11 +379,15 @@ def exact_renewal_increment_dist(
 def return_probability_proxy(
     cfg: WalkConfig, N: int = DEFAULT_ORDER_CAP, cap: int = DEFAULT_ORDER_CAP
 ) -> list[tuple[int, float]]:
-    """Spectral-radius proxy ``p^(2n)(o, o) ** (1 / 2n)`` on even orders."""
+    """Spectral-radius proxy ``p^(2n)(o, o) ** (1 / 2n)`` on even orders.
+
+    No command runs it; the benchmark's span table (``perfbench/spans.py``)
+    wraps it by name.
+    """
     series = enum_green_series(Word(), Word(), N, cfg, exact=False, cap=cap)
     out = []
     for n in range(1, N // 2 + 1):
-        p = float(series[2 * n])
+        p = float(series.coeffs[2 * n])
         if p > 0:
             out.append((2 * n, p ** (1.0 / (2 * n))))
     return out

@@ -20,7 +20,8 @@ time per depth next to the stack, and the batch decomposition reads every
 exit time off the final write times without storing intermediate states.
 The word-level reference in ``tests/reference_walk.py`` materializes every
 state, computes the same times from whole words, and is what the batch path
-is tested against.
+is tested against; the hitting-frequency Monte Carlo there drives the same
+step kernel, :func:`_step`, to cross-check the exit probabilities.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ from .core import POP, PUSH, CompiledKernel, WalkConfig, compile_kernel
 from .genfun import GenFunContext
 
 DEFAULT_BUFFER = 500
+CHUNK_SIZE = 256  # walks stepped together in one chunk
 
 # stream purposes keep seed spaces of different experiment roles disjoint;
-# 1 is unused, and the others keep their numbers so that no stream moves
+# 1 and 5 are unused, 2 drives the hitting-frequency reference of the tests
+# (``tests/reference_walk.py``), and the others keep their numbers so that
+# no stream moves
 PURPOSE_MAIN = 0
-PURPOSE_HIT_MC = 2
 PURPOSE_GRID = 3
 PURPOSE_POOL = 4
-PURPOSE_DIAG = 5
 
 _MASK64 = (1 << 64) - 1
 
@@ -195,16 +197,12 @@ def _simulate_chunk(tables, n, master_seed, streams):
 
 
 def _simulate_span(
-    cfg: WalkConfig,
-    n: int,
-    master_seed: int,
-    streams: np.ndarray,
-    chunk_size: int,
+    cfg: WalkConfig, n: int, master_seed: int, streams: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     tables = _step_tables(compile_kernel(cfg))
     return [
-        _simulate_chunk(tables, n, master_seed, streams[lo : lo + chunk_size])
-        for lo in range(0, len(streams), chunk_size)
+        _simulate_chunk(tables, n, master_seed, streams[lo : lo + CHUNK_SIZE])
+        for lo in range(0, len(streams), CHUNK_SIZE)
     ]
 
 
@@ -228,7 +226,6 @@ def simulate_batch(
     n: int,
     master_seed: int,
     streams: Sequence[int],
-    chunk_size: int = 256,
     workers: Optional[int] = None,
 ) -> BatchWalks:
     """Simulate one walk per stream, vectorized across walks.
@@ -238,7 +235,8 @@ def simulate_batch(
     same thresholds.  With ``workers`` above 1 (default from
     ``FREEWALK_WORKERS``) stream spans run in separate processes; per-stream
     keying makes the result independent of worker count and scheduling, and
-    results are assembled in stream order.
+    results are assembled in stream order.  Walks are stepped in chunks of
+    ``CHUNK_SIZE``, which changes no result either.
     """
     streams = np.asarray(list(streams), dtype=np.uint64)
     M = len(streams)
@@ -253,9 +251,7 @@ def simulate_batch(
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(
-                        _simulate_span, cfg, n, master_seed, streams[span], chunk_size
-                    )
+                    pool.submit(_simulate_span, cfg, n, master_seed, streams[span])
                     for span in spans
                     if len(span)
                 ]
@@ -263,7 +259,7 @@ def simulate_batch(
         except OSError:
             parts = None  # process pools unavailable; fall back to serial
     if parts is None:
-        parts = _simulate_span(cfg, n, master_seed, streams, chunk_size)
+        parts = _simulate_span(cfg, n, master_seed, streams)
     stacks, wtime, sp = _join_chunks(parts)
     return BatchWalks(
         master_seed=master_seed,
@@ -295,18 +291,17 @@ def letter_dl_table(kernel: CompiledKernel, ctx: GenFunContext) -> np.ndarray:
 
 
 def batch_walk_stats(
-    batch: BatchWalks, kernel: CompiledKernel, ctx: Optional[GenFunContext] = None
+    batch: BatchWalks, kernel: CompiledKernel, ctx: GenFunContext
 ) -> WalkStatsArrays:
-    dl_tab = letter_dl_table(kernel, ctx) if ctx is not None else None
+    dl_tab = letter_dl_table(kernel, ctx)
     M = batch.n_walks
     dist = np.zeros(M)
-    dl = np.full(M, np.nan)
+    dl = np.zeros(M)
     ldist = kernel.letter_distance
     for m in range(M):
         codes = batch.final_codes(m)
         dist[m] = ldist[codes].sum()
-        if dl_tab is not None:
-            dl[m] = dl_tab[codes].sum()
+        dl[m] = dl_tab[codes].sum()
     return WalkStatsArrays(
         n=batch.n, length=batch.sp.astype(float), dist=dist, dl=dl
     )
@@ -349,11 +344,6 @@ class BlockPool:
 
     def walk_sums(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.walk, weights=values, minlength=self.n_walks)
-
-    def blocks_of_walk(self, m: int) -> np.ndarray:
-        """Block positions of walk ``m``; blocks are stored walk by walk."""
-        lo = int(self.n_blocks[:m].sum())
-        return np.arange(lo, lo + int(self.n_blocks[m : m + 1].sum()))
 
 
 def batch_decompose(
@@ -468,53 +458,3 @@ def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict[str, np.nd
         "d_ent": pool.d_ent,
         "pair": pair_names[pool.w_first, pool.w_second],
     }
-
-
-HIT_HORIZON = 200
-HIT_ESCAPE_LENGTH = 40
-_HIT_CHUNK = 1024
-
-
-def hit_probability_mc(
-    cfg: WalkConfig, factor: int, n_walks: int, master_seed: int
-) -> tuple[float, float]:
-    """Monte Carlo frequency of ever visiting a one-letter word of ``factor``.
-
-    Walks are stopped early once their word grows beyond ``HIT_ESCAPE_LENGTH``
-    (the return probability from there is geometrically negligible) or at
-    ``HIT_HORIZON`` steps; both truncations bias the frequency down by far
-    less than a standard error at desk scale.  Returns
-    ``(frequency, standard_error)``.
-    """
-    kernel = compile_kernel(cfg)
-    tables = _step_tables(kernel)
-    fac = np.repeat(kernel.factor_of_code, len(tables.grid) + 1)  # by row offset
-    cols = HIT_ESCAPE_LENGTH + 2
-    hits = 0
-    for lo in range(0, n_walks, _HIT_CHUNK):
-        m = min(_HIT_CHUNK, n_walks - lo)
-        u = np.empty((m, HIT_HORIZON))
-        for i in range(m):
-            stream_uniforms(
-                master_seed, stream_id(PURPOSE_HIT_MC, lo + i), HIT_HORIZON, out=u[i]
-            )
-        g = _cells(tables.grid, u)
-        sf = np.zeros(m * cols, dtype=np.intp)
-        wf = np.zeros(m * cols, dtype=np.int32)
-        # running walks only: finished ones leave ``alive``, their rows go stale
-        alive = np.arange(m)
-        base = alive * cols
-        pos = base.copy()
-        for t in range(HIT_HORIZON):
-            if not len(alive):
-                break
-            _step(tables, sf, wf, pos, g[alive, t], t)
-            sp = pos - base
-            hit = (sp == 1) & (fac[sf[pos]] == factor)
-            hits += int(hit.sum())
-            keep = ~hit & (sp < HIT_ESCAPE_LENGTH)
-            if not keep.all():
-                alive, base, pos = alive[keep], base[keep], pos[keep]
-    freq = hits / n_walks
-    se = float(np.sqrt(max(freq * (1 - freq), 1e-12) / n_walks))
-    return freq, se

@@ -8,6 +8,11 @@ lengths of consecutive states, and recomputes renewal distances from whole
 words.  It consumes the same Philox uniforms with the same thresholds, so it
 reproduces the batch walks bit for bit and is the independent reference the
 batch path is tested against.
+
+The word algebra the decomposition checks itself with (``concat``,
+``in_cone``), the whole-word distances (``graph_distance``, ``dL_word``) and
+the hitting-frequency Monte Carlo that cross-checks the exit probabilities
+on the library's step kernel are references of the tests too.
 """
 
 from __future__ import annotations
@@ -21,19 +26,69 @@ from freewalk.core import (
     PUSH,
     REPLACE,
     FreewalkError,
+    IncompatibleLetters,
     Word,
     WalkConfig,
     compile_kernel,
-    concat,
-    graph_distance,
-    in_cone,
 )
-from freewalk.genfun import GenFunContext, dL_word
-from freewalk.simulator import DEFAULT_BUFFER, stream_uniforms
+from freewalk.genfun import GenFunContext
+from freewalk.simulator import (
+    DEFAULT_BUFFER,
+    _cells,
+    _step,
+    _step_tables,
+    stream_id,
+    stream_uniforms,
+)
 
 
 class NoConfirmedExit(FreewalkError):
     """No exit time could be confirmed within the censored horizon."""
+
+
+# -- words -----------------------------------------------------------------------
+
+
+def concat(u: Word, v: Word) -> Word:
+    """Partial composition ``u.v``.
+
+    Defined when either word is empty or the last letter of ``u`` and the
+    first letter of ``v`` lie in different factors; concatenating with the
+    root is the identity.
+    """
+    if not u.letters:
+        return v
+    if not v.letters:
+        return u
+    if u.letters[-1][0] == v.letters[0][0]:
+        raise IncompatibleLetters(
+            f"cannot concatenate: both boundary letters lie in factor {u.letters[-1][0]}"
+        )
+    return Word(u.letters + v.letters)
+
+
+def in_cone(w: Word, u: Word) -> bool:
+    """True iff ``u`` is a prefix of ``w`` (so ``w`` lies in the cone at ``u``)."""
+    return w.letters[: len(u.letters)] == u.letters
+
+
+def graph_distance(u: Word, cfg: WalkConfig) -> int:
+    """Distance ``d(o, u)`` in the transition graph of the walk.
+
+    Each letter contributes the oriented BFS distance from its factor root,
+    so for compatible words ``d(x, x.w) = d(o, w)``.
+    """
+    kernel = compile_kernel(cfg)
+    return int(sum(kernel.letter_distance[c] for c in kernel.encode(u)))
+
+
+def dL_word(w: Word, ctx: GenFunContext) -> float:
+    """Letter-distance ``-log L(o, w | 1)``, additive over the letters of ``w``.
+
+    Every path from the root to ``w`` locks in the letters in order, so the
+    last-exit function factorizes into one factor value per letter.
+    """
+    return sum(ctx.letter_dl(i, v) for i, v in w.letters)
 
 
 def common_prefix_length(u: Word, v: Word) -> int:
@@ -129,7 +184,7 @@ def detect_exit_times(traj: Trajectory, buffer: int = DEFAULT_BUFFER) -> list[Ex
     lies outside the candidate's cone, and candidate cones are nested.
     """
     states = traj.states
-    lengths = np.array([len(w) for w in states], dtype=np.int64)
+    lengths = np.array([len(w.letters) for w in states], dtype=np.int64)
     cps = np.array(
         [common_prefix_length(states[t], states[t + 1]) for t in range(len(states) - 1)],
         dtype=np.int64,
@@ -206,7 +261,7 @@ def renewal_decompose(
     while k in by_level:
         e = by_level[k]
         w = states[e.time]
-        if len(w) != k or w.letters[-1][0] != 1:
+        if len(w.letters) != k or w.letters[-1][0] != 1:
             raise AssertionError("renewal word has wrong level or factor")
         renewal_times.append(e.time)
         renewal_words.append(w)
@@ -242,3 +297,56 @@ def renewal_decompose(
         renewal_distances=distances,
         blocks=blocks,
     )
+
+
+# -- hitting frequency -------------------------------------------------------------
+
+PURPOSE_HIT_MC = 2  # the stream purpose of the walks below, disjoint from the library's
+HIT_HORIZON = 200
+HIT_ESCAPE_LENGTH = 40
+_HIT_CHUNK = 1024
+
+
+def hit_probability_mc(
+    cfg: WalkConfig, factor: int, n_walks: int, master_seed: int
+) -> tuple[float, float]:
+    """Monte Carlo frequency of ever visiting a one-letter word of ``factor``.
+
+    Walks are stopped early once their word grows beyond ``HIT_ESCAPE_LENGTH``
+    (the return probability from there is geometrically negligible) or at
+    ``HIT_HORIZON`` steps; both truncations bias the frequency down by far
+    less than a standard error at desk scale.  Returns
+    ``(frequency, standard_error)``.
+    """
+    kernel = compile_kernel(cfg)
+    tables = _step_tables(kernel)
+    fac = np.repeat(kernel.factor_of_code, len(tables.grid) + 1)  # by row offset
+    cols = HIT_ESCAPE_LENGTH + 2
+    hits = 0
+    for lo in range(0, n_walks, _HIT_CHUNK):
+        m = min(_HIT_CHUNK, n_walks - lo)
+        u = np.empty((m, HIT_HORIZON))
+        for i in range(m):
+            stream_uniforms(
+                master_seed, stream_id(PURPOSE_HIT_MC, lo + i), HIT_HORIZON, out=u[i]
+            )
+        g = _cells(tables.grid, u)
+        sf = np.zeros(m * cols, dtype=np.intp)
+        wf = np.zeros(m * cols, dtype=np.int32)
+        # running walks only: finished ones leave ``alive``, their rows go stale
+        alive = np.arange(m)
+        base = alive * cols
+        pos = base.copy()
+        for t in range(HIT_HORIZON):
+            if not len(alive):
+                break
+            _step(tables, sf, wf, pos, g[alive, t], t)
+            sp = pos - base
+            hit = (sp == 1) & (fac[sf[pos]] == factor)
+            hits += int(hit.sum())
+            keep = ~hit & (sp < HIT_ESCAPE_LENGTH)
+            if not keep.all():
+                alive, base, pos = alive[keep], base[keep], pos[keep]
+    freq = hits / n_walks
+    se = float(np.sqrt(max(freq * (1 - freq), 1e-12) / n_walks))
+    return freq, se

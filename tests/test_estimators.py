@@ -8,16 +8,16 @@ import pytest
 from statistics import NormalDist
 
 from conftest import make_pool
+from reference_walk import dL_word
 
 from freewalk.cli import emit_json
-from freewalk.core import WalkConfig
+from freewalk.core import WalkConfig, Word, step_distribution
 from freewalk.estimators import (
     DegenerateSample,
     EmptyPool,
     InsufficientBlocks,
     MissingEpsilon0,
     bootstrap_sigma_se,
-    entropy_proxy_gap,
     estimate_rates,
     estimate_sigmas,
     iid_diagnostics,
@@ -30,6 +30,7 @@ from freewalk.estimators import (
     two_sample_ks,
 )
 from freewalk.instances import instance_k3_k3
+from freewalk.oracle import enum_green_series
 from freewalk.simulator import WalkStatsArrays
 
 
@@ -323,7 +324,7 @@ class TestCltConstantsOfTheSuite:
             dl_of = lambda pair: ctx.letter_dl(2, pair[0]) + ctx.letter_dl(1, pair[1])
             exact = {
                 "dist": (law.rate(dist_of), law.sigma_sq(dist_of)),
-                "block": (law.block_speed(), law.sigma_block_sq()),
+                "block": (law.block_speed(), law.sigma_sq(lambda _: 2.0)),
                 "entropy": (law.rate(dl_of), law.sigma_sq(dl_of)),
             }
             suite = run_clt_suite(cfg, 200, 20, 5)
@@ -334,10 +335,44 @@ class TestCltConstantsOfTheSuite:
                 assert abs(r.sigma_estimate - sigma) <= 1e-12 * sigma, (cfg.name, stat)
 
 
-class TestEntropyProxyGap:
-    def test_runs_and_is_deterministic(self, instance_a, ctx_a):
-        gaps = entropy_proxy_gap(instance_a, ctx_a, 8, 25, 7)
-        again = entropy_proxy_gap(instance_a, ctx_a, 8, 25, 7)
-        assert gaps == again
-        assert all(math.isfinite(g) for _, _, g in gaps)
-        assert all(mlp > 0 for mlp, _, _ in gaps)
+def _entropy_gap_law(cfg, ctx, n):
+    """The whole law ``pi_n`` of ``X_n`` from ``o``, and each word's gap
+    ``-log pi_n(w) - d_L(o, w)``, over the support found by BFS."""
+    support = {Word()}
+    for _ in range(n):
+        support = {w for x in support for w, p in step_distribution(x, cfg) if p > 0}
+    words = sorted(support, key=lambda w: w.letters)
+    pi = np.array([s.coeffs[n] for s in enum_green_series(Word(), words, n, cfg)])
+    gaps = -np.log(pi) - np.array([dL_word(w, ctx) for w in words])
+    return pi, gaps
+
+
+class TestExactEntropyGap:
+    """The letter distance ``d_L(o, X_n)`` that ``clt`` standardizes as its
+    entropy statistic, against the paper's ``-log pi_n(X_n)``, exactly at small
+    n: the gap's moments over the whole law of ``X_n``."""
+
+    @pytest.mark.parametrize(
+        "shape, words, mean, variance",
+        [
+            ("instance_a", 1021, 2.6166549166, 0.2424702186),
+            ("instance_b", 373, 2.5556958641, 0.2605587651),
+        ],
+    )
+    def test_moments_at_order_eight(self, shape, words, mean, variance, request):
+        cfg = request.getfixturevalue(shape)
+        ctx = request.getfixturevalue("ctx_" + shape[-1])
+        pi, gaps = _entropy_gap_law(cfg, ctx, 8)
+        assert len(pi) == words
+        assert abs(pi.sum() - 1.0) <= 1e-12
+        assert np.all(np.isfinite(gaps))
+        got = float(pi @ gaps)
+        assert abs(got - mean) <= 1e-9
+        assert abs(float(pi @ (gaps - got) ** 2) - variance) <= 1e-9
+
+    @pytest.mark.parametrize("shape", ["instance_a", "instance_b"])
+    def test_mean_grows_from_order_eight_to_twelve(self, shape, request):
+        cfg = request.getfixturevalue(shape)
+        ctx = request.getfixturevalue("ctx_" + shape[-1])
+        (pi8, gaps8), (pi12, gaps12) = (_entropy_gap_law(cfg, ctx, n) for n in (8, 12))
+        assert pi12 @ gaps12 > pi8 @ gaps8

@@ -1,11 +1,21 @@
 """Source hygiene: every imported name in the package and the tests is used,
-and every module-level constant of the package is read somewhere."""
+every module-level constant of the package is read somewhere, and every
+function of the package runs under some command."""
 
 import ast
+import importlib.util
+import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+import freewalk
+from freewalk.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, main
+from freewalk.core import compile_kernel
+from freewalk.instances import instance_k3_k3
+from freewalk.oracle import word_index
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -139,3 +149,137 @@ def test_the_constant_check_sees_unread_and_annotation_only_names():
     )
     reader = "import m\nfrom m import UNREAD\nprint(m.BY_ATTRIBUTE)\n"
     assert _unread_constants({"m.py": module}, [reader]) == [("m.py", "UNREAD", 2)]
+
+
+# functions no command reaches, each kept because the benchmark (``perfbench/``)
+# calls or wraps it by name
+UNREACHED_ALLOWED = {
+    "core.py:step_distribution": "spans.WordCounter counts enumeration work by BFS over it",
+    "core.py:CompiledKernel.decode": "step_distribution's successor words",
+    "core.py:CompiledKernel.successors": "step_distribution's successor codes",
+    "oracle.py:return_probability_proxy": "a boundary of the span table in spans.py",
+    "estimators.py:truncate_pool": "a boundary of the span table in spans.py",
+    "genfun.py:renewal_increment_gf": "the reference F'(1) of checks.py",
+}
+
+# each command on both shapes at small sizes, plus a config file
+COMMANDS = [
+    [*command, "--config", shape]
+    for shape in ("K3xK3", "PathxK3")
+    for command in (
+        ["validate"],
+        ["genfun"],
+        ["oracle-check", "--order", "4"],
+        ["simulate", "--n", "400", "--M", "10", "--buffer", "50"],
+        ["clt", "--n", "200", "--M", "40"],
+        ["diagnostics", "--n", "400", "--M", "40", "--buffer", "50"],
+        ["sweep", "--grid", "0.4,0.5,0.6", "--n", "400", "--M", "20", "--buffer", "50"],
+    )
+] + [["validate", "--config", str(ROOT / "configs" / "k3xk3.json")]]
+
+
+def _functions(source: str) -> dict[int, str]:
+    """Each function the source defines, methods and nested ones too, by the
+    first line of its code object (its first decorator) with its dotted name."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[first] = prefix + child.name
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def _reached(run) -> set[tuple[Path, int]]:
+    """``(file, first line)`` of every Python function called while ``run`` runs."""
+    codes = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
+
+
+def _unreached(paths: list[Path], reached: set[tuple[Path, int]]) -> list[str]:
+    """``file:name`` of each function of ``paths`` that ``reached`` misses."""
+    return sorted(
+        f"{path.name}:{name}"
+        for path in paths
+        for line, name in _functions(path.read_text()).items()
+        if (path.resolve(), line) not in reached
+    )
+
+
+def test_every_package_function_runs_under_a_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FREEWALK_WORKERS", "1")  # other processes are not profiled
+    compile_kernel.cache_clear()  # a kernel built by an earlier test skips its build
+    word_index.cache_clear()
+    # an invalid config without a loop witness: the witness search and the
+    # validation failure message
+    doc = instance_k3_k3().to_json_dict()
+    del doc["loop_witness"]
+    doc["alpha"] = 1.5
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(doc))
+    codes = []
+
+    def run():
+        for i, argv in enumerate(COMMANDS):
+            codes.append(main([*argv, "--out", str(tmp_path / str(i))]))
+        codes.append(main(["genfun", "--config", str(invalid), "--out", str(tmp_path)]))
+
+    reached = _reached(run)
+    assert set(codes[:-1]) <= {EXIT_OK, EXIT_STATISTICAL} and codes[-1] == EXIT_VALIDATION
+    package = sorted(Path(freewalk.__file__).parent.glob("*.py"))
+    assert _unreached(package, reached) == sorted(UNREACHED_ALLOWED)
+
+
+def test_the_reach_check_sees_uncalled_functions_and_methods(tmp_path):
+    source = (
+        "import functools\n"
+        "def called():\n"
+        "    return helper() + Box().size\n"
+        "def helper():\n"
+        "    def inner():\n"
+        "        return 1\n"
+        "    return inner()\n"
+        "def never():\n"
+        "    def never_inner():\n"
+        "        return 0\n"
+        "    return never_inner()\n"
+        "@functools.lru_cache\n"
+        "def cached():\n"
+        "    return 2\n"
+        "class Box:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return cached()\n"
+        "    def unused(self):\n"
+        "        return 3\n"
+    )
+    path = tmp_path / "toy.py"
+    path.write_text(source)
+    spec = importlib.util.spec_from_file_location("toy", path)
+    toy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(toy)
+    reached = _reached(toy.called)
+    assert _unreached([path], reached) == [
+        "toy.py:Box.unused",
+        "toy.py:never",
+        "toy.py:never.never_inner",
+    ]

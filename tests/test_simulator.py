@@ -14,10 +14,15 @@ from reference_walk import (
     NoConfirmedExit,
     Trajectory,
     detect_exit_times,
+    dL_word,
+    graph_distance,
+    hit_probability_mc,
+    in_cone,
     renewal_decompose,
     sample_trajectory,
 )
 
+from freewalk import simulator
 from freewalk.core import (
     POP,
     PUSH,
@@ -25,7 +30,6 @@ from freewalk.core import (
     WalkConfig,
     Word,
     compile_kernel,
-    in_cone,
     step_distribution,
 )
 from freewalk.genfun import build_context
@@ -34,7 +38,6 @@ from freewalk.simulator import (
     batch_decompose,
     batch_walk_stats,
     default_workers,
-    hit_probability_mc,
     simulate_batch,
     stream_id,
     stream_uniforms,
@@ -107,7 +110,7 @@ class TestSampling:
             traj = sample_trajectory(cfg, 300, 5)
             assert traj.states[0] == O
             for x, y in zip(traj.states, traj.states[1:]):
-                assert abs(len(y) - len(x)) <= 1
+                assert abs(len(y.letters) - len(x.letters)) <= 1
                 assert dict(step_distribution(x, cfg)).get(y, 0.0) > 0.0
 
     def test_one_step_frequencies_from_root(self, instance_a):
@@ -164,13 +167,14 @@ class TestSampling:
     # the stacks are widened in the middle of a chunk, and chunks of one walk
     # end at different depths, which the join pads to one width
     @pytest.mark.parametrize("label", ["a", "b"])
-    def test_chunk_size_does_not_change_results(self, label, request):
+    def test_chunk_size_does_not_change_results(self, label, request, monkeypatch):
         cfg = request.getfixturevalue(f"instance_{label}")
         streams = [stream_id(4, i) for i in range(9)]
         default = simulate_batch(cfg, 600, 5, streams, workers=1)
         assert default.sp.max() > _FIRST_DEPTH and len(set(default.sp)) > 1
         for chunk_size in (1, 7):
-            other = simulate_batch(cfg, 600, 5, streams, chunk_size=chunk_size, workers=1)
+            monkeypatch.setattr(simulator, "CHUNK_SIZE", chunk_size)
+            other = simulate_batch(cfg, 600, 5, streams, workers=1)
             assert np.array_equal(default.sp, other.sp)
             assert np.array_equal(default.stacks, other.stacks)
             assert np.array_equal(default.wtime, other.wtime)
@@ -253,11 +257,11 @@ class TestRenewalDecompose:
             assert block.delta_t >= 2
             assert block.d_block == 2
             assert block.d_dist <= block.delta_t
-            assert len(block.word) == 2
+            assert len(block.word.letters) == 2
             assert block.word.letters[0][0] == 2 and block.word.letters[1][0] == 1
         # level identity: the word at T_j has exactly 2j + tau letters
         for j, t in enumerate(sample.renewal_times):
-            assert len(traj.states[t]) == 2 * j + sample.tau
+            assert len(traj.states[t].letters) == 2 * j + sample.tau
 
     # on K3xK3 every block has d_dist == 2; PathxK3 makes the distances differ,
     # and the uneven rows of ``c`` give a ten-threshold step grid
@@ -273,7 +277,7 @@ class TestRenewalDecompose:
         for i, s in enumerate(streams):
             traj = sample_trajectory(cfg, 800, 55, stream=s)
             sample = renewal_decompose(traj, ctx, buffer)
-            idx = pool.blocks_of_walk(i)
+            idx = np.flatnonzero(pool.walk == i)
             assert pool.tau[i] == sample.tau
             assert pool.t0_time[i] == sample.renewal_times[0]
             assert list(pool.delta_t[idx]) == [b.delta_t for b in sample.blocks]
@@ -282,10 +286,11 @@ class TestRenewalDecompose:
             assert list(pool.d_at[idx]) == sample.renewal_distances[1:]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 60, 300])
-    def test_write_times_are_exit_times(self, instance_b, ctx_b, n):
+    def test_write_times_are_exit_times(self, instance_b, ctx_b, n, monkeypatch):
         kernel = compile_kernel(instance_b)
         streams = [stream_id(4, i) for i in range(12)]
-        batch = simulate_batch(instance_b, n, 17, streams, chunk_size=5)
+        monkeypatch.setattr(simulator, "CHUNK_SIZE", 5)
+        batch = simulate_batch(instance_b, n, 17, streams, workers=1)
         pool = batch_decompose(batch, kernel, ctx_b, 20)
         for i, s in enumerate(streams):
             exits = detect_exit_times(sample_trajectory(instance_b, n, 17, s), 20)
@@ -295,11 +300,6 @@ class TestRenewalDecompose:
             assert not batch.stacks[i, sp + 1 :].any()
             assert not batch.wtime[i, sp + 1 :].any()
 
-    def test_blocks_of_walk_matches_mask(self, pool_b):
-        pool, _ = pool_b
-        for m in range(pool.n_walks + 1):
-            assert np.array_equal(pool.blocks_of_walk(m), np.nonzero(pool.walk == m)[0])
-
     def test_pool_invariants(self, pool_a):
         pool, _ = pool_a
         assert pool.size > 1000
@@ -307,7 +307,7 @@ class TestRenewalDecompose:
         assert np.all(pool.d_dist <= pool.delta_t)
         # telescoping of graph distances along renewal words, exactly
         for m in range(0, pool.n_walks, 37):
-            idx = pool.blocks_of_walk(m)
+            idx = np.flatnonzero(pool.walk == m)
             if len(idx) == 0:
                 continue
             expect = pool.t0_dist[m] + np.cumsum(pool.d_dist[idx])
@@ -326,10 +326,7 @@ class TestWalkStats:
         for i in range(3):
             traj = sample_trajectory(cfg, 200, 77, stream=stream_id(4, i))
             final = traj.states[-1]
-            assert stats.length[i] == len(final)
-            from freewalk.core import graph_distance
-            from freewalk.genfun import dL_word
-
+            assert stats.length[i] == len(final.letters)
             assert stats.dist[i] == graph_distance(final, cfg)
             assert math.isclose(stats.dl[i], dL_word(final, ctx))
 
