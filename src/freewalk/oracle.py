@@ -45,7 +45,7 @@ Number = float | Fraction
 
 
 class OrderTooLarge(FreewalkError):
-    """Requested truncation order exceeds the configured enumeration cap."""
+    """Requested truncation order exceeds the enumeration cap ``DEFAULT_ORDER_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ def max_coeff_gap(a: TruncatedSeries, b: TruncatedSeries) -> Number:
     return max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs))
 
 
-def _check_order(n: int, cap: int) -> None:
-    if n > cap:
-        raise OrderTooLarge(f"order {n} exceeds cap {cap}; raise the cap explicitly")
+def _check_order(n: int) -> None:
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderTooLarge(f"order {n} exceeds the enumeration cap {DEFAULT_ORDER_CAP}")
 
 
 # -- the word index and the step ----------------------------------------------
@@ -258,12 +258,11 @@ def _source_series(
     N: int,
     cfg: WalkConfig,
     exact: bool,
-    cap: int,
     taboo: bool,
 ) -> TruncatedSeries | tuple[TruncatedSeries, ...]:
     """The series from ``x`` at ``y`` (a word, or each of a sequence of words)
     from one walk, with ``x`` deleted after time 0 when ``taboo``."""
-    _check_order(N, cap)
+    _check_order(N)
     kernel = compile_kernel(cfg)
     src = kernel.encode(x)
     walk = _Walk(kernel, src, N, exact)
@@ -282,14 +281,13 @@ def enum_green_series(
     N: int,
     cfg: WalkConfig,
     exact: bool = False,
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> TruncatedSeries | tuple[TruncatedSeries, ...]:
     """Coefficient ``n`` is the n-step transition probability from ``x`` to ``y``.
 
     For a sequence of targets ``y`` the result is a tuple of series, one per
     target, all read off one walk from ``x``.
     """
-    return _source_series(x, y, N, cfg, exact, cap, taboo=False)
+    return _source_series(x, y, N, cfg, exact, taboo=False)
 
 
 def enum_L_series(
@@ -298,7 +296,6 @@ def enum_L_series(
     N: int,
     cfg: WalkConfig,
     exact: bool = False,
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> TruncatedSeries | tuple[TruncatedSeries, ...]:
     """Last-exit series: paths from ``x`` to ``y`` avoiding ``x`` after time 0.
 
@@ -307,7 +304,7 @@ def enum_L_series(
     A sequence of targets gives a tuple of series from one walk, as in
     :func:`enum_green_series`.
     """
-    return _source_series(x, y, N, cfg, exact, cap, taboo=True)
+    return _source_series(x, y, N, cfg, exact, taboo=True)
 
 
 def enum_xi_series(
@@ -315,10 +312,9 @@ def enum_xi_series(
     N: int,
     cfg: WalkConfig,
     exact: bool = False,
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> TruncatedSeries:
     """First-visit series of the set of one-letter factor-``i`` words, from o."""
-    _check_order(N, cap)
+    _check_order(N)
     kernel = compile_kernel(cfg)
     walk = _Walk(kernel, (), N, exact)
     absorb = walk.one_letter_nodes(kernel, i)
@@ -337,7 +333,6 @@ def exact_renewal_increment_dist(
     n_max: int,
     cfg: WalkConfig,
     exact: bool = False,
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> RenewalLaw:
     """Joint law of (increment, appended pair) by taboo enumeration.
 
@@ -351,7 +346,7 @@ def exact_renewal_increment_dist(
     (exact coefficients rounded to float); the truncation tail is the law's
     ``unassigned`` mass.
     """
-    _check_order(n_max, cap)
+    _check_order(n_max)
     kernel = compile_kernel(cfg)
     walk = _Walk(kernel, (), n_max, exact)
     taboo = walk.one_letter_nodes(kernel, 1)
@@ -377,14 +372,14 @@ def exact_renewal_increment_dist(
 
 
 def return_probability_proxy(
-    cfg: WalkConfig, N: int = DEFAULT_ORDER_CAP, cap: int = DEFAULT_ORDER_CAP
+    cfg: WalkConfig, N: int = DEFAULT_ORDER_CAP
 ) -> list[tuple[int, float]]:
     """Spectral-radius proxy ``p^(2n)(o, o) ** (1 / 2n)`` on even orders.
 
     No command runs it; the benchmark's span table (``perfbench/spans.py``)
     wraps it by name.
     """
-    series = enum_green_series(Word(), Word(), N, cfg, exact=False, cap=cap)
+    series = enum_green_series(Word(), Word(), N, cfg, exact=False)
     out = []
     for n in range(1, N // 2 + 1):
         p = float(series.coeffs[2 * n])

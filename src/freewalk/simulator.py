@@ -3,11 +3,12 @@
 Sampling is driven by counter-based Philox streams keyed by
 ``(master_seed, stream_id)``: every walk owns its stream and consumes exactly
 one uniform per step through cumulative-probability inversion, so results do
-not depend on chunking, scheduling or worker count.  The batch kernel inverts
-through the sorted distinct thresholds of all states at once: the count of
-thresholds ``<= u``, the cell of ``u``, fixes every comparison with ``u``, so
-a flat table indexed by the state's row offset (which the stack holds) plus
-the cell gives the same move as inversion on the state's own row.
+not depend on scheduling or worker count.  The step kernel, compiled from
+``step_kernel.c`` on first use, inverts through the sorted distinct
+thresholds of all states at once: the count of thresholds ``<= u``, the cell
+of ``u``, fixes every comparison with ``u``, so a flat table indexed by the
+state's row offset (which the stack holds) plus the cell gives the same move
+as inversion on the state's own row.
 
 Exit times are detected retrospectively.  Writing ``c_t`` for the common
 prefix length of consecutive states, the level-k candidate exit time is the
@@ -20,23 +21,29 @@ time per depth next to the stack, and the batch decomposition reads every
 exit time off the final write times without storing intermediate states.
 The word-level reference in ``tests/reference_walk.py`` materializes every
 state, computes the same times from whole words, and is what the batch path
-is tested against; the hitting-frequency Monte Carlo there drives the same
-step kernel, :func:`_step`, to cross-check the exit probabilities.
+is tested against, next to the numpy step loop that the compiled kernel is
+compared with bit for bit.
 """
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import functools
+import hashlib
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import POP, PUSH, CompiledKernel, WalkConfig, compile_kernel
+from .core import POP, PUSH, CompiledKernel, InvalidConfig, WalkConfig, compile_kernel
 from .genfun import GenFunContext
 
 DEFAULT_BUFFER = 500
-CHUNK_SIZE = 256  # walks stepped together in one chunk
 
 # stream purposes keep seed spaces of different experiment roles disjoint;
 # 1 and 5 are unused, 2 drives the hitting-frequency reference of the tests
@@ -109,116 +116,144 @@ class _StepTables(NamedTuple):
     let: np.ndarray  # new letter as a row offset, ``code * (len(grid) + 1)`` (0 for a pop)
 
 
+def _check_widths(n_letters: int, n_cells: int) -> None:
+    """Refuse a kernel whose letter codes overflow int16 or whose row
+    offsets, below ``(n_letters + 1) * n_cells``, overflow int32."""
+    int16, int32 = np.iinfo(np.int16).max, np.iinfo(np.int32).max
+    if n_letters > int16 or (n_letters + 1) * n_cells > int32:
+        raise InvalidConfig(
+            f"{n_letters} letters and {n_cells} grid cells exceed the step tables' "
+            "int16 letter codes or int32 row offsets"
+        )
+
+
 def _step_tables(kernel: CompiledKernel) -> _StepTables:
     """Flat step tables indexed by a row offset plus a cell ``g`` in ``0 .. len(grid)``.
 
-    The cell of ``u`` (:func:`_cells`) fixes every comparison with ``u`` for
-    all states at once.  Each cell is filled by inversion on ``cum[state]`` at
-    its lowest point, hence a lookup picks the same move as inversion does.
-    Every row ends at exactly 1, so the last cell, ``u >= grid[-1] >= 1``, is
-    never reached by uniforms in ``[0, 1)``.  Tables and cells cost
-    O(len(grid)) per state and per uniform; shipped configs have four.
+    The cell of ``u``, the count of thresholds ``<= u``, fixes every
+    comparison with ``u`` for all states at once.  Each cell is filled by
+    inversion on ``cum[state]`` at its lowest point, hence a lookup picks the
+    same move as inversion does.  Every row ends at exactly 1, so the last
+    cell, ``u >= grid[-1] >= 1``, is never reached by uniforms in ``[0, 1)``.
+    Tables and cells cost O(len(grid)) per state and per uniform; shipped
+    configs have four.
     """
     cum = kernel.cum
     grid = np.unique(cum)
     lowest = np.concatenate(([-np.inf], grid))
+    _check_widths(kernel.n_letters, len(lowest))
     j = (lowest[None, :, None] < cum[:, None, :]).argmax(axis=2)
     states = np.arange(len(cum))[:, None]
     act = kernel.act[states, j].ravel()
+    push = (act == PUSH).astype(np.int32)
     return _StepTables(
         grid=grid,
-        up=(act == PUSH).astype(np.intp),
-        dsp=(act == PUSH).astype(np.intp) - (act == POP),
-        let=kernel.let[states, j].ravel().astype(np.intp) * len(lowest),
+        up=push,
+        dsp=push - (act == POP),
+        let=kernel.let[states, j].ravel().astype(np.int32) * len(lowest),
     )
 
 
-def _cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Grid cells of uniforms in ``[0, 1)``: the count of thresholds ``<= u``.
+# -- the compiled step kernel ----------------------------------------------------
 
-    Branch-free, unlike a binary search; ``grid[-1] >= 1`` is never reached.
+_KERNEL_SOURCE = Path(__file__).with_name("step_kernel.c")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+
+
+def _compile_command() -> list[str]:
+    """The interpreter's own C compiler with fixed flags; no ``-ffast-math``,
+    which would break the IEEE comparisons, and no ``-march``."""
+    import sysconfig
+
+    return [*(sysconfig.get_config_var("CC") or "cc").split(), "-O2", "-shared", "-fPIC"]
+
+
+def _library_path(source: bytes, command: list[str]) -> Path:
+    """The cached build of ``source`` by ``command``, keyed by both like a ``.pyc``."""
+    key = hashlib.sha256(b"\0".join([source, *(a.encode() for a in command)]))
+    return _CACHE_DIR / f"step_kernel.{key.hexdigest()[:16]}.so"
+
+
+def _build(command: list[str], target: Path) -> Path:
+    """Compile the kernel to ``target`` and return where it went.
+
+    The build is written to a temporary file and moved into place, so
+    concurrent processes never load a partial one.  Where the cache cannot
+    be written, it goes to a private directory removed at exit.
     """
-    g = np.zeros(u.shape, dtype=np.min_scalar_type(len(grid)))
-    for c in grid[:-1]:
-        g += u >= c
-    return g
+    import subprocess
+
+    try:
+        target.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+    except OSError:
+        private = tempfile.mkdtemp(prefix="freewalk-")
+        atexit.register(shutil.rmtree, private, ignore_errors=True)
+        target = Path(private) / target.name
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
+    os.close(fd)
+    argv = [*command, "-o", tmp, str(_KERNEL_SOURCE)]
+    try:
+        subprocess.run(argv, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError) as e:
+        Path(tmp).unlink(missing_ok=True)  # compilers may remove a failed output
+        detail = e.stderr if isinstance(e, subprocess.CalledProcessError) else e
+        raise RuntimeError(f"cannot build the step kernel: {' '.join(argv)}\n{detail}") from e
+    os.replace(tmp, target)
+    return target
 
 
-def _step(tables: _StepTables, sf, wf, pos, g, t) -> None:
-    """Advance every walk by one step, in place, from its grid cell ``g``.
-
-    ``sf`` and ``wf`` are flat views of the stack of row offsets and of the
-    write times, and ``pos`` holds each walk's flat index of its current
-    depth.  The new letter and the time ``t + 1`` go to depth ``max(old sp,
-    new sp)``: for a push that is the new top, for a replace the current
-    one, and a pop writes one cell above its new top, which nothing reads
-    before a push overwrites it.
-    """
-    o = sf[pos] + g
-    w = pos + tables.up[o]
-    sf[w] = tables.let[o]
-    wf[w] = t + 1
-    pos += tables.dsp[o]
-
-
-_FIRST_DEPTH = 64  # also the steps between two checks of the stack depth
-
-
-def _simulate_chunk(tables, n, master_seed, streams):
-    """Step one chunk of walks; arrays grow with the running maximum depth."""
-    m = len(streams)
-    u = np.empty((m, n))
-    for i in range(m):
-        stream_uniforms(master_seed, int(streams[i]), n, out=u[i])
-    g = _cells(tables.grid, u)
-    del u
-    cap = min(n, _FIRST_DEPTH) + 1
-    stack = np.zeros((m, cap), dtype=np.intp)
-    wtime = np.zeros((m, cap), dtype=np.int32)  # n < 2**31: a chunk holds (m, n) cells
-    sp = np.zeros(m, dtype=np.intp)
-    for t0 in range(0, n, _FIRST_DEPTH):
-        # depth rises by at most one per step, so the segment fits above the top
-        if cap <= n and int(sp.max()) + _FIRST_DEPTH >= cap:
-            cap = min(2 * cap, n + 1)
-            stack = np.pad(stack, ((0, 0), (0, cap - stack.shape[1])))
-            wtime = np.pad(wtime, ((0, 0), (0, cap - wtime.shape[1])))
-        sf, wf = stack.reshape(-1), wtime.reshape(-1)
-        base = np.arange(m) * cap
-        pos = base + sp
-        for t in range(t0, min(n, t0 + _FIRST_DEPTH)):
-            _step(tables, sf, wf, pos, g[:, t], t)
-        sp = pos - base
-    width = int(sp.max()) + 1
-    # a pop's last write lies above the final depth; correctness, not only
-    # tidiness, needs these cells zeroed
-    dead = np.arange(width) > sp[:, None]
-    codes = np.where(dead, 0, stack[:, :width] // (len(tables.grid) + 1))
-    return codes.astype(np.int16), np.where(dead, 0, wtime[:, :width]), sp
+@functools.cache
+def _step_library() -> ctypes.CDLL:
+    """The compiled kernel, built on the first call of a process unless cached."""
+    command = _compile_command()
+    path = _library_path(_KERNEL_SOURCE.read_bytes(), command)
+    if not path.exists():
+        path = _build(command, path)
+    lib = ctypes.CDLL(str(path))
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.step_walk.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+    lib.step_walk.restype = i64
+    return lib
 
 
 def _simulate_span(
     cfg: WalkConfig, n: int, master_seed: int, streams: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The final depths of a span's walks, and their stacks of letter codes and
+    write times up to each final depth, concatenated walk by walk; one call of
+    the compiled kernel per walk.
+
+    The buffers serve every walk of the span: cells above the current depth
+    may hold an earlier walk's writes, but a walk reads only depth 0 and the
+    depths it pushed to itself.  Results grow in two arrays rather than as
+    small arrays per walk, whose memory the heap would keep after use.
+    """
+    import array  # here, so that commands which never simulate do not load it
+
     tables = _step_tables(compile_kernel(cfg))
-    return [
-        _simulate_chunk(tables, n, master_seed, streams[lo : lo + CHUNK_SIZE])
-        for lo in range(0, len(streams), CHUNK_SIZE)
-    ]
-
-
-def _join_chunks(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack chunk results, zero-padded to the widest final depth."""
-    sp = np.concatenate([p[2] for p in parts] + [np.zeros(0, dtype=np.int64)])
-    width = int(sp.max(initial=0)) + 1
-    stacks = np.zeros((len(sp), width), dtype=np.int16)
-    wtime = np.zeros((len(sp), width), dtype=np.int32)
-    lo = 0
-    for stack_c, wtime_c, sp_c in parts:
-        hi = lo + len(sp_c)
-        stacks[lo:hi, : stack_c.shape[1]] = stack_c
-        wtime[lo:hi, : wtime_c.shape[1]] = wtime_c
-        lo = hi
-    return stacks, wtime, sp
+    u = np.empty(n)
+    stack = np.zeros(n + 1, dtype=np.int32)
+    wtime = np.zeros(n + 1, dtype=np.int32)  # n < 2**31: u holds n doubles
+    letters = np.zeros(n + 1, dtype=np.int16)
+    buffers = (tables.up, tables.dsp, tables.let, stack, wtime)
+    args = (u.ctypes.data, n, tables.grid.ctypes.data, len(tables.grid) - 1)
+    args += tuple(a.ctypes.data for a in buffers)
+    step_walk = _step_library().step_walk
+    depths, codes, times = [], array.array("h"), array.array("i")
+    for stream in streams:
+        stream_uniforms(master_seed, int(stream), n, out=u)
+        top = step_walk(*args) + 1
+        depths.append(top - 1)
+        # row offsets to letter codes; _check_widths keeps them within int16
+        np.floor_divide(stack[:top], len(tables.grid) + 1, out=letters[:top], casting="unsafe")
+        codes.frombytes(letters[:top].view(np.uint8))
+        times.frombytes(wtime[:top].view(np.uint8))
+    return (
+        np.array(depths, dtype=np.int64),
+        np.frombuffer(codes, dtype=np.int16),
+        np.frombuffer(times, dtype=np.int32),
+    )
 
 
 def simulate_batch(
@@ -228,15 +263,14 @@ def simulate_batch(
     streams: Sequence[int],
     workers: Optional[int] = None,
 ) -> BatchWalks:
-    """Simulate one walk per stream, vectorized across walks.
+    """Simulate one walk per stream, one call of the compiled kernel each.
 
     Identical to the word-level reference walk of ``tests/reference_walk.py``
     run per stream: both consume the same uniforms and compare them with the
     same thresholds.  With ``workers`` above 1 (default from
     ``FREEWALK_WORKERS``) stream spans run in separate processes; per-stream
     keying makes the result independent of worker count and scheduling, and
-    results are assembled in stream order.  Walks are stepped in chunks of
-    ``CHUNK_SIZE``, which changes no result either.
+    results are assembled in stream order.
     """
     streams = np.asarray(list(streams), dtype=np.uint64)
     M = len(streams)
@@ -255,12 +289,20 @@ def simulate_batch(
                     for span in spans
                     if len(span)
                 ]
-                parts = [chunk for f in futures for chunk in f.result()]
+                parts = [f.result() for f in futures]
         except OSError:
             parts = None  # process pools unavailable; fall back to serial
     if parts is None:
-        parts = _simulate_span(cfg, n, master_seed, streams)
-    stacks, wtime, sp = _join_chunks(parts)
+        parts = [_simulate_span(cfg, n, master_seed, streams)]
+    sp, codes, times = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    width = int(sp.max(initial=0)) + 1
+    stacks = np.zeros((M, width), dtype=np.int16)
+    wtime = np.zeros((M, width), dtype=np.int32)
+    lo = 0
+    for m, top in enumerate((sp + 1).tolist()):
+        stacks[m, :top] = codes[lo : lo + top]
+        wtime[m, :top] = times[lo : lo + top]
+        lo += top
     return BatchWalks(
         master_seed=master_seed,
         streams=streams,

@@ -10,9 +10,12 @@ reproduces the batch walks bit for bit and is the independent reference the
 batch path is tested against.
 
 The word algebra the decomposition checks itself with (``concat``,
-``in_cone``), the whole-word distances (``graph_distance``, ``dL_word``) and
-the hitting-frequency Monte Carlo that cross-checks the exit probabilities
-on the library's step kernel are references of the tests too.
+``in_cone``) and the whole-word distances (``graph_distance``, ``dL_word``)
+are references of the tests too, and so is the numpy step loop over the
+library's step tables: ``numpy_batch`` steps many walks together with it,
+and the compiled kernel of ``simulate_batch`` must match it bit for bit,
+while the hitting-frequency Monte Carlo drives it to cross-check the exit
+probabilities.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from freewalk.core import (
 from freewalk.genfun import GenFunContext
 from freewalk.simulator import (
     DEFAULT_BUFFER,
-    _cells,
-    _step,
     _step_tables,
     stream_id,
     stream_uniforms,
@@ -297,6 +298,63 @@ def renewal_decompose(
         renewal_distances=distances,
         blocks=blocks,
     )
+
+
+# -- the numpy step loop -----------------------------------------------------------
+
+
+def _cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Grid cells of uniforms in ``[0, 1)``: the count of thresholds ``<= u``.
+
+    Branch-free, unlike a binary search; ``grid[-1] >= 1`` is never reached.
+    """
+    g = np.zeros(u.shape, dtype=np.min_scalar_type(len(grid)))
+    for c in grid[:-1]:
+        g += u >= c
+    return g
+
+
+def _step(tables, sf, wf, pos, g, t) -> None:
+    """Advance every walk by one step, in place, from its grid cell ``g``.
+
+    ``sf`` and ``wf`` are flat views of the stack of row offsets and of the
+    write times, and ``pos`` holds each walk's flat index of its current
+    depth.  The new letter and the time ``t + 1`` go to depth ``max(old sp,
+    new sp)``: for a push that is the new top, for a replace the current
+    one, and a pop writes one cell above its new top, which nothing reads
+    before a push overwrites it.
+    """
+    o = sf[pos] + g
+    w = pos + tables.up[o]
+    sf[w] = tables.let[o]
+    wf[w] = t + 1
+    pos += tables.dsp[o]
+
+
+def numpy_batch(
+    cfg: WalkConfig, n: int, master_seed: int, streams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(stacks, wtime, sp)`` of ``simulate_batch``, all walks stepped together
+    by :func:`_step` on ``(M, n + 1)`` arrays (desk scale only)."""
+    tables = _step_tables(compile_kernel(cfg))
+    m = len(streams)
+    u = np.empty((m, n))
+    for i, stream in enumerate(streams):
+        stream_uniforms(master_seed, int(stream), n, out=u[i])
+    g = _cells(tables.grid, u)
+    stack = np.zeros((m, n + 1), dtype=np.intp)
+    wtime = np.zeros((m, n + 1), dtype=np.int32)
+    sf, wf = stack.reshape(-1), wtime.reshape(-1)
+    base = np.arange(m) * (n + 1)
+    pos = base.copy()
+    for t in range(n):
+        _step(tables, sf, wf, pos, g[:, t], t)
+    sp = pos - base
+    width = int(sp.max(initial=0)) + 1
+    # a pop's last write lies above the final depth
+    dead = np.arange(width) > sp[:, None]
+    codes = np.where(dead, 0, stack[:, :width] // (len(tables.grid) + 1))
+    return codes.astype(np.int16), np.where(dead, 0, wtime[:, :width]), sp
 
 
 # -- hitting frequency -------------------------------------------------------------

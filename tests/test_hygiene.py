@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import freewalk
+from freewalk import simulator
 from freewalk.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, main
 from freewalk.core import compile_kernel
 from freewalk.instances import instance_k3_k3
@@ -229,6 +230,9 @@ def test_every_package_function_runs_under_a_command(tmp_path, monkeypatch, caps
     monkeypatch.setenv("FREEWALK_WORKERS", "1")  # other processes are not profiled
     compile_kernel.cache_clear()  # a kernel built by an earlier test skips its build
     word_index.cache_clear()
+    # an empty kernel cache: the first simulation builds the step kernel
+    monkeypatch.setattr(simulator, "_CACHE_DIR", tmp_path / "__pycache__")
+    simulator._step_library.cache_clear()
     # an invalid config without a loop witness: the witness search and the
     # validation failure message
     doc = instance_k3_k3().to_json_dict()

@@ -87,8 +87,6 @@ class TestGreenSeries:
     def test_order_cap(self, instance_a):
         with pytest.raises(OrderTooLarge):
             enum_green_series(O, O, 15, instance_a)
-        # explicit cap raise is allowed
-        enum_green_series(O, O, 4, instance_a, cap=4)
 
     def test_probability_range(self, instance_b):
         s = enum_green_series(O, C2, 10, instance_b)

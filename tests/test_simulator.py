@@ -3,6 +3,10 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +17,13 @@ from reference_walk import (
     ExitTime,
     NoConfirmedExit,
     Trajectory,
+    _cells,
     detect_exit_times,
     dL_word,
     graph_distance,
     hit_probability_mc,
     in_cone,
+    numpy_batch,
     renewal_decompose,
     sample_trajectory,
 )
@@ -27,6 +33,7 @@ from freewalk.core import (
     POP,
     PUSH,
     FactorSpec,
+    InvalidConfig,
     WalkConfig,
     Word,
     compile_kernel,
@@ -42,7 +49,7 @@ from freewalk.simulator import (
     stream_id,
     stream_uniforms,
 )
-from freewalk.simulator import _FIRST_DEPTH, _cells, _step_tables
+from freewalk.simulator import _check_widths, _step_tables
 
 O = Word()
 WA = Word(((1, "a"),))
@@ -76,6 +83,20 @@ def instance_uneven(alpha: float = 0.4) -> WalkConfig:
         alpha=alpha,
         name="uneven",
     )
+
+
+def instance_wide(alpha: float = 0.37) -> WalkConfig:
+    """Random weights on two 14-vertex factors: 354 distinct thresholds at
+    alpha 0.37, more than a byte counts."""
+    rng = np.random.default_rng(300)
+
+    def factor(i: int) -> FactorSpec:
+        w = rng.integers(1, 10, size=(14, 14)).astype(float)
+        np.fill_diagonal(w, 0)
+        names = (f"o{i}", *(f"v{i}_{j}" for j in range(1, 14)))
+        return FactorSpec(i, names, f"o{i}", tuple(map(tuple, w / w.sum(axis=1, keepdims=True))))
+
+    return WalkConfig(factor1=factor(1), factor2=factor(2), alpha=alpha, name="wide")
 
 
 @pytest.fixture(scope="module")
@@ -163,21 +184,6 @@ class TestSampling:
         assert np.array_equal(serial.sp, parallel.sp)
         assert np.array_equal(serial.stacks, parallel.stacks)
         assert np.array_equal(serial.wtime, parallel.wtime)
-
-    # the stacks are widened in the middle of a chunk, and chunks of one walk
-    # end at different depths, which the join pads to one width
-    @pytest.mark.parametrize("label", ["a", "b"])
-    def test_chunk_size_does_not_change_results(self, label, request, monkeypatch):
-        cfg = request.getfixturevalue(f"instance_{label}")
-        streams = [stream_id(4, i) for i in range(9)]
-        default = simulate_batch(cfg, 600, 5, streams, workers=1)
-        assert default.sp.max() > _FIRST_DEPTH and len(set(default.sp)) > 1
-        for chunk_size in (1, 7):
-            monkeypatch.setattr(simulator, "CHUNK_SIZE", chunk_size)
-            other = simulate_batch(cfg, 600, 5, streams, workers=1)
-            assert np.array_equal(default.sp, other.sp)
-            assert np.array_equal(default.stacks, other.stacks)
-            assert np.array_equal(default.wtime, other.wtime)
 
 
 class TestExitDetection:
@@ -286,10 +292,9 @@ class TestRenewalDecompose:
             assert list(pool.d_at[idx]) == sample.renewal_distances[1:]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 60, 300])
-    def test_write_times_are_exit_times(self, instance_b, ctx_b, n, monkeypatch):
+    def test_write_times_are_exit_times(self, instance_b, ctx_b, n):
         kernel = compile_kernel(instance_b)
         streams = [stream_id(4, i) for i in range(12)]
-        monkeypatch.setattr(simulator, "CHUNK_SIZE", 5)
         batch = simulate_batch(instance_b, n, 17, streams, workers=1)
         pool = batch_decompose(batch, kernel, ctx_b, 20)
         for i, s in enumerate(streams):
@@ -390,6 +395,100 @@ class TestStepTables:
         grid = np.append(np.sort(rng.random(size - 1)), 1.0)
         u = np.concatenate([[0.0, 1 - 2**-53], grid[:-1], rng.random(5_000)])
         assert np.array_equal(_cells(grid, u), np.searchsorted(grid, u, side="right"))
+
+    def test_wide_grid_passes_a_byte(self):
+        grid = _step_tables(compile_kernel(instance_wide())).grid
+        assert len(grid) > 255 and _cells(grid, grid).dtype == np.uint16
+
+    def test_integer_widths_are_guarded_at_both_bounds(self):
+        _check_widths(32767, 4)  # int16 letter codes
+        with pytest.raises(InvalidConfig):
+            _check_widths(32768, 4)
+        _check_widths(32767, 65535)  # int32 row offsets: 32768 * 65535 < 2**31
+        with pytest.raises(InvalidConfig):
+            _check_widths(32767, 65536)  # 32768 * 65536 = 2**31
+        # the tables are refused before they are built
+        kernel = SimpleNamespace(n_letters=32768, cum=np.ones((1, 1)))
+        with pytest.raises(InvalidConfig):
+            _step_tables(kernel)
+
+
+class TestCompiledKernel:
+    # empty and one-step walks up to walks hundreds of letters deep, spans of
+    # no walk, one and nine (three processes with three workers); the wide
+    # grid's cells pass a byte, where the numpy count widens to uint16
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    @pytest.mark.parametrize(
+        "make", [instance_k3_k3, instance_path_k3, instance_uneven, instance_wide]
+    )
+    def test_equals_the_numpy_step_loop(self, make, alpha):
+        cfg = make(alpha)
+        for n in (0, 1, 64, 65, 600):
+            for M in (0, 1, 9):
+                streams = [stream_id(4, i) for i in range(M)]
+                stacks, wtime, sp = numpy_batch(cfg, n, 5, streams)
+                for workers in (1, 3):
+                    batch = simulate_batch(cfg, n, 5, streams, workers=workers)
+                    assert np.array_equal(batch.sp, sp)
+                    assert batch.stacks.dtype == stacks.dtype
+                    assert np.array_equal(batch.stacks, stacks)
+                    assert np.array_equal(batch.wtime, wtime)
+
+
+@pytest.fixture
+def kernel_cache(tmp_path, monkeypatch):
+    """An empty kernel cache for one test; the next load after it reads the
+    package's own cache again."""
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(simulator, "_CACHE_DIR", cache)
+    simulator._step_library.cache_clear()
+    yield cache
+    simulator._step_library.cache_clear()
+
+
+class TestKernelBuild:
+    def test_a_second_load_runs_no_compiler(self, kernel_cache, monkeypatch):
+        simulator._step_library()
+        built = sorted(kernel_cache.iterdir())
+        assert [p.suffix for p in built] == [".so"]  # no temporary file is left
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        simulator._step_library.cache_clear()  # as in a fresh process
+        batch = simulate_batch(instance_k3_k3(), 300, 7, [stream_id(4, i) for i in range(16)])
+        codes = np.concatenate([batch.final_codes(m) for m in range(batch.n_walks)])
+        assert _digest(codes) == GOLDEN_FINAL_CODES["a"]
+        assert sorted(kernel_cache.iterdir()) == built
+
+    def test_a_failing_compiler_names_its_command_and_stderr(self, kernel_cache, monkeypatch):
+        failing = [sys.executable, "-c", "import sys; sys.exit('unknown flag -Oops')"]
+        monkeypatch.setattr(simulator, "_compile_command", lambda: failing)
+        with pytest.raises(RuntimeError) as raised:
+            simulator._step_library()
+        assert " ".join(failing) in str(raised.value)
+        assert "unknown flag -Oops" in str(raised.value)
+        assert not any(kernel_cache.iterdir())
+
+    def test_editing_the_source_changes_the_key(self):
+        source = simulator._KERNEL_SOURCE.read_bytes()
+        command = simulator._compile_command()
+        path = simulator._library_path(source, command)
+        assert path.parent == simulator._CACHE_DIR
+        assert simulator._library_path(source + b"\n", command) != path
+        assert simulator._library_path(source, [*command, "-g"]) != path
+
+    def test_an_unwritable_cache_builds_in_a_private_directory(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(simulator, "_CACHE_DIR", blocker / "__pycache__")
+        simulator._step_library.cache_clear()
+        try:
+            lib = simulator._step_library()
+        finally:
+            simulator._step_library.cache_clear()
+        assert Path(lib._name).parent.name.startswith("freewalk-")
 
 
 class TestCensoringBias:
