@@ -91,7 +91,7 @@ class ParseError(FreewalkError):
     """The configuration document is missing, malformed, or ill-typed."""
 
 
-VALIDATION_ERRORS = (InvalidConfig, ParseError)
+VALIDATION_ERRORS = (InvalidConfig, ParseError, InvalidGridPoint)
 NUMERIC_ERRORS = (
     SingularSolve,
     NoConvergence,
@@ -104,7 +104,6 @@ STATISTICAL_ERRORS = (
     MissingEpsilon0,
     DegenerateSample,
     InsufficientBlocks,
-    InvalidGridPoint,
 )
 
 

@@ -119,9 +119,6 @@ def truncate_pool(pool: BlockPool, max_index: Optional[int] = None) -> BlockPool
     j = int(counts.min()) if max_index is None else int(max_index)
     keep = pool.index <= j
     return BlockPool(
-        config_digest=pool.config_digest,
-        buffer=pool.buffer,
-        n=pool.n,
         walk=pool.walk[keep],
         index=pool.index[keep],
         delta_t=pool.delta_t[keep],
@@ -673,16 +670,18 @@ def smoothness_probe(
     to genuine kinks.  A column flags position ``i`` when its second
     difference exceeds ``FLAG_FACTOR`` times the local noise scale (the
     independent-sum bound, conservative under common random numbers).
+    Every grid point is validated before the first walk is simulated.
     """
-    values: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
-    ses: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
-    params: list[float] = []
     for param, cfg in family:
         report = validate_config(cfg)
         if not report.ok:
             raise InvalidGridPoint(
                 f"grid point {param}: " + "; ".join(n for n, _ in report.failures())
             )
+    values: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
+    ses: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
+    params: list[float] = []
+    for param, cfg in family:
         ctx = build_context(cfg)
         pool, stats = simulate_pool(
             cfg, ctx, n, M, master_seed, buffer, purpose=PURPOSE_GRID

@@ -75,13 +75,11 @@ class XiSolution:
     the set of one-letter factor-1, resp. factor-2, words from the root.
     """
 
-    z: complex
     xi1: complex
     xi2: complex
     returns: dict[tuple[int, str], complex]
     iterations: int
     converged: bool
-    residual: float
 
 
 class _FixedPoint(NamedTuple):
@@ -197,8 +195,7 @@ def solve_xi(z: complex, cfg: WalkConfig) -> XiSolution:
     and symmetrically for ``xi_2``.  The least nonnegative solution is the
     probabilistic one for ``z <= 1``; :func:`_solve_xi_array` finds it and
     recognises a point beyond the radius of convergence, where this raises
-    :class:`NoConvergence`.  ``iterations`` counts Newton steps and
-    ``residual`` is the size of the last one.
+    :class:`NoConvergence`.  ``iterations`` counts Newton steps.
     """
     fp = _solve_xi_array(np.array([z]), cfg)
     converged = bool(fp.converged[0])
@@ -210,13 +207,11 @@ def solve_xi(z: complex, cfg: WalkConfig) -> XiSolution:
     f1, f2 = cfg.factor1, cfg.factor2
     labels = [(1, v) for v in f1.nonroot] + [(2, v) for v in f2.nonroot]
     return XiSolution(
-        z=z,
         xi1=_realify(fp.xi1[0]),
         xi2=_realify(fp.xi2[0]),
         returns={key: _realify(r) for key, r in zip(labels, fp.returns[0])},
         iterations=int(fp.iterations[0]),
         converged=converged,
-        residual=float(fp.residual[0]),
     )
 
 
@@ -424,7 +419,6 @@ class RenewalLaw:
     """
 
     pair_probs: dict[tuple[str, str], np.ndarray]
-    config_digest: str
 
     @property
     def delta_t_probs(self) -> np.ndarray:
@@ -497,7 +491,7 @@ def renewal_increment_law(cfg: WalkConfig) -> RenewalLaw:
         full[: half + 1] = upper
         full[half + 1 :] = np.conj(upper[1:half][::-1])
         out[pair] = (np.fft.fft(full).real / LAW_FFT_SIZE)[:LAW_TERMS]
-    return RenewalLaw(pair_probs=out, config_digest=cfg.digest())
+    return RenewalLaw(pair_probs=out)
 
 
 class CltConstant(NamedTuple):

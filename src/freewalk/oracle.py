@@ -368,7 +368,7 @@ def exact_renewal_increment_dist(
         walk.mass[taboo] = 0
         arrivals = walk.scatter(hit[arrive], moved[arrive], len(pairs))
         probs[:, t] = [float(walk.value(a)) for a in arrivals]
-    return RenewalLaw(pair_probs=dict(zip(pairs, probs)), config_digest=cfg.digest())
+    return RenewalLaw(pair_probs=dict(zip(pairs, probs)))
 
 
 def return_probability_proxy(

@@ -23,6 +23,11 @@ The word-level reference in ``tests/reference_walk.py`` materializes every
 state, computes the same times from whole words, and is what the batch path
 is tested against, next to the numpy step loop that the compiled kernel is
 compared with bit for bit.
+
+A batch keeps each walk as the kernel leaves it: its depths ``0 .. sp`` as
+one run of int16 letter codes and one of int32 write times, walk after walk,
+with depth 0 holding the root's code and time 0.  Every reader indexes the
+runs through the walks' start offsets; no padded copy is made.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -77,27 +82,31 @@ def stream_uniforms(
 
 @dataclass
 class BatchWalks:
-    """Compact result of many walks: final stacks and per-depth write times.
+    """Final stacks and per-depth write times of many walks, as runs.
 
-    ``wtime[m, k]`` is the last step that wrote depth ``k`` of walk ``m``,
-    which for ``k <= sp[m]`` is the level-k exit time; both arrays are zero
-    above ``sp`` and have ``max(sp) + 1`` columns.
+    ``codes`` and ``wtime`` hold each walk's depths ``0 .. sp[m]`` as one
+    contiguous run, walk after walk, as the kernel writes them; run ``m``
+    starts at ``start[m]``.  ``wtime[start[m] + k]`` is the last step that
+    wrote depth ``k`` of walk ``m``, which for ``k >= 1`` is the level-k exit
+    time; depth 0 holds the root's code 0 and time 0.
     """
 
-    master_seed: int
-    streams: np.ndarray
     n: int
-    config_digest: str
-    stacks: np.ndarray  # (M, max(sp) + 1) letter codes; column 0 is a root sentinel
-    wtime: np.ndarray  # (M, max(sp) + 1) int32 step that last wrote each depth
     sp: np.ndarray  # (M,) final stack depth = ||X_n||
+    codes: np.ndarray  # (sum(sp + 1),) int16 letter codes
+    wtime: np.ndarray  # (sum(sp + 1),) int32 step that last wrote each depth
+    start: np.ndarray = field(init=False, repr=False)  # (M,) offset of each run
+
+    def __post_init__(self) -> None:
+        self.start = np.cumsum(self.sp + 1) - (self.sp + 1)
 
     @property
     def n_walks(self) -> int:
-        return len(self.streams)
+        return len(self.sp)
 
     def final_codes(self, m: int) -> np.ndarray:
-        return self.stacks[m, 1 : int(self.sp[m]) + 1]
+        lo = int(self.start[m]) + 1
+        return self.codes[lo : lo + int(self.sp[m])]
 
 
 def default_workers() -> int:
@@ -294,24 +303,8 @@ def simulate_batch(
             parts = None  # process pools unavailable; fall back to serial
     if parts is None:
         parts = [_simulate_span(cfg, n, master_seed, streams)]
-    sp, codes, times = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    width = int(sp.max(initial=0)) + 1
-    stacks = np.zeros((M, width), dtype=np.int16)
-    wtime = np.zeros((M, width), dtype=np.int32)
-    lo = 0
-    for m, top in enumerate((sp + 1).tolist()):
-        stacks[m, :top] = codes[lo : lo + top]
-        wtime[m, :top] = times[lo : lo + top]
-        lo += top
-    return BatchWalks(
-        master_seed=master_seed,
-        streams=streams,
-        n=n,
-        config_digest=cfg.digest(),
-        stacks=stacks,
-        wtime=wtime,
-        sp=sp,
-    )
+    sp, codes, wtime = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return BatchWalks(n=n, sp=sp, codes=codes, wtime=wtime)
 
 
 @dataclass
@@ -359,9 +352,6 @@ class BlockPool:
     entry per simulated walk, including walks that produced no block.
     """
 
-    config_digest: str
-    buffer: int
-    n: int
     walk: np.ndarray
     index: np.ndarray
     delta_t: np.ndarray
@@ -404,42 +394,44 @@ def batch_decompose(
     the final stack, which is sound because every confirmed renewal word is
     a prefix of the final word.
     """
-    n, sp = batch.n, batch.sp
-    stack, wtime = batch.stacks, batch.wtime
-    M, width = stack.shape
+    n, sp, start = batch.n, batch.sp, batch.start
+    codes, wtime = batch.codes, batch.wtime
+    M = len(sp)
     fac = kernel.factor_of_code
     ldist = kernel.letter_distance
     dl_tab = letter_dl_table(kernel, ctx)
 
-    # depths 1 .. width - 1; ``live`` marks those at or below the final depth
-    live = np.arange(1, width) <= sp[:, None]
-    f = fac[stack]
-    if not np.all((f[:, 1:] != f[:, :-1]) | ~live):
+    # ``live`` marks every entry but a walk's depth 0; each is checked
+    # against the entry before it, the depth below in the same run
+    live = np.ones(len(codes), dtype=bool)
+    live[start] = False
+    f = fac[codes]
+    if not np.all((f[1:] != f[:-1]) | ~live[1:]):
         raise AssertionError("final-stack letters do not alternate factors")
-    if not np.all((wtime[:, 1:] > wtime[:, :-1]) | ~live):
+    if not np.all((wtime[1:] > wtime[:-1]) | ~live[1:]):
         raise AssertionError("exit times do not increase with the level")
-    censored = ((wtime[:, 1:] > n - buffer) & live).sum(axis=1)
+    late = np.flatnonzero((wtime > n - buffer) & live)
+    censored = np.bincount(np.searchsorted(start, late, side="right") - 1, minlength=M)
     confirmed = sp - censored
 
     tau = np.zeros(M, dtype=np.int8)
-    if width > 1:
-        tau[sp > 0] = np.where(f[sp > 0, 1] == 1, 1, 2)
+    nonempty = sp > 0
+    tau[nonempty] = np.where(f[start[nonempty] + 1] == 1, 1, 2)
     has = (tau > 0) & (confirmed >= tau)
     t0_time = np.full(M, -1, dtype=np.int64)
     t0_dist = np.full(M, np.nan)
-    walks, tau_h = np.nonzero(has)[0], tau[has]
-    t0_time[has] = wtime[walks, tau_h]
-    t0_dist[has] = ldist[stack[walks, tau_h]] + np.where(
-        tau_h == 2, ldist[stack[walks, tau_h - 1]], 0.0
-    )
+    tau_h = tau[has]
+    t0_at = start[has] + tau_h
+    t0_time[has] = wtime[t0_at]
+    t0_dist[has] = ldist[codes[t0_at]] + np.where(tau_h == 2, ldist[codes[t0_at - 1]], 0.0)
 
     n_blocks = np.where(has, (confirmed - tau) // 2, 0)
     walk = np.repeat(np.arange(M), n_blocks)
     first_block = np.cumsum(n_blocks) - n_blocks
     index = np.arange(len(walk)) - first_block[walk] + 1
-    level = tau[walk] + 2 * index
-    first = stack[walk, level - 1]
-    second = stack[walk, level]
+    at = start[walk] + tau[walk] + 2 * index  # the entry of each block's end level
+    first = codes[at - 1]
+    second = codes[at]
     if not (np.all(fac[first] == 2) and np.all(fac[second] == 1)):
         raise AssertionError("appended pair does not match (factor2, factor1)")
     d_dist = ldist[first] + ldist[second]
@@ -447,12 +439,9 @@ def batch_decompose(
     cum_dist = np.cumsum(d_dist)
     before = (cum_dist - d_dist)[first_block[walk]]
     return BlockPool(
-        config_digest=batch.config_digest,
-        buffer=buffer,
-        n=n,
         walk=walk,
         index=index,
-        delta_t=(wtime[walk, level] - wtime[walk, level - 2]).astype(np.int64),
+        delta_t=(wtime[at] - wtime[at - 2]).astype(np.int64),
         d_dist=d_dist,
         d_ent=dl_tab[first] + dl_tab[second],
         w_first=first,

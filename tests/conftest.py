@@ -80,7 +80,7 @@ def word(*letters) -> Word:
     return Word(tuple((int(f), str(v)) for f, v in pairs))
 
 
-def make_pool(walks: list[list[tuple]], n: int = 10_000, buffer: int = 0) -> BlockPool:
+def make_pool(walks: list[list[tuple]]) -> BlockPool:
     """Synthetic block pool from per-walk ``(delta_t, d_dist, d_ent)`` triples."""
     walk_idx, block_idx, dts, dds, des = [], [], [], [], []
     t0s, taus, nbs = [], [], []
@@ -98,9 +98,6 @@ def make_pool(walks: list[list[tuple]], n: int = 10_000, buffer: int = 0) -> Blo
     m = len(walks)
     k = len(dts)
     return BlockPool(
-        config_digest="synthetic",
-        buffer=buffer,
-        n=n,
         walk=np.array(walk_idx, dtype=np.int64),
         index=np.array(block_idx, dtype=np.int64),
         delta_t=np.array(dts, dtype=np.int64),

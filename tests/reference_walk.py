@@ -334,8 +334,9 @@ def _step(tables, sf, wf, pos, g, t) -> None:
 def numpy_batch(
     cfg: WalkConfig, n: int, master_seed: int, streams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(stacks, wtime, sp)`` of ``simulate_batch``, all walks stepped together
-    by :func:`_step` on ``(M, n + 1)`` arrays (desk scale only)."""
+    """``(codes, wtime, sp)`` of ``simulate_batch``: each walk's depths
+    ``0 .. sp`` as runs, walk after walk, from all walks stepped together by
+    :func:`_step` on ``(M, n + 1)`` arrays (desk scale only)."""
     tables = _step_tables(compile_kernel(cfg))
     m = len(streams)
     u = np.empty((m, n))
@@ -350,11 +351,10 @@ def numpy_batch(
     for t in range(n):
         _step(tables, sf, wf, pos, g[:, t], t)
     sp = pos - base
-    width = int(sp.max(initial=0)) + 1
     # a pop's last write lies above the final depth
-    dead = np.arange(width) > sp[:, None]
-    codes = np.where(dead, 0, stack[:, :width] // (len(tables.grid) + 1))
-    return codes.astype(np.int16), np.where(dead, 0, wtime[:, :width]), sp
+    keep = (np.arange(n + 1) <= sp[:, None]).ravel()
+    codes = sf[keep] // (len(tables.grid) + 1)
+    return codes.astype(np.int16), wf[keep], sp
 
 
 # -- hitting frequency -------------------------------------------------------------

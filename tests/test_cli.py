@@ -534,6 +534,24 @@ class TestMain:
         assert "needs at least one alpha" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    # a bad point after a good one is refused before any walk is simulated
+    @pytest.mark.parametrize("grid, point", [("0", "0.0"), ("nan", "nan"), ("0.5,1.5", "1.5")])
+    def test_invalid_grid_point_validation_exit(self, grid, point, tmp_path, capsys):
+        argv = ["sweep", "--grid", grid, "--n", "200", "--M", "20", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"validation error: grid point {point}: alpha_range" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("simulate", "no blocks in pool"), ("diagnostics", "need >= 20 walks with blocks")],
+    )
+    def test_no_walks_statistical_exit(self, command, message, tmp_path, capsys):
+        argv = [command, "--n", "400", "--M", "0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_STATISTICAL
+        assert f"statistical error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_validate_ok(self, tmp_path, capsys):
         rc = main(["validate", "--config", "K3xK3", "--out", str(tmp_path)])
         assert rc == EXIT_OK

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,6 +43,7 @@ from freewalk.core import (
 from freewalk.genfun import build_context
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import (
+    BatchWalks,
     batch_decompose,
     batch_walk_stats,
     default_workers,
@@ -182,7 +184,7 @@ class TestSampling:
         serial = simulate_batch(instance_a, 200, 5, streams, workers=1)
         parallel = simulate_batch(instance_a, 200, 5, streams, workers=3)
         assert np.array_equal(serial.sp, parallel.sp)
-        assert np.array_equal(serial.stacks, parallel.stacks)
+        assert np.array_equal(serial.codes, parallel.codes)
         assert np.array_equal(serial.wtime, parallel.wtime)
 
 
@@ -299,11 +301,9 @@ class TestRenewalDecompose:
         pool = batch_decompose(batch, kernel, ctx_b, 20)
         for i, s in enumerate(streams):
             exits = detect_exit_times(sample_trajectory(instance_b, n, 17, s), 20)
-            sp = int(batch.sp[i])
-            assert [e.time for e in exits] == list(batch.wtime[i, 1 : sp + 1])
+            lo, sp = int(batch.start[i]), int(batch.sp[i])
+            assert [e.time for e in exits] == list(batch.wtime[lo + 1 : lo + sp + 1])
             assert pool.censored[i] == sum(not e.confirmed for e in exits)
-            assert not batch.stacks[i, sp + 1 :].any()
-            assert not batch.wtime[i, sp + 1 :].any()
 
     def test_pool_invariants(self, pool_a):
         pool, _ = pool_a
@@ -426,13 +426,67 @@ class TestCompiledKernel:
         for n in (0, 1, 64, 65, 600):
             for M in (0, 1, 9):
                 streams = [stream_id(4, i) for i in range(M)]
-                stacks, wtime, sp = numpy_batch(cfg, n, 5, streams)
+                codes, wtime, sp = numpy_batch(cfg, n, 5, streams)
                 for workers in (1, 3):
                     batch = simulate_batch(cfg, n, 5, streams, workers=workers)
                     assert np.array_equal(batch.sp, sp)
-                    assert batch.stacks.dtype == stacks.dtype
-                    assert np.array_equal(batch.stacks, stacks)
+                    assert batch.codes.dtype == codes.dtype
+                    assert batch.wtime.dtype == wtime.dtype
+                    assert np.array_equal(batch.codes, codes)
                     assert np.array_equal(batch.wtime, wtime)
+
+
+class TestBatchLayout:
+    def test_simulate_batch_holds_its_runs_once(self, instance_a):
+        """Peak traced memory stays near the runs' own 6 bytes per entry."""
+        streams = [stream_id(4, i) for i in range(200)]
+        simulate_batch(instance_a, 10, 1, streams[:2], workers=1)  # kernel and tables built
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(instance_a, 2000, 1, streams, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        run_bytes = 6 * int((batch.sp + 1).sum())
+        assert batch.codes.nbytes + batch.wtime.nbytes == run_bytes
+        assert peak < 1.5 * run_bytes, peak / run_bytes
+
+    # no walks at all, and walks that never leave the root (one entry each)
+    @pytest.mark.parametrize("n, M", [(300, 0), (0, 5)])
+    def test_empty_batches_against_the_word_level_walks(self, instance_b, ctx_b, n, M):
+        kernel = compile_kernel(instance_b)
+        streams = [stream_id(4, i) for i in range(M)]
+        batch = simulate_batch(instance_b, n, 17, streams, workers=1)
+        assert len(batch.codes) == len(batch.wtime) == M + int(batch.sp.sum())
+        pool = batch_decompose(batch, kernel, ctx_b, 20)
+        stats = batch_walk_stats(batch, kernel, ctx_b)
+        per_walk = (pool.tau, pool.t0_time, pool.t0_dist, pool.n_blocks, pool.censored)
+        assert [len(a) for a in (*per_walk, stats.length, stats.dist, stats.dl)] == [M] * 8
+        assert pool.size == 0
+        for name in ("walk", "index", "delta_t", "d_dist", "d_ent", "w_first", "w_second", "d_at"):
+            assert len(getattr(pool, name)) == 0, name
+        for i, s in enumerate(streams):
+            traj = sample_trajectory(instance_b, n, 17, s)
+            assert stats.length[i] == len(traj.states[-1].letters) == 0
+            assert stats.dist[i] == stats.dl[i] == 0
+            assert pool.censored[i] == len(detect_exit_times(traj, 20)) == 0
+            with pytest.raises(NoConfirmedExit):
+                renewal_decompose(traj, ctx_b, 20)
+            assert pool.tau[i] == 0 and pool.t0_time[i] == -1 and np.isnan(pool.t0_dist[i])
+
+    def test_corrupt_runs_are_refused(self, instance_a, ctx_a):
+        """Both checks compare each depth with the one below it in its own run."""
+        kernel = compile_kernel(instance_a)
+        batch = simulate_batch(instance_a, 400, 3, [stream_id(4, i) for i in range(6)])
+        m = int(np.flatnonzero(batch.sp >= 3)[1])
+        at = int(batch.start[m]) + 2
+        codes, wtime = batch.codes.copy(), batch.wtime.copy()
+        codes[at] = codes[at - 1]
+        with pytest.raises(AssertionError, match="alternate"):
+            batch_decompose(BatchWalks(batch.n, batch.sp, codes, batch.wtime), kernel, ctx_a)
+        wtime[at] = wtime[at - 1]
+        with pytest.raises(AssertionError, match="increase"):
+            batch_decompose(BatchWalks(batch.n, batch.sp, batch.codes, wtime), kernel, ctx_a)
 
 
 @pytest.fixture
