@@ -302,8 +302,11 @@ class TestArtifactPins:
     before the enumeration table and the FFT law became one type; the
     ``genfun`` pins were re-captured when the radius became a bisection
     bracket, and ``GENFUN_PINS_WITHOUT_RADIUS`` shows that nothing else in
-    those summaries moved.  Summaries are pinned without their manifest,
-    which holds the output directory; any other difference is a regression.
+    those summaries moved.  The ``diagnostics`` and ``validate`` pins were
+    captured before summaries were written field by field from their result
+    dataclasses.  Summaries are pinned without their manifest, which holds
+    the output directory, and ``MANIFEST_PIN`` pins one manifest with that
+    directory replaced; any other difference is a regression.
     """
 
     PINS = {
@@ -341,6 +344,18 @@ class TestArtifactPins:
         ("genfun", "--config", "PathxK3"): {
             "genfun_summary.json": "d54e49726c6f532125848692ebd0e5e65df4f143fecaa27fc887bc1fb388e020",
         },
+        ("diagnostics", "--config", "K3xK3", "--n", "1200", "--M", "200"): {
+            "diagnostics_summary.json": "bbbd7d3fe8aeeeb094fc3bf366d148c0a22182dae0c694050c99e51df32764e9",
+        },
+        ("diagnostics", "--config", "PathxK3", "--n", "1200", "--M", "200"): {
+            "diagnostics_summary.json": "cdf4e6ea9504f3d8d3f12729dec39fa8438244da75b11ecafe1670c01ca47548",
+        },
+        ("validate", "--config", "K3xK3"): {
+            "validate_summary.json": "d7670a9b919498d9f81fe639fa138748060c9bbbe9b5fe1ab5609cf16f384308",
+        },
+        ("validate", "--config", "PathxK3"): {
+            "validate_summary.json": "1c5820731aab4ff2b38a635ccb5b94c2921c403f0c68c5c27f42101f8141d05c",
+        },
     }
 
     @pytest.mark.parametrize("argv", sorted(PINS), ids=lambda a: "-".join(a[:3]))
@@ -362,6 +377,21 @@ class TestArtifactPins:
         main([*argv, "--seed", "3", "--out", str(tmp_path)])
         pins = {"genfun_summary.json": self.GENFUN_PINS_WITHOUT_RADIUS[argv]}
         self._assert_digests(pins, tmp_path, drop=("manifest", "radius"))
+
+    # the manifest of the diagnostics pin, its output directory replaced
+    MANIFEST_PIN = (
+        '{"command": "diagnostics", "config": "K3xK3", "master_seed": 3, '
+        '"output_dir": "OUT", "overrides": {"M": 200, "buffer": 500, '
+        '"mgf_base": 1.05, "n": 1200}}'
+    )
+
+    def test_manifest(self, tmp_path, capsys):
+        argv = ["diagnostics", "--config", "K3xK3", "--n", "1200", "--M", "200"]
+        main([*argv, "--seed", "3", "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "diagnostics_summary.json").read_text())["manifest"]
+        assert manifest["output_dir"] == str(tmp_path)
+        manifest["output_dir"] = "OUT"
+        assert json.dumps(manifest, sort_keys=True) == self.MANIFEST_PIN
 
     @staticmethod
     def _assert_digests(pins: dict, out: Path, drop=("manifest",)) -> None:
