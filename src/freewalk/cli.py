@@ -13,6 +13,13 @@ sweep         rate/variance smoothness probe over an alpha grid
 Exit codes: 0 ok, 2 usage, 3 validation, 4 numeric, 5 statistical assertion
 failed.  Every artifact embeds the config digest and master seed; identical
 inputs give byte-identical outputs (sorted keys, 12 significant digits).
+
+A summary is its result dataclass written field by field, nested ones alike
+and tuples as lists; a field marked ``field(metadata={"csv": True})`` goes to
+a CSV instead.  Four types keep a ``to_json_dict``, as their JSON keys are not
+their fields: ``WalkConfig`` (the schema behind ``digest``), ``ValidationReport``
+(its derived ``ok``), ``GenFunContext`` (``xi`` as a pair, ``"i:v"`` letter
+keys) and ``SigmaEstimates`` (``sigma_lambda_sq`` for ``lambda_sq`` and so on).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -112,19 +119,10 @@ class RunManifest:
     """What a run was asked to do; embedded in every artifact it emits."""
 
     command: str
-    config_path: str
+    config: str
     output_dir: str
     master_seed: int
     overrides: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config_path,
-            "output_dir": self.output_dir,
-            "master_seed": self.master_seed,
-            "overrides": self.overrides,
-        }
 
 
 def _factor_from_json(doc: dict, factor_id: int) -> FactorSpec:
@@ -153,6 +151,7 @@ def config_from_json(doc: dict) -> WalkConfig:
     bindings: tuple[ParameterBinding, ...] = ()
     witness = None
     try:
+        epsilon0 = float(doc["epsilon0"]) if "epsilon0" in doc else None
         if "parameters" in doc:
             p = doc["parameters"]
             params = tuple(float(v) for v in p.get("values", []))
@@ -169,7 +168,7 @@ def config_from_json(doc: dict) -> WalkConfig:
         factor1=f1,
         factor2=f2,
         alpha=alpha,
-        epsilon0=float(doc["epsilon0"]) if "epsilon0" in doc else None,
+        epsilon0=epsilon0,
         parameters=params,
         bindings=bindings,
         loop_witness=witness,
@@ -206,6 +205,14 @@ def parse_config(path: str) -> WalkConfig:
 
 
 def _round_floats(obj):
+    """``obj`` as JSON values: a dataclass as a dict of its fields, bar those
+    marked for CSV, floats at 12 significant digits, non-finite ones ``None``."""
+    if is_dataclass(obj):
+        return {
+            f.name: _round_floats(getattr(obj, f.name))
+            for f in fields(obj)
+            if not f.metadata.get("csv")
+        }
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None
@@ -225,7 +232,8 @@ def _round_floats(obj):
     return obj
 
 
-def emit_json(doc: dict, path: Path) -> None:
+def emit_json(doc, path: Path) -> None:
+    """Write ``doc``, a dict or a result dataclass, as bit-stable JSON."""
     path.parent.mkdir(parents=True, exist_ok=True)
     blob = json.dumps(_round_floats(doc), sort_keys=True, indent=2, allow_nan=False)
     blob += "\n"
@@ -313,20 +321,21 @@ def emit_csv(table: Mapping[str, Sequence], path: Path) -> None:
 
 
 def emit_report(
-    doc: dict,
+    doc,
     manifest: RunManifest,
     cfg: WalkConfig,
     name: str,
     csv_rows: Optional[dict[str, Mapping[str, Sequence]]] = None,
 ) -> list[Path]:
-    """Write the JSON summary plus one CSV per table of ``csv_rows``."""
+    """Write the JSON summary of ``doc``, a dict or a result dataclass, plus
+    one CSV per table of ``csv_rows``."""
     out_dir = Path(manifest.output_dir)
-    doc = dict(doc)
-    doc["manifest"] = manifest.to_json_dict()
-    doc["config_digest"] = cfg.digest()
-    doc["master_seed"] = manifest.master_seed
+    summary = _round_floats(doc)  # a dict; emit_json's second pass keeps it as is
+    summary.update(
+        manifest=manifest, config_digest=cfg.digest(), master_seed=manifest.master_seed
+    )
     paths = [out_dir / f"{name}_summary.json"]
-    emit_json(doc, paths[0])
+    emit_json(summary, paths[0])
     for label, table in (csv_rows or {}).items():
         p = out_dir / f"{name}_{label}.csv"
         emit_csv(table, p)
@@ -354,7 +363,7 @@ def _cmd_genfun(args, manifest: RunManifest) -> int:
     constants = clt_constants(law, cfg, ctx)
     doc = {
         "context": ctx.to_json_dict(),
-        "radius": radius.to_json_dict(),
+        "radius": radius,
         "renewal_increment": {
             "mean": law.mean(),
             "variance": law.variance(),
@@ -430,7 +439,7 @@ def _cmd_simulate(args, manifest: RunManifest) -> int:
         "buffer": args.buffer,
         "blocks": int(pool.size),
         "censored_exits": int(pool.censored.sum()),
-        "rates": rates.to_json_dict(),
+        "rates": rates,
         "sigmas": sigmas.to_json_dict(),
     }
     emit_report(
@@ -458,11 +467,10 @@ def _cmd_clt(args, manifest: RunManifest) -> int:
         manifest.master_seed,
         statistics=stats,
     )
-    doc = {s: r.to_json_dict() for s, r in reports.items()}
     csv_rows = {
         f"samples_{s}": r.samples_to_rows() for s, r in reports.items()
     }
-    emit_report(doc, manifest, cfg, "clt", csv_rows=csv_rows)
+    emit_report(reports, manifest, cfg, "clt", csv_rows=csv_rows)
     worst = 0.0
     for s, r in reports.items():
         ks = "n/a" if r.ks_stat is None else f"{r.ks_stat:.4f}"
@@ -480,7 +488,7 @@ def _cmd_diagnostics(args, manifest: RunManifest) -> int:
         iid=iid_diagnostics(pool),
         tail=tail_diagnostic(pool, mgf_base=args.mgf_base),
     )
-    emit_report(report.to_json_dict(), manifest, cfg, "diagnostics")
+    emit_report(report, manifest, cfg, "diagnostics")
     ok = (
         report.iid.ks_pvalue > 0.01
         and report.tail.dt_slope < 0
@@ -510,9 +518,7 @@ def _cmd_sweep(args, manifest: RunManifest) -> int:
         for a in args.grid
     ]
     report = smoothness_probe(family, args.n, args.M, manifest.master_seed, args.buffer)
-    emit_report(
-        report.to_json_dict(), manifest, cfg, "sweep", csv_rows={"table": report.to_rows()}
-    )
+    emit_report(report, manifest, cfg, "sweep", csv_rows={"table": report.to_rows()})
     print(f"grid {args.grid}: {len(report.flags)} discontinuity flags")
     return EXIT_OK if not report.flagged else EXIT_STATISTICAL
 
@@ -639,7 +645,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     manifest = RunManifest(
         command=args.command,
-        config_path=args.config,
+        config=args.config,
         output_dir=args.out,
         master_seed=args.seed,
         overrides={

@@ -346,8 +346,10 @@ def validate_config(cfg: WalkConfig) -> ValidationReport:
             f"discovered {witness}" if witness else "no vertex returns to itself",
         )
     else:
-        f = cfg.factor(witness.factor)
-        ok = witness.vertex in f.nonroot and witness.power >= 1
+        ok = witness.factor in (1, 2) and witness.power >= 1
+        if ok:
+            f = cfg.factor(witness.factor)
+            ok = witness.vertex in f.nonroot
         if ok:
             power = np.linalg.matrix_power(f.matrix(), witness.power)
             ok = power[f.index(witness.vertex), f.index(witness.vertex)] > 0

@@ -11,8 +11,8 @@ against the standard normal with the asymptotic p-value series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class InvalidGridPoint(FreewalkError):
     """A parameter-grid configuration failed validation."""
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     value: float
     half_width: float  # half of the 95% normal CI
 
@@ -96,12 +95,6 @@ class RateEstimates:
     ell_direct: Estimate
     h_renewal: Estimate
     h_direct: Estimate
-
-    def to_json_dict(self) -> dict:
-        return {
-            name: [est.value, est.half_width]
-            for name, est in self.__dict__.items()
-        }
 
 
 def truncate_pool(pool: BlockPool, max_index: Optional[int] = None) -> BlockPool:
@@ -314,7 +307,7 @@ class CltReport:
     M: int
     rate_estimate: float
     sigma_estimate: float
-    standardized_samples: np.ndarray
+    standardized_samples: np.ndarray = field(metadata={"csv": True})
     ks_stat: Optional[float]
     ks_pvalue: Optional[float]
     sample_mean: float
@@ -322,22 +315,6 @@ class CltReport:
     warnings: list[str]
     master_seed: int
     config_digest: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "n": self.n,
-            "M": self.M,
-            "rate_estimate": self.rate_estimate,
-            "sigma_estimate": self.sigma_estimate,
-            "ks_stat": self.ks_stat,
-            "ks_pvalue": self.ks_pvalue,
-            "sample_mean": self.sample_mean,
-            "sample_var": self.sample_var,
-            "warnings": self.warnings,
-            "master_seed": self.master_seed,
-            "config_digest": self.config_digest,
-        }
 
     def samples_to_rows(self) -> dict[str, Sequence]:
         m = len(self.standardized_samples)
@@ -428,24 +405,12 @@ class IidDiagnostics:
 
     ks_stat: float
     ks_pvalue: float
-    n_first: int
-    n_later: int
+    indices: tuple[int, int]  # the two block indices compared
+    sample_sizes: tuple[int, int]  # increments at each of them
     lag_corr_dt: dict[int, Optional[float]]
     lag_corr_dd: dict[int, Optional[float]]
     n_pairs: dict[int, int]
     corr_threshold: dict[int, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ks_stat": self.ks_stat,
-            "ks_pvalue": self.ks_pvalue,
-            "indices": [IID_FIRST_INDEX, IID_LATER_INDEX],
-            "sample_sizes": [self.n_first, self.n_later],
-            "lag_corr_dt": {str(k): v for k, v in self.lag_corr_dt.items()},
-            "lag_corr_dd": {str(k): v for k, v in self.lag_corr_dd.items()},
-            "n_pairs": {str(k): v for k, v in self.n_pairs.items()},
-            "corr_threshold": {str(k): v for k, v in self.corr_threshold.items()},
-        }
 
 
 def _lagged_pairs(pool: BlockPool, values: np.ndarray, lag: int):
@@ -492,8 +457,8 @@ def iid_diagnostics(pool: BlockPool) -> IidDiagnostics:
     return IidDiagnostics(
         ks_stat=ks,
         ks_pvalue=pv,
-        n_first=len(first),
-        n_later=len(later),
+        indices=(IID_FIRST_INDEX, IID_LATER_INDEX),
+        sample_sizes=(len(first), len(later)),
         lag_corr_dt=lag_dt,
         lag_corr_dd=lag_dd,
         n_pairs=n_pairs,
@@ -517,22 +482,6 @@ class TailDiagnostics:
     t0_slope: float
     t0_r2: float
     fit_range: tuple[int, int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dt_slope": self.dt_slope,
-            "dt_r2": self.dt_r2,
-            "dt_slope_half": self.dt_slope_half,
-            "dt_slope_drift": self.dt_slope_drift,
-            "dt_slope_flat": self.dt_slope_flat,
-            "mgf_base": self.mgf_base,
-            "mgf_halves": list(self.mgf_halves),
-            "mgf_rel_diff": self.mgf_rel_diff,
-            "mgf_stable": self.mgf_stable,
-            "t0_slope": self.t0_slope,
-            "t0_r2": self.t0_r2,
-            "fit_range": list(self.fit_range),
-        }
 
 
 def _ls_line(ts: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -609,9 +558,6 @@ class DiagnosticsReport:
     iid: IidDiagnostics
     tail: TailDiagnostics
 
-    def to_json_dict(self) -> dict:
-        return {"iid": self.iid.to_json_dict(), "tail": self.tail.to_json_dict()}
-
 
 # -- smoothness probe ------------------------------------------------------------
 
@@ -645,15 +591,6 @@ class SmoothnessReport:
             table[col] = self.values[col]
             table[col + "_se"] = self.ses[col]
         return table
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "values": self.values,
-            "ses": self.ses,
-            "second_differences": self.second_differences,
-            "flags": [[c, i] for c, i in self.flags],
-        }
 
 
 def smoothness_probe(

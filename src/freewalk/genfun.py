@@ -293,14 +293,6 @@ class RadiusReport:
     xi_at_lower: tuple[float, float]
     plausible: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "xi_at_lower": list(self.xi_at_lower),
-            "plausible": self.plausible,
-        }
-
 
 def _inside_radius(zs: np.ndarray, cfg: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
     """Whether each point of ``zs`` is inside (converged, ``|xi_i| < 1``), with

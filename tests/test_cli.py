@@ -9,8 +9,10 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from freewalk import oracle
 from freewalk.cli import (
+    COMMANDS,
     EMIT_BLOCK_ROWS,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -101,6 +104,35 @@ class TestEmission:
         assert json.loads(path.read_text()) == {"x": None, "y": [None, None]}
         assert "Infinity" not in path.read_text()
 
+    def test_dataclasses_written_field_by_field(self, tmp_path):
+        class Pair(NamedTuple):
+            value: float
+            half_width: float
+
+        @dataclass
+        class Inner:
+            pair: Pair
+            span: tuple[int, int]
+
+        @dataclass
+        class Outer:
+            inner: Inner
+            samples: np.ndarray = field(metadata={"csv": True})
+            by_lag: dict[int, float] = field(default_factory=dict)
+            worst: float = 0.0
+
+        # an array no JSON encoder takes: the CSV field is skipped unconverted
+        samples = np.array([object()], dtype=object)
+        inner = Inner(Pair(1 / 3, np.float64(0.25)), (1, 5))
+        doc = Outer(inner, samples, by_lag={1: 0.5, 2: math.nan}, worst=-math.inf)
+        path = tmp_path / "doc.json"
+        emit_json(doc, path)
+        assert json.loads(path.read_text()) == {
+            "inner": {"pair": [0.333333333333, 0.25], "span": [1, 5]},
+            "by_lag": {"1": 0.5, "2": None},
+            "worst": None,
+        }
+
     def test_csv_header_and_stability(self, tmp_path):
         rows = {
             "trajectory_id": [0, 0],
@@ -129,7 +161,7 @@ class TestEmission:
         cfg = instance_k3_k3()
         manifest = RunManifest(
             command="validate",
-            config_path="K3xK3",
+            config="K3xK3",
             output_dir=str(tmp_path),
             master_seed=77,
         )
@@ -581,6 +613,33 @@ class TestMain:
         assert main(argv) == EXIT_STATISTICAL
         assert f"statistical error: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("epsilon0", ["abc", None])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_numeric_epsilon0_validation_exit(self, command, epsilon0, tmp_path, capsys):
+        doc = instance_k3_k3().to_json_dict()
+        doc["epsilon0"] = epsilon0
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_VALIDATION
+        assert "validation error: malformed optional section" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_witness_in_no_factor_validation_exit(self, command, tmp_path, capsys):
+        doc = instance_k3_k3().to_json_dict()
+        doc["loop_witness"]["factor"] = 3
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_VALIDATION
+        if command == "validate":
+            checks = json.loads((out / "validate_summary.json").read_text())["checks"]
+            assert [c["name"] for c in checks if not c["ok"]] == ["loop_witness"]
+        else:
+            assert "validation error: loop_witness: witness" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_validate_ok(self, tmp_path, capsys):
         rc = main(["validate", "--config", "K3xK3", "--out", str(tmp_path)])

@@ -228,7 +228,7 @@ class TestTailDiagnostic:
         assert diag.dt_slope == 0.0 and diag.dt_slope_flat
         assert diag.dt_slope_half == 0.0
         assert math.isinf(diag.dt_slope_drift)
-        emit_json(diag.to_json_dict(), tmp_path / "tail.json")
+        emit_json(diag, tmp_path / "tail.json")
         doc = json.loads((tmp_path / "tail.json").read_text())
         assert doc["dt_slope_flat"] is True and doc["dt_slope_drift"] is None
         assert not tail_diagnostic(geometric_pool(walks=20)).dt_slope_flat

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every module-level constant of the package is read somewhere, and every
-function of the package runs under some command."""
+every module-level constant of the package is read somewhere, every
+function of the package runs under some command, and summaries have one
+serializer."""
 
 import ast
 import importlib.util
@@ -150,6 +151,52 @@ def test_the_constant_check_sees_unread_and_annotation_only_names():
     )
     reader = "import m\nfrom m import UNREAD\nprint(m.BY_ATTRIBUTE)\n"
     assert _unread_constants({"m.py": module}, [reader]) == [("m.py", "UNREAD", 2)]
+
+
+# the types whose summary layout is not their fields, each with its reason;
+# every other summary is its dataclass written field by field by cli.emit_json
+OWN_LAYOUT_ALLOWED = {
+    "WalkConfig": "the config schema behind digest()",
+    "ValidationReport": "its derived ok",
+    "GenFunContext": "xi as a pair and 'i:v' letter keys",
+    "SigmaEstimates": "sigma_*_sq keys for the fields callers read as lambda_sq",
+}
+
+
+def _own_layouts(source: str) -> list[str]:
+    """Each class of the source that defines a ``to_json_dict`` method."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
+            for item in node.body
+        )
+    )
+
+
+def test_summaries_have_one_serializer():
+    own = {
+        name
+        for path in ROOT.glob("src/freewalk/*.py")
+        for name in _own_layouts(path.read_text())
+    }
+    assert sorted(own - set(OWN_LAYOUT_ALLOWED)) == []
+
+
+def test_the_serializer_check_sees_methods_not_functions():
+    source = (
+        "def to_json_dict(x):\n"
+        "    return {}\n"
+        "class Report:\n"
+        "    def to_json_dict(self):\n"
+        "        return {}\n"
+        "class Plain:\n"
+        "    def to_rows(self):\n"
+        "        return {}\n"
+    )
+    assert _own_layouts(source) == ["Report"]
 
 
 # functions no command reaches, each kept because the benchmark (``perfbench/``)
