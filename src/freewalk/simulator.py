@@ -4,11 +4,14 @@ Sampling is driven by counter-based Philox streams keyed by
 ``(master_seed, stream_id)``: every walk owns its stream and consumes exactly
 one uniform per step through cumulative-probability inversion, so results do
 not depend on scheduling or worker count.  The step kernel, compiled from
-``step_kernel.c`` on first use, inverts through the sorted distinct
-thresholds of all states at once: the count of thresholds ``<= u``, the cell
-of ``u``, fixes every comparison with ``u``, so a flat table indexed by the
-state's row offset (which the stack holds) plus the cell gives the same move
-as inversion on the state's own row.
+``step_kernel.c`` on first use, steps every walk of a span in one call and
+draws each walk's uniforms itself, by Philox4x64-10 exactly as numpy's
+Philox does (numpy's is the tests' reference); spans run on threads, since
+the call releases the interpreter lock.  The kernel inverts through the
+sorted distinct thresholds of all states at once: the count of thresholds
+``<= u``, the cell of ``u``, fixes every comparison with ``u``, so a flat
+table indexed by the state's row offset (which the stack holds) plus the
+cell gives the same move as inversion on the state's own row.
 
 Exit times are detected retrospectively.  Writing ``c_t`` for the common
 prefix length of consecutive states, the level-k candidate exit time is the
@@ -21,8 +24,8 @@ time per depth next to the stack, and the batch decomposition reads every
 exit time off the final write times without storing intermediate states.
 The word-level reference in ``tests/reference_walk.py`` materializes every
 state, computes the same times from whole words, and is what the batch path
-is tested against, next to the numpy step loop that the compiled kernel is
-compared with bit for bit.
+is tested against, next to the numpy step loop and numpy's Philox that the
+compiled kernel is compared with bit for bit.
 
 A batch keeps each walk as the kernel leaves it: its depths ``0 .. sp`` as
 one run of int16 letter codes and one of int32 write times, walk after walk,
@@ -63,18 +66,6 @@ _MASK64 = (1 << 64) - 1
 
 def stream_id(purpose: int, index: int) -> int:
     return (purpose << 32) | index
-
-
-def stream_uniforms(
-    master_seed: int, stream: int, n: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The uniform variates of one walk stream (Philox, 128-bit key)."""
-    key = ((master_seed & _MASK64) << 64) | (stream & _MASK64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    if out is None:
-        return gen.random(n)
-    gen.random(out=out)
-    return out
 
 
 # -- batch simulation ----------------------------------------------------------
@@ -220,49 +211,66 @@ def _step_library() -> ctypes.CDLL:
     if not path.exists():
         path = _build(command, path)
     lib = ctypes.CDLL(str(path))
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.step_walk.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]
-    lib.step_walk.restype = i64
+    ptr, i32, i64, u64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_uint64
+    lib.fill_uniforms.argtypes = [u64, u64, i64, ptr]
+    lib.fill_uniforms.restype = None
+    lib.step_span.argtypes = [ptr, i64, u64, i64, ptr, i64, ptr, ptr, ptr, i32, ptr, ptr, ptr]
+    lib.step_span.argtypes += [i64, ptr, ptr, i64, i64]
+    lib.step_span.restype = i64
     return lib
 
 
+def stream_uniforms(master_seed: int, stream: int, n: int) -> np.ndarray:
+    """The uniform variates of one walk stream (Philox, 128-bit key), as the
+    step kernel draws them."""
+    out = np.empty(n)
+    _step_library().fill_uniforms(master_seed & _MASK64, stream & _MASK64, n, out.ctypes.data)
+    return out
+
+
+# entries of a span's first run buffers; later sizes follow the walks' mean depth
+_FIRST_RUN_ENTRIES = 1 << 16
+
+
 def _simulate_span(
-    cfg: WalkConfig, n: int, master_seed: int, streams: np.ndarray
+    lib: ctypes.CDLL, tables: _StepTables, n: int, master_seed: int, streams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The final depths of a span's walks, and their stacks of letter codes and
-    write times up to each final depth, concatenated walk by walk; one call of
-    the compiled kernel per walk.
+    write times up to each final depth, concatenated walk by walk.
 
-    The buffers serve every walk of the span: cells above the current depth
-    may hold an earlier walk's writes, but a walk reads only depth 0 and the
-    depths it pushed to itself.  Results grow in two arrays rather than as
-    small arrays per walk, whose memory the heap would keep after use.
+    Each kernel call steps walks until one would not fit the run buffers and
+    returns that walk unwritten.  The buffers then grow in place, to the
+    entries the mean depth so far predicts for all walks plus a sixteenth,
+    and the next call resumes from it; at the end they shrink in place to
+    the runs.
     """
-    import array  # here, so that commands which never simulate do not load it
-
-    tables = _step_tables(compile_kernel(cfg))
-    u = np.empty(n)
+    M = len(streams)
+    sp = np.empty(M, dtype=np.int64)
+    codes = np.empty(min(_FIRST_RUN_ENTRIES, M * (n + 1)), dtype=np.int16)
+    wtime = np.empty(len(codes), dtype=np.int32)
+    # the kernel's stack of row offsets and its write times, shared by the
+    # walks: a walk reads only depth 0 and the depths it pushed to itself
     stack = np.zeros(n + 1, dtype=np.int32)
-    wtime = np.zeros(n + 1, dtype=np.int32)  # n < 2**31: u holds n doubles
-    letters = np.zeros(n + 1, dtype=np.int16)
-    buffers = (tables.up, tables.dsp, tables.let, stack, wtime)
-    args = (u.ctypes.data, n, tables.grid.ctypes.data, len(tables.grid) - 1)
-    args += tuple(a.ctypes.data for a in buffers)
-    step_walk = _step_library().step_walk
-    depths, codes, times = [], array.array("h"), array.array("i")
-    for stream in streams:
-        stream_uniforms(master_seed, int(stream), n, out=u)
-        top = step_walk(*args) + 1
-        depths.append(top - 1)
-        # row offsets to letter codes; _check_widths keeps them within int16
-        np.floor_divide(stack[:top], len(tables.grid) + 1, out=letters[:top], casting="unsafe")
-        codes.frombytes(letters[:top].view(np.uint8))
-        times.frombytes(wtime[:top].view(np.uint8))
-    return (
-        np.array(depths, dtype=np.int64),
-        np.frombuffer(codes, dtype=np.int16),
-        np.frombuffer(times, dtype=np.int32),
+    stack_time = np.zeros(n + 1, dtype=np.int32)
+    args = (
+        streams.ctypes.data, M, master_seed & _MASK64, n,
+        tables.grid.ctypes.data, len(tables.grid) - 1,
+        tables.up.ctypes.data, tables.dsp.ctypes.data, tables.let.ctypes.data,
+        len(tables.grid) + 1,
+        stack.ctypes.data, stack_time.ctypes.data, sp.ctypes.data,
     )
+    m = filled = 0
+    while True:
+        m = lib.step_span(*args, m, codes.ctypes.data, wtime.ctypes.data, filled, len(codes))
+        filled = int((sp[:m] + 1).sum())
+        if m == M:
+            break
+        size = max(filled + n + 1, filled * M // max(m, 1) * 17 // 16)
+        codes.resize(size, refcheck=False)  # no view of either buffer exists
+        wtime.resize(size, refcheck=False)
+    codes.resize(filled, refcheck=False)
+    wtime.resize(filled, refcheck=False)
+    return sp, codes, wtime
 
 
 def simulate_batch(
@@ -272,37 +280,34 @@ def simulate_batch(
     streams: Sequence[int],
     workers: Optional[int] = None,
 ) -> BatchWalks:
-    """Simulate one walk per stream, one call of the compiled kernel each.
+    """Simulate one walk per stream in the compiled kernel.
 
     Identical to the word-level reference walk of ``tests/reference_walk.py``
     run per stream: both consume the same uniforms and compare them with the
     same thresholds.  With ``workers`` above 1 (default from
-    ``FREEWALK_WORKERS``) stream spans run in separate processes; per-stream
-    keying makes the result independent of worker count and scheduling, and
-    results are assembled in stream order.
+    ``FREEWALK_WORKERS``) stream spans run on that many threads, since the
+    kernel call releases the interpreter lock; per-stream keying makes the
+    result independent of worker count and scheduling, and results are
+    assembled in stream order.
     """
+    if not 0 <= n < 2**31:
+        raise InvalidConfig(f"n = {n} steps lie outside 0 .. 2**31 - 1, the int32 write times")
     streams = np.asarray(list(streams), dtype=np.uint64)
     M = len(streams)
     if workers is None:
         workers = default_workers()
     workers = max(1, min(workers, M))
-    parts = None
-    if workers > 1:
-        spans = np.array_split(np.arange(M), workers)
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    # the library is loaded here, before any thread may build it
+    span = functools.partial(
+        _simulate_span, _step_library(), _step_tables(compile_kernel(cfg)), n, master_seed
+    )
+    if workers == 1:
+        parts = [span(streams)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_simulate_span, cfg, n, master_seed, streams[span])
-                    for span in spans
-                    if len(span)
-                ]
-                parts = [f.result() for f in futures]
-        except OSError:
-            parts = None  # process pools unavailable; fall back to serial
-    if parts is None:
-        parts = [_simulate_span(cfg, n, master_seed, streams)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(span, np.array_split(streams, workers)))
     sp, codes, wtime = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return BatchWalks(n=n, sp=sp, codes=codes, wtime=wtime)
 

@@ -5,9 +5,10 @@ wrote each depth (:func:`freewalk.simulator.simulate_batch`,
 :func:`freewalk.simulator.batch_decompose`).  This module materializes every
 state ``X_0 .. X_n`` instead, finds the exit times from the common prefix
 lengths of consecutive states, and recomputes renewal distances from whole
-words.  It consumes the same Philox uniforms with the same thresholds, so it
-reproduces the batch walks bit for bit and is the independent reference the
-batch path is tested against.
+words.  It consumes the same Philox uniforms, drawn by numpy's Philox
+(``philox_uniforms``) where the compiled kernel draws its own, with the same
+thresholds, so it reproduces the batch walks bit for bit and is the
+independent reference the batch path is tested against.
 
 The word algebra the decomposition checks itself with (``concat``,
 ``in_cone``) and the whole-word distances (``graph_distance``, ``dL_word``)
@@ -35,16 +36,22 @@ from freewalk.core import (
     compile_kernel,
 )
 from freewalk.genfun import GenFunContext
-from freewalk.simulator import (
-    DEFAULT_BUFFER,
-    _step_tables,
-    stream_id,
-    stream_uniforms,
-)
+from freewalk.simulator import _MASK64, DEFAULT_BUFFER, _step_tables, stream_id
 
 
 class NoConfirmedExit(FreewalkError):
     """No exit time could be confirmed within the censored horizon."""
+
+
+def philox_uniforms(master_seed: int, stream: int, n: int, out=None) -> np.ndarray:
+    """numpy's Philox with the 128-bit key ``(master_seed << 64) | stream``, each
+    masked to 64 bits: the reference of the uniforms the step kernel draws."""
+    key = ((master_seed & _MASK64) << 64) | (stream & _MASK64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    if out is None:
+        return gen.random(n)
+    gen.random(out=out)
+    return out
 
 
 # -- words -----------------------------------------------------------------------
@@ -114,7 +121,7 @@ def sample_trajectory(
 ) -> Trajectory:
     """Sample ``n`` steps from the one-step law; bit-reproducible per seed."""
     kernel = compile_kernel(cfg)
-    u = stream_uniforms(seed, stream, n)
+    u = philox_uniforms(seed, stream, n)
     cum, act, let = kernel.cum, kernel.act, kernel.let
     codes: list[int] = []
     state = 0
@@ -341,7 +348,7 @@ def numpy_batch(
     m = len(streams)
     u = np.empty((m, n))
     for i, stream in enumerate(streams):
-        stream_uniforms(master_seed, int(stream), n, out=u[i])
+        philox_uniforms(master_seed, int(stream), n, out=u[i])
     g = _cells(tables.grid, u)
     stack = np.zeros((m, n + 1), dtype=np.intp)
     wtime = np.zeros((m, n + 1), dtype=np.int32)
@@ -385,7 +392,7 @@ def hit_probability_mc(
         m = min(_HIT_CHUNK, n_walks - lo)
         u = np.empty((m, HIT_HORIZON))
         for i in range(m):
-            stream_uniforms(
+            philox_uniforms(
                 master_seed, stream_id(PURPOSE_HIT_MC, lo + i), HIT_HORIZON, out=u[i]
             )
         g = _cells(tables.grid, u)

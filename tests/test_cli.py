@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewalk import oracle
+from freewalk import oracle, simulator
 from freewalk.cli import (
     COMMANDS,
     EMIT_BLOCK_ROWS,
@@ -602,6 +602,16 @@ class TestMain:
         argv = ["sweep", "--grid", grid, "--n", "200", "--M", "20", "--out", str(tmp_path)]
         assert main(argv) == EXIT_VALIDATION
         assert f"validation error: grid point {point}: alpha_range" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_steps_past_int32_write_times_validation_exit(self, tmp_path, capsys, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a walk was started")
+
+        monkeypatch.setattr(simulator, "_simulate_span", no_walk)
+        argv = ["clt", "--n", "2147483648", "--M", "1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "outside 0 .. 2**31 - 1, the int32 write times" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

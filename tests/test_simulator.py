@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_walk import (
+    PURPOSE_HIT_MC,
     ExitTime,
     NoConfirmedExit,
     Trajectory,
@@ -25,6 +26,7 @@ from reference_walk import (
     hit_probability_mc,
     in_cone,
     numpy_batch,
+    philox_uniforms,
     renewal_decompose,
     sample_trajectory,
 )
@@ -43,6 +45,9 @@ from freewalk.core import (
 from freewalk.genfun import build_context
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import (
+    PURPOSE_GRID,
+    PURPOSE_MAIN,
+    PURPOSE_POOL,
     BatchWalks,
     batch_decompose,
     batch_walk_stats,
@@ -169,6 +174,18 @@ class TestSampling:
         b = stream_uniforms(5, 9, 16)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, stream_uniforms(5, 10, 16))
+
+    # partial and whole blocks of four outputs; seeds masked to 64 bits from
+    # below zero and above 2**63 and 2**64; streams with each purpose's high bits
+    @pytest.mark.parametrize("seed", [-1, 2**63 + 5, 2**64 + 3])
+    @pytest.mark.parametrize("purpose", [PURPOSE_MAIN, PURPOSE_HIT_MC, PURPOSE_GRID, PURPOSE_POOL])
+    def test_kernel_uniforms_equal_numpy_philox(self, seed, purpose):
+        for n in (0, 1, 3, 4, 5, 4001):
+            for index in (0, 7, 2**32 - 1):
+                stream = stream_id(purpose, index)
+                u = stream_uniforms(seed, stream, n)
+                assert u.dtype == np.float64
+                assert u.tobytes() == philox_uniforms(seed, stream, n).tobytes()
 
     def test_worker_count_clamped_to_cores(self, monkeypatch):
         cores = os.cpu_count() or 1
@@ -415,7 +432,7 @@ class TestStepTables:
 
 class TestCompiledKernel:
     # empty and one-step walks up to walks hundreds of letters deep, spans of
-    # no walk, one and nine (three processes with three workers); the wide
+    # no walk, one and nine (three threads with three workers); the wide
     # grid's cells pass a byte, where the numpy count widens to uint16
     @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
     @pytest.mark.parametrize(
@@ -450,6 +467,31 @@ class TestBatchLayout:
         run_bytes = 6 * int((batch.sp + 1).sum())
         assert batch.codes.nbytes + batch.wtime.nbytes == run_bytes
         assert peak < 1.5 * run_bytes, peak / run_bytes
+
+    def test_outgrown_buffers_resume_to_the_same_runs(self, instance_a, monkeypatch):
+        """Spans from a one-entry first buffer resume several times and give
+        the runs of default-sized buffers and of the numpy step loop."""
+        streams = [stream_id(4, i) for i in range(40)]
+        whole = simulate_batch(instance_a, 600, 5, streams, workers=1)
+        codes, wtime, sp = numpy_batch(instance_a, 600, 5, streams)
+        step_span = simulator._step_library().step_span
+        starts = []
+
+        def counted(*args):
+            starts.append(args[13])  # the walk the call resumes from
+            return step_span(*args)
+
+        monkeypatch.setattr(simulator, "_FIRST_RUN_ENTRIES", 1)
+        monkeypatch.setattr(simulator, "_step_library", lambda: SimpleNamespace(step_span=counted))
+        for workers in (1, 3):
+            starts.clear()
+            shrunk = simulate_batch(instance_a, 600, 5, streams, workers=workers)
+            for batch in (shrunk, whole):
+                assert np.array_equal(batch.sp, sp)
+                assert np.array_equal(batch.codes, codes)
+                assert np.array_equal(batch.wtime, wtime)
+            if workers == 1:
+                assert len(starts) >= 3 and starts == sorted(starts), starts  # two resumes
 
     # no walks at all, and walks that never leave the root (one entry each)
     @pytest.mark.parametrize("n, M", [(300, 0), (0, 5)])
