@@ -55,7 +55,6 @@ from .estimators import (
     InsufficientBlocks,
     InvalidGridPoint,
     MissingEpsilon0,
-    STATISTICS,
     DiagnosticsReport,
     estimate_rates,
     estimate_sigmas,
@@ -65,6 +64,7 @@ from .estimators import (
     tail_diagnostic,
 )
 from .genfun import (
+    STATISTICS,
     NoConvergence,
     NonpositiveL,
     SingularSolve,

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import FreewalkError, WalkConfig, compile_kernel, validate_config
-from .genfun import build_context, clt_constants, renewal_increment_law
+from .genfun import STATISTICS, build_context, clt_constants, renewal_increment_law
 from .simulator import (
     DEFAULT_BUFFER,
     BlockPool,
@@ -290,9 +290,6 @@ def two_sample_ks(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 
 # -- CLT experiments -----------------------------------------------------------
 
-STATISTICS = ("dist", "block", "entropy")
-
-
 @dataclass
 class CltReport:
     """Standardized endpoint samples of one statistic plus the test result.
@@ -325,16 +322,6 @@ class CltReport:
         }
 
 
-def _raw_statistic(stats: WalkStatsArrays, statistic: str) -> np.ndarray:
-    if statistic == "dist":
-        return stats.dist
-    if statistic == "block":
-        return stats.length
-    if statistic == "entropy":
-        return stats.dl
-    raise ValueError(f"unknown statistic {statistic!r}")
-
-
 def run_clt_suite(
     cfg: WalkConfig,
     n: int,
@@ -363,10 +350,11 @@ def run_clt_suite(
     streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
     batch = simulate_batch(cfg, n, master_seed, streams)
     stats = batch_walk_stats(batch, kernel, ctx)
+    raws = dict(zip(STATISTICS, (stats.dist, stats.length, stats.dl)))
 
     out: dict[str, CltReport] = {}
     for statistic in statistics:
-        raw = _raw_statistic(stats, statistic)
+        raw = raws[statistic]
         rate, sigma_sq = constants[statistic]
         sigma = math.sqrt(sigma_sq) if sigma_sq > 0 else float("nan")
         warnings = ["no walks"] if M == 0 else ["too few walks"] if M < MIN_KS_WALKS else []

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import FreewalkError, WalkConfig, compile_kernel
+from .core import CompiledKernel, FreewalkError, WalkConfig, compile_kernel
 
 XI_TOL = 1e-12
 XI_MAX_ITER = 10**6
@@ -28,6 +28,7 @@ LAW_FFT_SIZE = 2048  # points on the unit circle for the increment-law inversion
 LAW_TERMS = 1200  # leading increment-law coefficients kept
 MONOTONE_SLACK = 1e-12  # rounding allowed in a step that must not decrease
 UNASSIGNED_TOL = 1e-9  # increment-law mass the CLT constants may leave out
+STATISTICS = ("dist", "block", "entropy")  # the CLT statistics, rows of letter_rewards
 
 
 class SingularSolve(FreewalkError):
@@ -486,6 +487,18 @@ def renewal_increment_law(cfg: WalkConfig) -> RenewalLaw:
     return RenewalLaw(pair_probs=out)
 
 
+def letter_rewards(kernel: CompiledKernel, ctx: GenFunContext) -> np.ndarray:
+    """What each letter adds to each CLT statistic: a ``(3, n_letters + 1)``
+    table with rows in ``STATISTICS`` order and columns by letter code.
+
+    The graph distance adds the letter's distance ``f_i(x)`` from its factor
+    root, the word length ("block") adds 1, and the letter distance adds
+    ``-log L_i(o_i, x | xi_i)``; the root's column adds nothing.
+    """
+    dl = [0.0, *(ctx.letter_dl(i, v) for i, v in kernel.letter_of_code[1:])]
+    return np.array([kernel.letter_distance, kernel.factor_of_code > 0, dl], dtype=float)
+
+
 class CltConstant(NamedTuple):
     """Centering rate and renewal variance of one CLT statistic."""
 
@@ -498,27 +511,23 @@ def clt_constants(
 ) -> dict[str, CltConstant]:
     """Exact rate and sigma^2 of each CLT statistic, from the increment law.
 
-    Each statistic adds one reward per renewal block, a function of the
-    appended pair ``(y, x)``: the graph distance ``f_2(y) + f_1(x)``
-    ("dist"), the two letters of the block ("block"), and the letter
-    distance ``-log L_2(o_2, y | xi_2) - log L_1(o_1, x | xi_1)`` ("entropy").
-    A law leaving more than ``UNASSIGNED_TOL`` of its mass out (an FFT too
-    short for the tail) raises :class:`NoConvergence` rather than give
-    constants of a truncated law.
+    Each statistic adds one reward per renewal block, the sum of the
+    :func:`letter_rewards` of its appended pair ``(y, x)``.  A law leaving
+    more than ``UNASSIGNED_TOL`` of its mass out (an FFT too short for the
+    tail) raises :class:`NoConvergence` rather than give constants of a
+    truncated law.
     """
     if law.unassigned > UNASSIGNED_TOL:
         raise NoConvergence(
             f"increment law leaves {law.unassigned:.3g} of its mass unassigned "
             f"(tolerance {UNASSIGNED_TOL:g})"
         )
-    d1 = cfg.factor1.distances_from_root()
-    d2 = cfg.factor2.distances_from_root()
-    rewards = {
-        "dist": lambda pair: float(d2[pair[0]] + d1[pair[1]]),
-        "block": lambda _pair: 2.0,
-        "entropy": lambda pair: ctx.letter_dl(2, pair[0]) + ctx.letter_dl(1, pair[1]),
-    }
-    return {
-        stat: CltConstant(law.rate(reward), law.sigma_sq(reward))
-        for stat, reward in rewards.items()
-    }
+    kernel = compile_kernel(cfg)
+    code = kernel.code_of_letter
+    out = {}
+    for stat, row in zip(STATISTICS, letter_rewards(kernel, ctx)):
+        def reward(pair: tuple[str, str]) -> float:
+            return float(row[code[2, pair[0]]] + row[code[1, pair[1]]])
+
+        out[stat] = CltConstant(law.rate(reward), law.sigma_sq(reward))
+    return out

@@ -30,7 +30,10 @@ compiled kernel is compared with bit for bit.
 A batch keeps each walk as the kernel leaves it: its depths ``0 .. sp`` as
 one run of int16 letter codes and one of int32 write times, walk after walk,
 with depth 0 holding the root's code and time 0.  Every reader indexes the
-runs through the walks' start offsets; no padded copy is made.
+runs through the walks' start offsets; no padded copy is made.  The kernel
+also counts the letters of each final word, and the endpoint statistics, sums
+of one reward per letter (:func:`freewalk.genfun.letter_rewards`), are read
+off those counts.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import POP, PUSH, CompiledKernel, InvalidConfig, WalkConfig, compile_kernel
-from .genfun import GenFunContext
+from .genfun import GenFunContext, letter_rewards
 
 DEFAULT_BUFFER = 500
 
@@ -73,19 +76,22 @@ def stream_id(purpose: int, index: int) -> int:
 
 @dataclass
 class BatchWalks:
-    """Final stacks and per-depth write times of many walks, as runs.
+    """Final stacks and per-depth write times of many walks, as runs, and the
+    letter counts of their final words.
 
     ``codes`` and ``wtime`` hold each walk's depths ``0 .. sp[m]`` as one
     contiguous run, walk after walk, as the kernel writes them; run ``m``
     starts at ``start[m]``.  ``wtime[start[m] + k]`` is the last step that
     wrote depth ``k`` of walk ``m``, which for ``k >= 1`` is the level-k exit
-    time; depth 0 holds the root's code 0 and time 0.
+    time; depth 0 holds the root's code 0 and time 0.  ``counts[m, c]`` is
+    how many of depths ``1 .. sp[m]`` hold letter code ``c``.
     """
 
     n: int
     sp: np.ndarray  # (M,) final stack depth = ||X_n||
     codes: np.ndarray  # (sum(sp + 1),) int16 letter codes
     wtime: np.ndarray  # (sum(sp + 1),) int32 step that last wrote each depth
+    counts: np.ndarray  # (M, n_letters + 1) int32 letter counts of each final word
     start: np.ndarray = field(init=False, repr=False)  # (M,) offset of each run
 
     def __post_init__(self) -> None:
@@ -94,10 +100,6 @@ class BatchWalks:
     @property
     def n_walks(self) -> int:
         return len(self.sp)
-
-    def final_codes(self, m: int) -> np.ndarray:
-        lo = int(self.start[m]) + 1
-        return self.codes[lo : lo + int(self.sp[m])]
 
 
 def default_workers() -> int:
@@ -215,7 +217,7 @@ def _step_library() -> ctypes.CDLL:
     lib.fill_uniforms.argtypes = [u64, u64, i64, ptr]
     lib.fill_uniforms.restype = None
     lib.step_span.argtypes = [ptr, i64, u64, i64, ptr, i64, ptr, ptr, ptr, i32, ptr, ptr, ptr]
-    lib.step_span.argtypes += [i64, ptr, ptr, i64, i64]
+    lib.step_span.argtypes += [ptr, i64, i64, ptr, ptr, i64, i64]
     lib.step_span.restype = i64
     return lib
 
@@ -233,10 +235,12 @@ _FIRST_RUN_ENTRIES = 1 << 16
 
 
 def _simulate_span(
-    lib: ctypes.CDLL, tables: _StepTables, n: int, master_seed: int, streams: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The final depths of a span's walks, and their stacks of letter codes and
-    write times up to each final depth, concatenated walk by walk.
+    lib: ctypes.CDLL, tables: _StepTables, n: int, master_seed: int,
+    streams: np.ndarray, sp: np.ndarray, counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A span's stacks of letter codes and write times up to each final
+    depth, concatenated walk by walk; the final depths go to ``sp`` and the
+    letter counts to the zeroed ``counts``.
 
     Each kernel call steps walks until one would not fit the run buffers and
     returns that walk unwritten.  The buffers then grow in place, to the
@@ -245,7 +249,6 @@ def _simulate_span(
     the runs.
     """
     M = len(streams)
-    sp = np.empty(M, dtype=np.int64)
     codes = np.empty(min(_FIRST_RUN_ENTRIES, M * (n + 1)), dtype=np.int16)
     wtime = np.empty(len(codes), dtype=np.int32)
     # the kernel's stack of row offsets and its write times, shared by the
@@ -258,6 +261,7 @@ def _simulate_span(
         tables.up.ctypes.data, tables.dsp.ctypes.data, tables.let.ctypes.data,
         len(tables.grid) + 1,
         stack.ctypes.data, stack_time.ctypes.data, sp.ctypes.data,
+        counts.ctypes.data, counts.shape[1],
     )
     m = filled = 0
     while True:
@@ -270,7 +274,7 @@ def _simulate_span(
         wtime.resize(size, refcheck=False)
     codes.resize(filled, refcheck=False)
     wtime.resize(filled, refcheck=False)
-    return sp, codes, wtime
+    return codes, wtime
 
 
 def simulate_batch(
@@ -288,7 +292,8 @@ def simulate_batch(
     ``FREEWALK_WORKERS``) stream spans run on that many threads, since the
     kernel call releases the interpreter lock; per-stream keying makes the
     result independent of worker count and scheduling, and results are
-    assembled in stream order.
+    assembled in stream order: the first span's runs grow in place and the
+    others are copied in.
     """
     if not 0 <= n < 2**31:
         raise InvalidConfig(f"n = {n} steps lie outside 0 .. 2**31 - 1, the int32 write times")
@@ -297,19 +302,27 @@ def simulate_batch(
     if workers is None:
         workers = default_workers()
     workers = max(1, min(workers, M))
+    kernel = compile_kernel(cfg)
+    sp = np.empty(M, dtype=np.int64)
+    counts = np.zeros((M, kernel.n_letters + 1), dtype=np.int32)
     # the library is loaded here, before any thread may build it
-    span = functools.partial(
-        _simulate_span, _step_library(), _step_tables(compile_kernel(cfg)), n, master_seed
-    )
+    span = functools.partial(_simulate_span, _step_library(), _step_tables(kernel), n, master_seed)
+    spans = [np.array_split(a, workers) for a in (streams, sp, counts)]
     if workers == 1:
-        parts = [span(streams)]
+        parts = list(map(span, *spans))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(span, np.array_split(streams, workers)))
-    sp, codes, wtime = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return BatchWalks(n=n, sp=sp, codes=codes, wtime=wtime)
+            parts = list(pool.map(span, *spans))
+    (codes, wtime), rest = parts[0], parts[1:]
+    filled = len(codes)
+    codes.resize(filled + sum(len(c) for c, _ in rest), refcheck=False)
+    wtime.resize(len(codes), refcheck=False)
+    if rest:
+        np.concatenate([c for c, _ in rest], out=codes[filled:])
+        np.concatenate([w for _, w in rest], out=wtime[filled:])
+    return BatchWalks(n=n, sp=sp, codes=codes, wtime=wtime, counts=counts)
 
 
 @dataclass
@@ -322,29 +335,15 @@ class WalkStatsArrays:
     dl: np.ndarray
 
 
-def letter_dl_table(kernel: CompiledKernel, ctx: GenFunContext) -> np.ndarray:
-    table = np.zeros(kernel.n_letters + 1)
-    for code in range(1, kernel.n_letters + 1):
-        i, v = kernel.letter_of_code[code]
-        table[code] = ctx.letter_dl(i, v)
-    return table
-
-
 def batch_walk_stats(
     batch: BatchWalks, kernel: CompiledKernel, ctx: GenFunContext
 ) -> WalkStatsArrays:
-    dl_tab = letter_dl_table(kernel, ctx)
-    M = batch.n_walks
-    dist = np.zeros(M)
-    dl = np.zeros(M)
-    ldist = kernel.letter_distance
-    for m in range(M):
-        codes = batch.final_codes(m)
-        dist[m] = ldist[codes].sum()
-        dl[m] = dl_tab[codes].sum()
-    return WalkStatsArrays(
-        n=batch.n, length=batch.sp.astype(float), dist=dist, dl=dl
-    )
+    """Each walk's letter counts times the reward of each letter, summed over
+    the letters: an elementwise product and a sum in numpy's own order, not
+    a BLAS product, whose order of additions may depend on the machine."""
+    per_letter = letter_rewards(kernel, ctx)[:, None, :] * batch.counts
+    dist, length, dl = per_letter.sum(axis=2)
+    return WalkStatsArrays(n=batch.n, length=length, dist=dist, dl=dl)
 
 
 @dataclass
@@ -401,10 +400,9 @@ def batch_decompose(
     """
     n, sp, start = batch.n, batch.sp, batch.start
     codes, wtime = batch.codes, batch.wtime
-    M = len(sp)
+    M = batch.n_walks
     fac = kernel.factor_of_code
-    ldist = kernel.letter_distance
-    dl_tab = letter_dl_table(kernel, ctx)
+    ldist, _, dl_tab = letter_rewards(kernel, ctx)
 
     # ``live`` marks every entry but a walk's depth 0; each is checked
     # against the entry before it, the depth below in the same run

@@ -73,15 +73,17 @@ void fill_uniforms(uint64_t seed, uint64_t stream, int64_t n, double *out)
  * offset, never written).  Walk m's final depth goes to depth[m], and its
  * depths 0 .. depth[m] go to codes (row offsets divided by row, the letter
  * codes, which the step tables keep within int16) and times from entry
- * filled on.  A walk that would pass entry
- * capacity is not written at all: its index is returned, and the caller
- * grows the buffers and resumes from it.  Otherwise n_walks is returned.
+ * filled on.  Row m of counts, width entries zeroed by the caller, gains
+ * the count of each letter code at depths 1 .. depth[m].  A walk that would
+ * pass entry capacity is not written or counted at all: its index is
+ * returned, and the caller grows the buffers and resumes from it.
+ * Otherwise n_walks is returned.
  */
 int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64_t n,
                   const double *grid, int64_t n_cuts, const int32_t *up, const int32_t *dsp,
                   const int32_t *let, int32_t row, int32_t *stack, int32_t *wtime,
-                  int64_t *depth, int64_t first, int16_t *codes, int32_t *times,
-                  int64_t filled, int64_t capacity)
+                  int64_t *depth, int32_t *counts, int64_t width, int64_t first,
+                  int16_t *codes, int32_t *times, int64_t filled, int64_t capacity)
 {
     for (int64_t m = first; m < n_walks; m++) {
         philox p = {{streams[m], seed}, {0}, {0}};
@@ -102,6 +104,7 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
         for (int64_t k = 0; k <= sp; k++) {
             codes[filled + k] = (int16_t)(stack[k] / row);
             times[filled + k] = wtime[k];
+            counts[m * width + codes[filled + k]] += k > 0;
         }
         depth[m] = sp;
         filled += sp + 1;

@@ -11,12 +11,13 @@ thresholds, so it reproduces the batch walks bit for bit and is the
 independent reference the batch path is tested against.
 
 The word algebra the decomposition checks itself with (``concat``,
-``in_cone``) and the whole-word distances (``graph_distance``, ``dL_word``)
-are references of the tests too, and so is the numpy step loop over the
-library's step tables: ``numpy_batch`` steps many walks together with it,
-and the compiled kernel of ``simulate_batch`` must match it bit for bit,
-while the hitting-frequency Monte Carlo drives it to cross-check the exit
-probabilities.
+``in_cone``), the whole-word distances (``graph_distance``, ``dL_word``) and
+a batch walk's final word and its letter counts (``final_codes``,
+``letter_counts``) are references of the tests too, and so is the numpy
+step loop over the library's step tables: ``numpy_batch`` steps many walks
+together with it, and the compiled kernel of ``simulate_batch`` must match
+it bit for bit, while the hitting-frequency Monte Carlo drives it to
+cross-check the exit probabilities.
 """
 
 from __future__ import annotations
@@ -97,6 +98,20 @@ def dL_word(w: Word, ctx: GenFunContext) -> float:
     last-exit function factorizes into one factor value per letter.
     """
     return sum(ctx.letter_dl(i, v) for i, v in w.letters)
+
+
+def final_codes(batch, m: int) -> np.ndarray:
+    """The letter codes of walk ``m``'s final word in a ``BatchWalks``: depths
+    ``1 .. sp[m]`` of its run."""
+    lo = int(batch.start[m]) + 1
+    return batch.codes[lo : lo + int(batch.sp[m])]
+
+
+def letter_counts(w: Word, cfg: WalkConfig) -> np.ndarray:
+    """How often each letter code occurs in ``w``, as a row of ``BatchWalks.counts``."""
+    kernel = compile_kernel(cfg)
+    codes = np.array(kernel.encode(w), dtype=np.intp)
+    return np.bincount(codes, minlength=kernel.n_letters + 1)
 
 
 def common_prefix_length(u: Word, v: Word) -> int:

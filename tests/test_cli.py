@@ -453,11 +453,13 @@ class TestArtifactPins:
     # sha256 of the raw statistics of the main batch behind the clt pin
     # (K3xK3, n=300, M=200, seed 3), captured while clt still drew a
     # calibration pool: dist and length agree because every letter of K3 is
-    # one step from its root
+    # one step from its root.  dl was re-captured when the statistics became
+    # sums over letter counts: count times reward per letter code, in place
+    # of numpy's pairwise sum over the word, moves dl by at most 4e-16 relative
     CLT_MAIN_BATCH = {
         "dist": "d3fbaa286e30593ae7fbf588bb79b5235a16258b00ace648882f0c5169ef16f9",
         "length": "d3fbaa286e30593ae7fbf588bb79b5235a16258b00ace648882f0c5169ef16f9",
-        "dl": "0125ff54cff68920e7090621dd1c4c0b4a0b635a1973fbfd1501a9d95b60f97d",
+        "dl": "d06883a8f8e18c728c333d3e3bb9817142a394234efcbe24596c048b0d955f59",
     }
 
     def test_clt_standardizes_the_pinned_main_batch(self):

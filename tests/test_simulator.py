@@ -21,10 +21,11 @@ from reference_walk import (
     Trajectory,
     _cells,
     detect_exit_times,
-    dL_word,
+    final_codes,
     graph_distance,
     hit_probability_mc,
     in_cone,
+    letter_counts,
     numpy_batch,
     philox_uniforms,
     renewal_decompose,
@@ -158,16 +159,19 @@ class TestSampling:
             se = math.sqrt(p * (1 - p) / visits)
             assert abs(freq - p) <= 4 * se
 
-    def test_batch_equals_scalar(self, instance_a, instance_b):
-        for cfg in (instance_a, instance_b):
+    def test_batch_equals_scalar(self, instance_a, instance_b, instance_c):
+        # walks of 250 steps, walks that never leave the root, and no walks
+        for cfg in (instance_a, instance_b, instance_c):
             kernel = compile_kernel(cfg)
-            streams = [stream_id(4, i) for i in range(5)]
-            batch = simulate_batch(cfg, 250, 99, streams)
-            for i, s in enumerate(streams):
-                traj = sample_trajectory(cfg, 250, 99, stream=s)
-                assert kernel.encode(traj.states[-1]) == tuple(
-                    int(c) for c in batch.final_codes(i)
-                )
+            for n, M in ((250, 5), (0, 3), (250, 0)):
+                streams = [stream_id(4, i) for i in range(M)]
+                batch = simulate_batch(cfg, n, 99, streams)
+                assert batch.counts.shape == (M, kernel.n_letters + 1)
+                assert batch.counts.dtype == np.int32
+                for i, s in enumerate(streams):
+                    final = sample_trajectory(cfg, n, 99, stream=s).states[-1]
+                    assert kernel.encode(final) == tuple(int(c) for c in final_codes(batch, i))
+                    assert np.array_equal(batch.counts[i], letter_counts(final, cfg))
 
     def test_uniform_stream_reproducible(self):
         a = stream_uniforms(5, 9, 16)
@@ -203,6 +207,7 @@ class TestSampling:
         assert np.array_equal(serial.sp, parallel.sp)
         assert np.array_equal(serial.codes, parallel.codes)
         assert np.array_equal(serial.wtime, parallel.wtime)
+        assert np.array_equal(serial.counts, parallel.counts)
 
 
 class TestExitDetection:
@@ -338,6 +343,8 @@ class TestRenewalDecompose:
 
 class TestWalkStats:
     # on K3xK3 every endpoint has dist == length; on PathxK3 they differ
+    # the letter distance, summed per letter code, against an exactly rounded
+    # sum over the word's letters
     @pytest.mark.parametrize("label", ["a", "b"])
     def test_lengths_match_final_words(self, label, request):
         cfg = request.getfixturevalue(f"instance_{label}")
@@ -350,7 +357,8 @@ class TestWalkStats:
             final = traj.states[-1]
             assert stats.length[i] == len(final.letters)
             assert stats.dist[i] == graph_distance(final, cfg)
-            assert math.isclose(stats.dl[i], dL_word(final, ctx))
+            dl = math.fsum(ctx.letter_dl(f, v) for f, v in final.letters)
+            assert abs(stats.dl[i] - dl) <= 1e-13 * abs(dl)
 
 
 class TestHitProbability:
@@ -478,7 +486,7 @@ class TestBatchLayout:
         starts = []
 
         def counted(*args):
-            starts.append(args[13])  # the walk the call resumes from
+            starts.append(args[15])  # the walk the call resumes from
             return step_span(*args)
 
         monkeypatch.setattr(simulator, "_FIRST_RUN_ENTRIES", 1)
@@ -490,31 +498,39 @@ class TestBatchLayout:
                 assert np.array_equal(batch.sp, sp)
                 assert np.array_equal(batch.codes, codes)
                 assert np.array_equal(batch.wtime, wtime)
+            # a walk returned unwritten is counted once, when it is written
+            assert np.array_equal(shrunk.counts, whole.counts)
             if workers == 1:
                 assert len(starts) >= 3 and starts == sorted(starts), starts  # two resumes
 
     # no walks at all, and walks that never leave the root (one entry each)
     @pytest.mark.parametrize("n, M", [(300, 0), (0, 5)])
-    def test_empty_batches_against_the_word_level_walks(self, instance_b, ctx_b, n, M):
-        kernel = compile_kernel(instance_b)
-        streams = [stream_id(4, i) for i in range(M)]
-        batch = simulate_batch(instance_b, n, 17, streams, workers=1)
-        assert len(batch.codes) == len(batch.wtime) == M + int(batch.sp.sum())
-        pool = batch_decompose(batch, kernel, ctx_b, 20)
-        stats = batch_walk_stats(batch, kernel, ctx_b)
-        per_walk = (pool.tau, pool.t0_time, pool.t0_dist, pool.n_blocks, pool.censored)
-        assert [len(a) for a in (*per_walk, stats.length, stats.dist, stats.dl)] == [M] * 8
-        assert pool.size == 0
-        for name in ("walk", "index", "delta_t", "d_dist", "d_ent", "w_first", "w_second", "d_at"):
-            assert len(getattr(pool, name)) == 0, name
-        for i, s in enumerate(streams):
-            traj = sample_trajectory(instance_b, n, 17, s)
-            assert stats.length[i] == len(traj.states[-1].letters) == 0
-            assert stats.dist[i] == stats.dl[i] == 0
-            assert pool.censored[i] == len(detect_exit_times(traj, 20)) == 0
-            with pytest.raises(NoConfirmedExit):
-                renewal_decompose(traj, ctx_b, 20)
-            assert pool.tau[i] == 0 and pool.t0_time[i] == -1 and np.isnan(pool.t0_dist[i])
+    def test_empty_batches_against_the_word_level_walks(self, n, M, request):
+        for label in ("a", "b", "c"):
+            cfg = request.getfixturevalue(f"instance_{label}")
+            ctx = request.getfixturevalue(f"ctx_{label}")
+            kernel = compile_kernel(cfg)
+            streams = [stream_id(4, i) for i in range(M)]
+            batch = simulate_batch(cfg, n, 17, streams, workers=1)
+            assert len(batch.codes) == len(batch.wtime) == M + int(batch.sp.sum())
+            assert batch.counts.shape == (M, kernel.n_letters + 1)
+            pool = batch_decompose(batch, kernel, ctx, 20)
+            stats = batch_walk_stats(batch, kernel, ctx)
+            per_walk = (pool.tau, pool.t0_time, pool.t0_dist, pool.n_blocks, pool.censored)
+            assert [len(a) for a in (*per_walk, stats.length, stats.dist, stats.dl)] == [M] * 8
+            assert pool.size == 0
+            blocks = ("walk", "index", "delta_t", "d_dist", "d_ent", "w_first", "w_second", "d_at")
+            for name in blocks:
+                assert len(getattr(pool, name)) == 0, name
+            for i, s in enumerate(streams):
+                traj = sample_trajectory(cfg, n, 17, s)
+                assert stats.length[i] == len(traj.states[-1].letters) == 0
+                assert stats.dist[i] == stats.dl[i] == 0
+                assert np.array_equal(batch.counts[i], letter_counts(traj.states[-1], cfg))
+                assert pool.censored[i] == len(detect_exit_times(traj, 20)) == 0
+                with pytest.raises(NoConfirmedExit):
+                    renewal_decompose(traj, ctx, 20)
+                assert pool.tau[i] == 0 and pool.t0_time[i] == -1 and np.isnan(pool.t0_dist[i])
 
     def test_corrupt_runs_are_refused(self, instance_a, ctx_a):
         """Both checks compare each depth with the one below it in its own run."""
@@ -525,10 +541,14 @@ class TestBatchLayout:
         codes, wtime = batch.codes.copy(), batch.wtime.copy()
         codes[at] = codes[at - 1]
         with pytest.raises(AssertionError, match="alternate"):
-            batch_decompose(BatchWalks(batch.n, batch.sp, codes, batch.wtime), kernel, ctx_a)
+            batch_decompose(
+                BatchWalks(batch.n, batch.sp, codes, batch.wtime, batch.counts), kernel, ctx_a
+            )
         wtime[at] = wtime[at - 1]
         with pytest.raises(AssertionError, match="increase"):
-            batch_decompose(BatchWalks(batch.n, batch.sp, batch.codes, wtime), kernel, ctx_a)
+            batch_decompose(
+                BatchWalks(batch.n, batch.sp, batch.codes, wtime, batch.counts), kernel, ctx_a
+            )
 
 
 @pytest.fixture
@@ -554,7 +574,7 @@ class TestKernelBuild:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         simulator._step_library.cache_clear()  # as in a fresh process
         batch = simulate_batch(instance_k3_k3(), 300, 7, [stream_id(4, i) for i in range(16)])
-        codes = np.concatenate([batch.final_codes(m) for m in range(batch.n_walks)])
+        codes = np.concatenate([final_codes(batch, m) for m in range(batch.n_walks)])
         assert _digest(codes) == GOLDEN_FINAL_CODES["a"]
         assert sorted(kernel_cache.iterdir()) == built
 
@@ -574,6 +594,12 @@ class TestKernelBuild:
         assert path.parent == simulator._CACHE_DIR
         assert simulator._library_path(source + b"\n", command) != path
         assert simulator._library_path(source, [*command, "-g"]) != path
+
+    def test_the_kernel_compiles_without_warnings(self):
+        flags = ["-Wall", "-Wextra", "-Wconversion", "-Werror", "-fsyntax-only"]
+        argv = [*simulator._compile_command(), *flags, str(simulator._KERNEL_SOURCE)]
+        done = subprocess.run(argv, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_an_unwritable_cache_builds_in_a_private_directory(self, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
@@ -661,5 +687,5 @@ class TestGolden:
     def test_final_codes(self, label, request):
         cfg = request.getfixturevalue(f"instance_{label}")
         batch = simulate_batch(cfg, 300, 7, [stream_id(4, i) for i in range(16)])
-        codes = np.concatenate([batch.final_codes(m) for m in range(batch.n_walks)])
+        codes = np.concatenate([final_codes(batch, m) for m in range(batch.n_walks)])
         assert _digest(codes) == GOLDEN_FINAL_CODES[label]
