@@ -55,6 +55,7 @@ from .estimators import (
     InsufficientBlocks,
     InvalidGridPoint,
     MissingEpsilon0,
+    RATE_NAMES,
     DiagnosticsReport,
     estimate_rates,
     estimate_sigmas,
@@ -451,8 +452,7 @@ def _cmd_simulate(args, manifest: RunManifest) -> int:
     )
     print(
         f"{pool.size} blocks from {args.M} walks; "
-        f"lambda = {rates.lambda_renewal.value:.5f}, "
-        f"ell = {rates.ell_renewal.value:.5f}, h = {rates.h_renewal.value:.5f}"
+        + ", ".join(f"{s} = {getattr(rates, s + '_renewal').value:.5f}" for s in RATE_NAMES)
     )
     return EXIT_OK
 

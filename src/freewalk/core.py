@@ -283,7 +283,10 @@ def validate_config(cfg: WalkConfig) -> ValidationReport:
         bad_rows = [
             f.vertices[i]
             for i in range(f.size)
-            if abs(mat[i].sum() - 1.0) > ROW_SUM_TOL or (mat[i] < 0).any()
+            # NaN fails no comparison, so finiteness is checked first
+            if not np.isfinite(mat[i]).all()
+            or abs(mat[i].sum() - 1.0) > ROW_SUM_TOL
+            or (mat[i] < 0).any()
         ]
         report.add(
             f"{tag}.row_stochastic",

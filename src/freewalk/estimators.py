@@ -11,7 +11,7 @@ against the standard normal with the asymptotic p-value series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,6 +39,9 @@ IID_LATER_INDEX = 5
 IID_MAX_LAG = 2
 TAIL_FIT_QUANTILE = 0.9  # upper end of the log-survival fit range
 FLAG_FACTOR = 5.0  # second differences beyond this many noise scales are flagged
+# the summaries' name of each statistic, in ``STATISTICS`` order: its rate
+# fields ``<name>_renewal`` and ``<name>_direct``, its variance ``<name>_sq``
+RATE_NAMES = ("lambda", "ell", "h")
 
 
 class EmptyPool(FreewalkError):
@@ -111,28 +114,23 @@ def truncate_pool(pool: BlockPool, max_index: Optional[int] = None) -> BlockPool
         raise EmptyPool("no blocks in pool")
     j = int(counts.min()) if max_index is None else int(max_index)
     keep = pool.index <= j
-    return BlockPool(
+    return replace(
+        pool,
         walk=pool.walk[keep],
         index=pool.index[keep],
         delta_t=pool.delta_t[keep],
-        d_dist=pool.d_dist[keep],
-        d_ent=pool.d_ent[keep],
         w_first=pool.w_first[keep],
         w_second=pool.w_second[keep],
         d_at=pool.d_at[keep],
-        tau=pool.tau,
-        t0_time=pool.t0_time,
-        t0_dist=pool.t0_dist,
         n_blocks=np.minimum(pool.n_blocks, j),
-        censored=pool.censored,
     )
 
 
 def estimate_rates(pool: BlockPool, stats: WalkStatsArrays) -> RateEstimates:
     """Rates from the renewal formulas and from endpoint averages.
 
-    Renewal estimates are reward-over-increment ratios (the block-length
-    reward is identically 2, so its rate is ``2 / mean(increment)``); direct
+    Renewal estimates are reward-over-increment ratios, each block's reward
+    read off the pool's letter table (:meth:`BlockPool.reward`); direct
     estimates average ``statistic / n`` over walks.  The CIs spread over
     walks, so a pool of one walk raises :class:`InsufficientBlocks` rather
     than claim a zero width.
@@ -144,14 +142,11 @@ def estimate_rates(pool: BlockPool, stats: WalkStatsArrays) -> RateEstimates:
             f"rate CIs need at least 2 walks, got {pool.n_walks}"
         )
     n = float(stats.n)
-    return RateEstimates(
-        lambda_renewal=_ratio_estimate(pool, pool.d_dist),
-        lambda_direct=_mean_estimate(stats.dist / n),
-        ell_renewal=_ratio_estimate(pool, np.full(pool.size, 2.0)),
-        ell_direct=_mean_estimate(stats.length / n),
-        h_renewal=_ratio_estimate(pool, pool.d_ent),
-        h_direct=_mean_estimate(stats.dl / n),
-    )
+    fields = {}
+    for k, name in enumerate(RATE_NAMES):
+        fields[f"{name}_renewal"] = _ratio_estimate(pool, pool.reward(k))
+        fields[f"{name}_direct"] = _mean_estimate(stats.values[k] / n)
+    return RateEstimates(**fields)
 
 
 @dataclass
@@ -164,12 +159,8 @@ class SigmaEstimates:
     degenerate: tuple[bool, bool, bool]
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma_lambda_sq": self.lambda_sq,
-            "sigma_ell_sq": self.ell_sq,
-            "sigma_h_sq": self.h_sq,
-            "degenerate": list(self.degenerate),
-        }
+        doc = {f"sigma_{name}_sq": getattr(self, f"{name}_sq") for name in RATE_NAMES}
+        return {**doc, "degenerate": list(self.degenerate)}
 
 
 def _plug_in_sigma_sq(delta_t: np.ndarray, rewards: np.ndarray) -> float:
@@ -188,26 +179,16 @@ def estimate_sigmas(pool: BlockPool) -> SigmaEstimates:
     if pool.size < 2:
         raise EmptyPool("need at least 2 blocks for a variance estimate")
     dt = pool.delta_t.astype(float)
-    values = (
-        _plug_in_sigma_sq(dt, pool.d_dist),
-        _plug_in_sigma_sq(dt, np.full(pool.size, 2.0)),
-        _plug_in_sigma_sq(dt, pool.d_ent),
-    )
-    return SigmaEstimates(
-        lambda_sq=values[0],
-        ell_sq=values[1],
-        h_sq=values[2],
-        degenerate=tuple(v == 0.0 for v in values),
-    )
+    values = {
+        f"{name}_sq": _plug_in_sigma_sq(dt, pool.reward(k)) for k, name in enumerate(RATE_NAMES)
+    }
+    return SigmaEstimates(**values, degenerate=tuple(v == 0.0 for v in values.values()))
 
 
 def bootstrap_sigma_se(pool: BlockPool, which: str, seed: int = 0) -> float:
-    """Walk-resampling standard error of a plug-in variance estimate."""
-    rewards = {
-        "lambda": pool.d_dist,
-        "ell": np.full(pool.size, 2.0),
-        "h": pool.d_ent,
-    }[which]
+    """Walk-resampling standard error of the plug-in variance of the
+    statistic named ``which``, one of ``RATE_NAMES``."""
+    rewards = pool.reward(RATE_NAMES.index(which))
     dt = pool.delta_t.astype(float)
     w = pool.n_walks
     agg = np.stack(
@@ -349,8 +330,7 @@ def run_clt_suite(
 
     streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
     batch = simulate_batch(cfg, n, master_seed, streams)
-    stats = batch_walk_stats(batch, kernel, ctx)
-    raws = dict(zip(STATISTICS, (stats.dist, stats.length, stats.dl)))
+    raws = dict(zip(STATISTICS, batch_walk_stats(batch, kernel, ctx).values))
 
     out: dict[str, CltReport] = {}
     for statistic in statistics:
@@ -549,14 +529,7 @@ class DiagnosticsReport:
 
 # -- smoothness probe ------------------------------------------------------------
 
-SMOOTHNESS_COLUMNS = (
-    "lambda",
-    "ell",
-    "h",
-    "sigma_lambda_sq",
-    "sigma_ell_sq",
-    "sigma_h_sq",
-)
+SMOOTHNESS_COLUMNS = (*RATE_NAMES, *(f"sigma_{name}_sq" for name in RATE_NAMES))
 
 
 @dataclass
@@ -614,20 +587,12 @@ def smoothness_probe(
         rates = estimate_rates(pool, stats)
         sigmas = estimate_sigmas(pool)
         params.append(param)
-        for col, est in (
-            ("lambda", rates.lambda_renewal),
-            ("ell", rates.ell_renewal),
-            ("h", rates.h_renewal),
-        ):
-            values[col].append(est.value)
-            ses[col].append(est.half_width / Z95)
-        for col, val, which in (
-            ("sigma_lambda_sq", sigmas.lambda_sq, "lambda"),
-            ("sigma_ell_sq", sigmas.ell_sq, "ell"),
-            ("sigma_h_sq", sigmas.h_sq, "h"),
-        ):
-            values[col].append(val)
-            ses[col].append(bootstrap_sigma_se(pool, which, seed=master_seed))
+        for name in RATE_NAMES:
+            est = getattr(rates, f"{name}_renewal")
+            values[name].append(est.value)
+            ses[name].append(est.half_width / Z95)
+            values[f"sigma_{name}_sq"].append(getattr(sigmas, f"{name}_sq"))
+            ses[f"sigma_{name}_sq"].append(bootstrap_sigma_se(pool, name, seed=master_seed))
     second: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
     flags: list[tuple[str, int]] = []
     for col in SMOOTHNESS_COLUMNS:

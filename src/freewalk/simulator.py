@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import POP, PUSH, CompiledKernel, InvalidConfig, WalkConfig, compile_kernel
-from .genfun import GenFunContext, letter_rewards
+from .genfun import STATISTICS, GenFunContext, letter_rewards
 
 DEFAULT_BUFFER = 500
 
@@ -327,12 +327,13 @@ def simulate_batch(
 
 @dataclass
 class WalkStatsArrays:
-    """Endpoint statistics of a batch: word length, graph distance, letter distance."""
+    """Endpoint statistics of a batch: ``values[k, m]`` is statistic
+    ``STATISTICS[k]`` of walk ``m`` (graph distance, word length, letter
+    distance), each the sum of its :func:`freewalk.genfun.letter_rewards`
+    row over the letters of the final word."""
 
     n: int
-    length: np.ndarray
-    dist: np.ndarray
-    dl: np.ndarray
+    values: np.ndarray  # (len(STATISTICS), M)
 
 
 def batch_walk_stats(
@@ -342,8 +343,7 @@ def batch_walk_stats(
     the letters: an elementwise product and a sum in numpy's own order, not
     a BLAS product, whose order of additions may depend on the machine."""
     per_letter = letter_rewards(kernel, ctx)[:, None, :] * batch.counts
-    dist, length, dl = per_letter.sum(axis=2)
-    return WalkStatsArrays(n=batch.n, length=length, dist=dist, dl=dl)
+    return WalkStatsArrays(n=batch.n, values=per_letter.sum(axis=2))
 
 
 @dataclass
@@ -354,13 +354,16 @@ class BlockPool:
     ``index`` the 1-based block index within its walk.  Per-walk arrays
     (``tau``, ``t0_time``, ``t0_dist``, ``n_blocks``, ``censored``) have one
     entry per simulated walk, including walks that produced no block.
+
+    A block adds to each statistic the rewards of its appended pair of
+    letter codes ``(w_first, w_second)``, read off the pool's
+    ``letter_rewards`` table by :meth:`reward`; no per-statistic array is
+    stored.  ``d_dist`` and ``d_ent`` are two of those rows.
     """
 
     walk: np.ndarray
     index: np.ndarray
     delta_t: np.ndarray
-    d_dist: np.ndarray
-    d_ent: np.ndarray
     w_first: np.ndarray
     w_second: np.ndarray
     d_at: np.ndarray
@@ -369,6 +372,7 @@ class BlockPool:
     t0_dist: np.ndarray
     n_blocks: np.ndarray
     censored: np.ndarray
+    letter_rewards: np.ndarray  # (len(STATISTICS), codes), as genfun.letter_rewards
 
     @property
     def n_walks(self) -> int:
@@ -377,6 +381,21 @@ class BlockPool:
     @property
     def size(self) -> int:
         return len(self.delta_t)
+
+    def reward(self, k: int) -> np.ndarray:
+        """Each block's reward to statistic ``STATISTICS[k]``."""
+        row = self.letter_rewards[k]
+        out = np.take(row, self.w_first)
+        out += np.take(row, self.w_second)
+        return out
+
+    @property
+    def d_dist(self) -> np.ndarray:
+        return self.reward(STATISTICS.index("dist"))
+
+    @property
+    def d_ent(self) -> np.ndarray:
+        return self.reward(STATISTICS.index("entropy"))
 
     def walk_sums(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.walk, weights=values, minlength=self.n_walks)
@@ -402,7 +421,8 @@ def batch_decompose(
     codes, wtime = batch.codes, batch.wtime
     M = batch.n_walks
     fac = kernel.factor_of_code
-    ldist, _, dl_tab = letter_rewards(kernel, ctx)
+    rewards = letter_rewards(kernel, ctx)
+    ldist = rewards[STATISTICS.index("dist")]
 
     # ``live`` marks every entry but a walk's depth 0; each is checked
     # against the entry before it, the depth below in the same run
@@ -445,8 +465,6 @@ def batch_decompose(
         walk=walk,
         index=index,
         delta_t=(wtime[at] - wtime[at - 2]).astype(np.int64),
-        d_dist=d_dist,
-        d_ent=dl_tab[first] + dl_tab[second],
         w_first=first,
         w_second=second,
         d_at=t0_dist[walk] + (cum_dist - before),
@@ -455,6 +473,7 @@ def batch_decompose(
         t0_dist=t0_dist,
         n_blocks=n_blocks,
         censored=censored,
+        letter_rewards=rewards,
     )
 
 
@@ -479,8 +498,9 @@ def simulate_pool(
 def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict[str, np.ndarray]:
     """The block CSV as columns for :func:`freewalk.cli.emit_csv`.
 
-    Five pool arrays as they are, plus ``pair``: the appended letters' vertex
-    names, one gather on a table indexed by (first code, second code).
+    Three pool arrays as they are, the blocks' ``d_dist`` and ``d_ent``
+    rewards, and ``pair``: the appended letters' vertex names, one gather on
+    a table indexed by (first code, second code).
     """
     names = [v for _, v in kernel.letter_of_code]
     pair_names = np.array([[a + b for b in names] for a in names])

@@ -81,7 +81,12 @@ def word(*letters) -> Word:
 
 
 def make_pool(walks: list[list[tuple]]) -> BlockPool:
-    """Synthetic block pool from per-walk ``(delta_t, d_dist, d_ent)`` triples."""
+    """Synthetic block pool from per-walk ``(delta_t, d_dist, d_ent)`` triples.
+
+    Block ``j`` appends the letter codes ``j + 1`` and 0 of a table whose
+    column ``j + 1`` holds its ``d_dist``, 1 and ``d_ent``, and column 0 the
+    second letter's 0, 1 and 0, so each block adds 2 to the word length.
+    """
     walk_idx, block_idx, dts, dds, des = [], [], [], [], []
     t0s, taus, nbs = [], [], []
     for w, blocks in enumerate(walks):
@@ -101,14 +106,13 @@ def make_pool(walks: list[list[tuple]]) -> BlockPool:
         walk=np.array(walk_idx, dtype=np.int64),
         index=np.array(block_idx, dtype=np.int64),
         delta_t=np.array(dts, dtype=np.int64),
-        d_dist=np.array(dds, dtype=float),
-        d_ent=np.array(des, dtype=float),
-        w_first=np.zeros(k, dtype=np.int16),
-        w_second=np.zeros(k, dtype=np.int16),
+        w_first=np.arange(1, k + 1),
+        w_second=np.zeros(k, dtype=np.int64),
         d_at=np.zeros(k),
         tau=np.array(taus, dtype=np.int8),
         t0_time=np.array(t0s, dtype=np.int64),
         t0_dist=np.ones(m),
         n_blocks=np.array(nbs, dtype=np.int64),
         censored=np.zeros(m, dtype=np.int64),
+        letter_rewards=np.array([[0.0, *dds], [1.0] * (k + 1), [0.0, *des]]),
     )

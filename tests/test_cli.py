@@ -39,7 +39,7 @@ from freewalk.cli import (
 )
 from freewalk.core import InvalidConfig, compile_kernel
 from freewalk.estimators import run_clt_suite
-from freewalk.genfun import build_context, clt_constants, renewal_increment_law
+from freewalk.genfun import STATISTICS, build_context, clt_constants, renewal_increment_law
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import PURPOSE_MAIN, batch_walk_stats, simulate_batch, stream_id
 
@@ -360,6 +360,20 @@ class TestArtifactPins:
             "sweep_table.csv": "87af3a93a7f5debaec16c3e2ecd3b952dc23b73aad3075e240635e1ed771a9f9",
             "sweep_summary.json": "e25788071602f43c5c63b3767d9955705daeba93809e77de2d99903e06f89272",
         },
+        # on K3xK3 every letter lies one step from its root, so dist equals
+        # the word length walk by walk; PathxK3's path letters tell the
+        # statistics apart, so these two pins see a swap of statistic rows
+        ("clt", "--config", "PathxK3", "--stat", "all", "--n", "300", "--M", "200"): {
+            "clt_samples_dist.csv": "7b35467a584a029a5fe0cf33e755d78d45d75fd8b9ea9b0f19ee85d4c9cc3846",
+            "clt_samples_block.csv": "56d59511c26ca9f11e34f6323e611d96caf849ae0763bd3ef923650dd04532a5",
+            "clt_samples_entropy.csv": "ac76d9437e91bf36e5fdc2065cb02a1fdaa4b9277dd550f36f5e690e33f01862",
+            "clt_summary.json": "d7eb922d1fe70da432c38350ee348b1bf657ecfc576613ca3e2d1f0c5055d0a3",
+        },
+        ("sweep", "--config", "PathxK3", "--grid", "0.4,0.5,0.6", "--n", "400", "--M", "40",
+         "--buffer", "100"): {
+            "sweep_table.csv": "d92347359e5fa0b2246c054003bcb6b2c6377734ce2bf2ff0f468bf4cad66a46",
+            "sweep_summary.json": "0f6e777777fbae29c000a10aba756a6e7791680319b04bdfeb88400fbadfe2cd",
+        },
         ("oracle-check", "--config", "K3xK3"): {
             "oracle_check_increment_table.csv": "dcb58e96ac0b33378652945d98382424297126a574df587698616692505264d7",
             "oracle_check_summary.json": "55aeefb8f114848319a46a151ddd05f8dba16694c64e6f02bec01eeb90e8f719",
@@ -452,14 +466,15 @@ class TestArtifactPins:
 
     # sha256 of the raw statistics of the main batch behind the clt pin
     # (K3xK3, n=300, M=200, seed 3), captured while clt still drew a
-    # calibration pool: dist and length agree because every letter of K3 is
-    # one step from its root.  dl was re-captured when the statistics became
-    # sums over letter counts: count times reward per letter code, in place
-    # of numpy's pairwise sum over the word, moves dl by at most 4e-16 relative
+    # calibration pool: dist and block (the word length) agree because every
+    # letter of K3 is one step from its root.  entropy was re-captured when
+    # the statistics became sums over letter counts: count times reward per
+    # letter code, in place of numpy's pairwise sum over the word, moves it
+    # by at most 4e-16 relative
     CLT_MAIN_BATCH = {
         "dist": "d3fbaa286e30593ae7fbf588bb79b5235a16258b00ace648882f0c5169ef16f9",
-        "length": "d3fbaa286e30593ae7fbf588bb79b5235a16258b00ace648882f0c5169ef16f9",
-        "dl": "d06883a8f8e18c728c333d3e3bb9817142a394234efcbe24596c048b0d955f59",
+        "block": "d3fbaa286e30593ae7fbf588bb79b5235a16258b00ace648882f0c5169ef16f9",
+        "entropy": "d06883a8f8e18c728c333d3e3bb9817142a394234efcbe24596c048b0d955f59",
     }
 
     def test_clt_standardizes_the_pinned_main_batch(self):
@@ -467,12 +482,12 @@ class TestArtifactPins:
         streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
         batch = simulate_batch(cfg, n, seed, streams)
         stats = batch_walk_stats(batch, compile_kernel(cfg), build_context(cfg))
+        raws = dict(zip(STATISTICS, stats.values))
         for name, digest in self.CLT_MAIN_BATCH.items():
-            a = getattr(stats, name)
+            a = raws[name]
             blob = a.dtype.str.encode() + a.tobytes()
             assert hashlib.sha256(blob).hexdigest() == digest, name
         suite = run_clt_suite(cfg, n, M, seed)
-        raws = {"dist": stats.dist, "block": stats.length, "entropy": stats.dl}
         for stat, raw in raws.items():
             r = suite[stat]
             want = (raw - n * r.rate_estimate) / (r.sigma_estimate * math.sqrt(n))
@@ -651,6 +666,26 @@ class TestMain:
             assert [c["name"] for c in checks if not c["ok"]] == ["loop_witness"]
         else:
             assert "validation error: loop_witness: witness" in capsys.readouterr().err
+            assert not out.exists()
+
+    # json reads these tokens as floats, and NaN fails every comparison, so
+    # the sum and sign tests alone would pass a row holding it
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["validate", "genfun", "clt", "simulate"])
+    def test_non_finite_transition_validation_exit(self, command, token, tmp_path, capsys):
+        doc = instance_k3_k3().to_json_dict()
+        del doc["parameters"], doc["loop_witness"]
+        doc["factor1"]["transition"][1] = [0.5, 0.0, "entry"]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc).replace('"entry"', token))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_VALIDATION
+        if command == "validate":
+            checks = json.loads((out / "validate_summary.json").read_text())["checks"]
+            assert [c["name"] for c in checks if not c["ok"]] == ["factor1.row_stochastic"]
+        else:
+            err = capsys.readouterr().err
+            assert "validation error: factor1.row_stochastic: bad rows: ['a']" in err
             assert not out.exists()
 
     def test_validate_ok(self, tmp_path, capsys):

@@ -29,6 +29,7 @@ from freewalk.estimators import (
     truncate_pool,
     two_sample_ks,
 )
+from freewalk.genfun import STATISTICS
 from freewalk.instances import instance_k3_k3
 from freewalk.oracle import enum_green_series
 from freewalk.simulator import WalkStatsArrays
@@ -36,7 +37,7 @@ from freewalk.simulator import WalkStatsArrays
 
 def stats_of(n, values):
     arr = np.asarray(values, dtype=float)
-    return WalkStatsArrays(n=n, length=arr, dist=arr, dl=arr)
+    return WalkStatsArrays(n=n, values=np.stack([arr] * len(STATISTICS)))
 
 
 class TestRateArithmetic:

@@ -199,6 +199,39 @@ def test_the_serializer_check_sees_methods_not_functions():
     assert _own_layouts(source) == ["Report"]
 
 
+# the one module of the package that computes each per-letter reward; every
+# other module reads genfun.letter_rewards.  Tests and perfbench/ keep their
+# own references, as the criteria compare the package against them
+REWARD_SOURCES = {"letter_dl": "genfun.py", "distances_from_root": "core.py"}
+
+
+def _method_callers(sources: dict[str, str], method: str) -> set[str]:
+    """The names of the sources that call ``<object>.<method>(...)``."""
+    return {
+        name
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+    }
+
+
+@pytest.mark.parametrize("method", sorted(REWARD_SOURCES))
+def test_one_module_computes_each_letter_reward(method):
+    sources = {p.name: p.read_text() for p in ROOT.glob("src/freewalk/*.py")}
+    assert _method_callers(sources, method) == {REWARD_SOURCES[method]}
+
+
+def test_the_caller_check_sees_method_calls_only():
+    sources = {
+        "call.py": "ctx.letter_dl(1, 'a')\n",
+        "read.py": "f = ctx.letter_dl\n",
+        "function.py": "letter_dl(1, 'a')\n",
+    }
+    assert _method_callers(sources, "letter_dl") == {"call.py"}
+
+
 # functions no command reaches, each kept because the benchmark (``perfbench/``)
 # calls or wraps it by name
 UNREACHED_ALLOWED = {

@@ -43,7 +43,7 @@ from freewalk.core import (
     compile_kernel,
     step_distribution,
 )
-from freewalk.genfun import build_context
+from freewalk.genfun import STATISTICS, build_context
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import (
     PURPOSE_GRID,
@@ -313,6 +313,7 @@ class TestRenewalDecompose:
             assert list(pool.delta_t[idx]) == [b.delta_t for b in sample.blocks]
             assert list(pool.d_dist[idx]) == [b.d_dist for b in sample.blocks]
             assert np.allclose(pool.d_ent[idx], [b.d_ent for b in sample.blocks])
+            assert np.all(pool.reward(STATISTICS.index("block"))[idx] == 2.0)
             assert list(pool.d_at[idx]) == sample.renewal_distances[1:]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 60, 300])
@@ -351,14 +352,14 @@ class TestWalkStats:
         ctx = request.getfixturevalue(f"ctx_{label}")
         kernel = compile_kernel(cfg)
         batch = simulate_batch(cfg, 200, 77, [stream_id(4, i) for i in range(3)])
-        stats = batch_walk_stats(batch, kernel, ctx)
+        stats = dict(zip(STATISTICS, batch_walk_stats(batch, kernel, ctx).values))
         for i in range(3):
             traj = sample_trajectory(cfg, 200, 77, stream=stream_id(4, i))
             final = traj.states[-1]
-            assert stats.length[i] == len(final.letters)
-            assert stats.dist[i] == graph_distance(final, cfg)
+            assert stats["block"][i] == len(final.letters)
+            assert stats["dist"][i] == graph_distance(final, cfg)
             dl = math.fsum(ctx.letter_dl(f, v) for f, v in final.letters)
-            assert abs(stats.dl[i] - dl) <= 1e-13 * abs(dl)
+            assert abs(stats["entropy"][i] - dl) <= 1e-13 * abs(dl)
 
 
 class TestHitProbability:
@@ -517,15 +518,15 @@ class TestBatchLayout:
             pool = batch_decompose(batch, kernel, ctx, 20)
             stats = batch_walk_stats(batch, kernel, ctx)
             per_walk = (pool.tau, pool.t0_time, pool.t0_dist, pool.n_blocks, pool.censored)
-            assert [len(a) for a in (*per_walk, stats.length, stats.dist, stats.dl)] == [M] * 8
+            assert [len(a) for a in (*per_walk, *stats.values)] == [M] * 8
             assert pool.size == 0
             blocks = ("walk", "index", "delta_t", "d_dist", "d_ent", "w_first", "w_second", "d_at")
             for name in blocks:
                 assert len(getattr(pool, name)) == 0, name
             for i, s in enumerate(streams):
                 traj = sample_trajectory(cfg, n, 17, s)
-                assert stats.length[i] == len(traj.states[-1].letters) == 0
-                assert stats.dist[i] == stats.dl[i] == 0
+                assert len(traj.states[-1].letters) == 0
+                assert np.all(stats.values[:, i] == 0)
                 assert np.array_equal(batch.counts[i], letter_counts(traj.states[-1], cfg))
                 assert pool.censored[i] == len(detect_exit_times(traj, 20)) == 0
                 with pytest.raises(NoConfirmedExit):
