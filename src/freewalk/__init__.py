@@ -24,8 +24,7 @@ from .genfun import (
     RenewalLaw,
     build_context,
     clt_constants,
-    factor_L,
-    factor_green,
+    factor_resolvent,
     radius_diagnostic,
     renewal_increment_law,
     solve_xi,

@@ -43,7 +43,6 @@ from .core import (
     InvalidConfig,
     LoopWitness,
     ParameterBinding,
-    UnreachableVertex,
     WalkConfig,
     Word,
     compile_kernel,
@@ -76,7 +75,6 @@ from .genfun import (
 )
 from .instances import NAMED_INSTANCES
 from .oracle import (
-    DEFAULT_ORDER_CAP,
     OrderTooLarge,
     enum_green_series,
     enum_L_series,
@@ -100,13 +98,7 @@ class ParseError(FreewalkError):
 
 
 VALIDATION_ERRORS = (InvalidConfig, ParseError, InvalidGridPoint)
-NUMERIC_ERRORS = (
-    SingularSolve,
-    NoConvergence,
-    NonpositiveL,
-    OrderTooLarge,
-    UnreachableVertex,
-)
+NUMERIC_ERRORS = (SingularSolve, NoConvergence, NonpositiveL, OrderTooLarge)
 STATISTICAL_ERRORS = (
     EmptyPool,
     MissingEpsilon0,
@@ -245,16 +237,7 @@ EMIT_BLOCK_ROWS = 65536
 _NEEDS_CSV = re.compile('[,"\r\n]')  # delimiter, quote, line terminator of csv.excel
 
 
-def _cell_text(v) -> str:
-    """A cell as ``csv.writer`` writes it before quoting, floats as ``.12g``."""
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    if isinstance(v, str):
-        return v
-    return "" if v is None else str(v)
-
-
-def _distinct_fields(column, lone: bool) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_fields(column: np.ndarray, lone: bool) -> tuple[np.ndarray, np.ndarray]:
     """One column as its distinct fields and each row's index into them.
 
     Each distinct text is quoted once.  A text holding a special character of
@@ -262,18 +245,13 @@ def _distinct_fields(column, lone: bool) -> tuple[np.ndarray, np.ndarray]:
     cell of a one-column table (``lone``), which it writes as ``""``; every
     other text is its own field.
     """
-    array = isinstance(column, np.ndarray)
-    if array and column.dtype == np.float64:
+    if column.dtype == np.float64:
         # by bit pattern: unique floats would merge -0.0 into 0.0
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
         texts = [f"{v:.12g}" for v in bits.view(np.float64)]
-    elif array and column.dtype.kind in "iubU":
-        values, inverse = np.unique(column, return_inverse=True)
-        texts = [str(v) for v in values.tolist()]
     else:
-        memo: dict[str, int] = {}
-        inverse = np.array([memo.setdefault(_cell_text(v), len(memo)) for v in column])
-        texts = list(memo)
+        values, inverse = np.unique(column, return_inverse=True)
+        texts = [str(v) for v in values]  # numpy scalars: a float32 keeps its str
     fields = np.array(texts, dtype=object)
     if _NEEDS_CSV.search("".join(texts)) or (lone and "" in texts):
         for i, text in enumerate(texts):
@@ -285,15 +263,14 @@ def _distinct_fields(column, lone: bool) -> tuple[np.ndarray, np.ndarray]:
     return fields, inverse.astype(np.min_scalar_type(len(texts)))
 
 
-def emit_csv(table: Mapping[str, Sequence], path: Path) -> None:
-    """Write a table given as column name -> column (numpy array or list).
+def emit_csv(table: Mapping[str, np.ndarray], path: Path) -> None:
+    """Write a table given as column name -> numpy array.
 
-    The bytes are those ``csv.DictWriter`` writes row by row: a float cell,
-    numpy float64 included, is written as ``f"{v:.12g}"``, ``None`` as an
-    empty field, and any other cell, a ``Fraction`` or ``bool`` say, as its
-    ``str``.  Lists are never converted to arrays, so an int in a list of
-    floats stays an int.  A table with no rows is its header line; columns
-    of unequal length raise ``ValueError``.
+    The bytes are those ``csv.DictWriter`` writes row by row: a float64 cell
+    is written as ``f"{v:.12g}"``, any other cell, an int, ``bool``, str or
+    float32, as the ``str`` of its numpy scalar.  A table with no rows is its header line; a column that
+    is not a numpy array raises ``TypeError``, and columns of unequal length
+    raise ``ValueError``.
 
     No row is built as a Python object.  Each column becomes a table of its
     distinct fields, quoted once, and an index array into it.  Rows are
@@ -301,6 +278,9 @@ def emit_csv(table: Mapping[str, Sequence], path: Path) -> None:
     column's fields into a ``(rows, 2 * columns)`` object array interleaved
     with the separators, and one join of it is written.
     """
+    for name, column in table.items():
+        if not isinstance(column, np.ndarray):
+            raise TypeError(f"column {name!r} is a {type(column).__name__}, not a numpy array")
     lengths = [len(column) for column in table.values()]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length {lengths} do not zip into rows")
@@ -326,7 +306,7 @@ def emit_report(
     manifest: RunManifest,
     cfg: WalkConfig,
     name: str,
-    csv_rows: Optional[dict[str, Mapping[str, Sequence]]] = None,
+    csv_rows: Optional[dict[str, Mapping[str, np.ndarray]]] = None,
 ) -> list[Path]:
     """Write the JSON summary of ``doc``, a dict or a result dataclass, plus
     one CSV per table of ``csv_rows``."""
@@ -412,8 +392,8 @@ def _cmd_oracle_check(args, manifest: RunManifest) -> int:
         series_to_rows(enum_xi_series(i, order, cfg).as_float(), f"xi_{i}")
         for i in (1, 2)
     )
-    xi_rows = {k: xi1[k] + xi2[k] for k in xi1}
-    law = exact_renewal_increment_dist(min(order, DEFAULT_ORDER_CAP), cfg)
+    xi_rows = {k: np.concatenate([xi1[k], xi2[k]]) for k in xi1}
+    law = exact_renewal_increment_dist(order, cfg)
     emit_report(
         doc,
         manifest,

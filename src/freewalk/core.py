@@ -41,10 +41,6 @@ class IncompatibleLetters(FreewalkError):
     """Concatenation would place two letters of the same factor side by side."""
 
 
-class UnreachableVertex(FreewalkError):
-    """A factor vertex has no positive-probability oriented path from the root."""
-
-
 @dataclass(frozen=True)
 class Word:
     """A normalized element of the free product: alternating non-root letters.
@@ -439,11 +435,8 @@ class CompiledKernel:
 
         dists = [0.0]
         for i in (1, 2):
-            table = cfg.factor(i).distances_from_root()
-            for v in cfg.factor(i).nonroot:
-                if v not in table:
-                    raise UnreachableVertex(f"vertex {v} unreachable in factor {i}")
-                dists.append(float(table[v]))
+            table = cfg.factor(i).distances_from_root()  # every vertex, as validated
+            dists += [float(table[v]) for v in cfg.factor(i).nonroot]
         self.letter_distance = np.array(dists)
 
         self.moves: list[list[Move]] = [self._moves_for_state(s) for s in range(len(codes))]

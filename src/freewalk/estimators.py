@@ -198,7 +198,7 @@ def bootstrap_sigma_se(pool: BlockPool, which: str, seed: int = 0) -> float:
             pool.walk_sums(rewards**2),
             pool.walk_sums(dt),
             pool.walk_sums(dt**2),
-            pool.walk_sums(np.ones(pool.size)),
+            pool.n_blocks,
         ],
         axis=1,
     )
@@ -294,10 +294,10 @@ class CltReport:
     master_seed: int
     config_digest: str
 
-    def samples_to_rows(self) -> dict[str, Sequence]:
+    def samples_to_rows(self) -> dict[str, np.ndarray]:
         m = len(self.standardized_samples)
         return {
-            "statistic": [self.statistic] * m,
+            "statistic": np.full(m, self.statistic),
             "walk": np.arange(m),
             "standardized": self.standardized_samples,
         }
@@ -546,11 +546,11 @@ class SmoothnessReport:
     def flagged(self) -> bool:
         return bool(self.flags)
 
-    def to_rows(self) -> dict[str, list]:
-        table = {"param": self.params}
+    def to_rows(self) -> dict[str, np.ndarray]:
+        table = {"param": np.array(self.params, dtype=float)}
         for col in SMOOTHNESS_COLUMNS:
-            table[col] = self.values[col]
-            table[col + "_se"] = self.ses[col]
+            table[col] = np.array(self.values[col], dtype=float)
+            table[col + "_se"] = np.array(self.ses[col], dtype=float)
         return table
 
 

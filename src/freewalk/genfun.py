@@ -32,7 +32,7 @@ STATISTICS = ("dist", "block", "entropy")  # the CLT statistics, rows of letter_
 
 
 class SingularSolve(FreewalkError):
-    """The resolvent matrix is numerically singular at the requested point."""
+    """A factor resolvent was asked for at ``|t| >= 1``, where it may not exist."""
 
 
 class NoConvergence(FreewalkError):
@@ -43,27 +43,23 @@ class NonpositiveL(FreewalkError):
     """A cached last-exit value is nonpositive, signalling numeric failure."""
 
 
-def factor_green(cfg: WalkConfig, i: int, x: str, y: str, t: complex) -> complex:
-    """Entry ``(x, y)`` of ``(I - t P_i)^{-1}``, the factor Green function.
+def factor_resolvent(cfg: WalkConfig, i: int, ts: np.ndarray) -> np.ndarray:
+    """``(I - t P_i)^{-1}`` at every point ``t`` of ``ts``, complex, one
+    ``(size, size)`` matrix per point.
 
-    For real ``0 <= t < 1/spectral_radius(P_i)`` this is the power series
-    ``sum_n p_i^(n)(x, y) t^n``.
+    Entry ``(x, y)`` is the factor Green function ``G_i(x, y | t)``, the
+    power series ``sum_n p_i^(n)(x, y) t^n``.  For ``|t| < 1`` that series
+    converges, and since ``P_i`` is stochastic the inverse is bounded by
+    ``1 / (1 - |t|)``; any other point raises :class:`SingularSolve`.
+    Real points are inverted in complex arithmetic too: LAPACK's real path
+    rounds some letter-table entries 1 ulp apart.
     """
+    ts = np.asarray(ts, dtype=complex)
+    outside = ts[~(np.abs(ts) < 1.0)]
+    if outside.size:
+        raise SingularSolve(f"I - t P_{i} not inverted at |t| >= 1 (t = {outside[0]})")
     f = cfg.factor(i)
-    mat = np.eye(f.size, dtype=complex) - t * f.matrix().astype(complex)
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as e:
-        raise SingularSolve(f"I - t P_{i} singular at t = {t}") from e
-    if not np.all(np.isfinite(inv)) or np.linalg.cond(mat) > 1e12:
-        raise SingularSolve(f"I - t P_{i} ill-conditioned at t = {t}")
-    val = inv[f.index(x), f.index(y)]
-    return val.real if abs(val.imag) < 1e-14 else val
-
-
-def factor_L(cfg: WalkConfig, i: int, x: str, y: str, t: complex) -> complex:
-    """Factor last-exit function ``G_i(x, y | t) / G_i(x, x | t)``."""
-    return factor_green(cfg, i, x, y, t) / factor_green(cfg, i, x, x, t)
+    return np.linalg.inv(np.eye(f.size) - ts[:, None, None] * f.matrix())
 
 
 @dataclass
@@ -263,8 +259,9 @@ def build_context(cfg: WalkConfig) -> GenFunContext:
     letter_L: dict[tuple[int, str], float] = {}
     for i, xi in ((1, xi1), (2, xi2)):
         f = cfg.factor(i)
+        green = factor_resolvent(cfg, i, np.array([xi]))[0, f.root_index].real
         for v in f.nonroot:
-            L = float(factor_L(cfg, i, f.root, v, xi).real)
+            L = float(green[f.index(v)] / green[f.root_index])
             if not (0.0 < L <= bound + 1e-9):
                 raise NonpositiveL(
                     f"L_{i}(o, {v} | xi_{i}) = {L} outside (0, {bound}]"
@@ -352,12 +349,8 @@ def _factor_L_row_grid(
 ) -> dict[str, np.ndarray]:
     """``L_i(o_i, v | t)`` for every non-root ``v``, batched over ``ts``."""
     f = cfg.factor(i)
-    mats = np.eye(f.size, dtype=complex)[None, :, :] - ts[:, None, None] * f.matrix()
-    inv = np.linalg.inv(mats)
-    root = f.root_index
-    return {
-        v: inv[:, root, f.index(v)] / inv[:, root, root] for v in f.nonroot
-    }
+    green = factor_resolvent(cfg, i, ts)[:, f.root_index]
+    return {v: green[:, f.index(v)] / green[:, f.root_index] for v in f.nonroot}
 
 
 def _pair_gf_grid(zs: np.ndarray, cfg: WalkConfig) -> dict[tuple[str, str], np.ndarray]:
@@ -453,17 +446,23 @@ class RenewalLaw:
             acc += float((((r - n * rate) ** 2) * probs).sum())
         return acc / self.mean()
 
-    def to_rows(self) -> dict[str, list]:
+    def to_rows(self) -> dict[str, np.ndarray]:
         """The CSV form: the nonzero cells by increment, then pair, marked
-        ``exact``; then the pair ``*`` with the unassigned mass."""
+        ``exact``; then the pair ``*`` with the unassigned mass, marked
+        ``tail-bound``.
+
+        ``exact`` marks an enumerated coefficient, as against that tail row,
+        not rational arithmetic: ``oracle-check`` enumerates this table in
+        float with or without ``--float``.
+        """
         grid = np.column_stack(list(self.pair_probs.values()))
         n, j = np.nonzero(grid)
-        names = ["".join(pair) for pair in self.pair_probs]
+        names = np.array(["".join(pair) for pair in self.pair_probs])
         return {
-            "n": n.tolist() + [len(grid) - 1],
-            "pair": [names[k] for k in j.tolist()] + ["*"],
-            "probability": grid[n, j].tolist() + [self.unassigned],
-            "provenance": ["exact"] * len(n) + ["tail-bound"],
+            "n": np.append(n, len(grid) - 1),
+            "pair": np.append(names[j], "*"),
+            "probability": np.append(grid[n, j], self.unassigned),
+            "provenance": np.append(np.full(len(n), "exact"), "tail-bound"),
         }
 
 

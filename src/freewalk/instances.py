@@ -39,30 +39,27 @@ def instance_k3_k3(alpha: float = 0.5) -> WalkConfig:
     depends on a single parameter and admits several closed-form checks
     (exit probability 2/3, block speed 1/4, mean renewal increment 8).
     """
-    bindings = []
+    factor1, factor2 = _k3(1, ("o1", "a", "b")), _k3(2, ("o2", "c", "d"))
     if alpha == 0.5:
         params: tuple[float, ...] = (0.25,)
-        for fid, names in ((1, ("o1", "a", "b")), (2, ("o2", "c", "d"))):
-            for src in names:
-                for tgt in names:
-                    if src != tgt:
-                        bindings.append(ParameterBinding(fid, src, tgt, 0))
+        index = (0, 0)  # both factors bound to the one parameter
     else:
         params = (alpha * 0.5, (1.0 - alpha) * 0.5)
-        for idx, (fid, names) in enumerate(
-            ((1, ("o1", "a", "b")), (2, ("o2", "c", "d")))
-        ):
-            for src in names:
-                for tgt in names:
-                    if src != tgt:
-                        bindings.append(ParameterBinding(fid, src, tgt, idx))
+        index = (0, 1)
+    bindings = tuple(
+        ParameterBinding(f.factor_id, src, tgt, index[f.factor_id - 1])
+        for f in (factor1, factor2)
+        for src in f.vertices
+        for tgt in f.vertices
+        if src != tgt
+    )
     return WalkConfig(
-        factor1=_k3(1, ("o1", "a", "b")),
-        factor2=_k3(2, ("o2", "c", "d")),
+        factor1=factor1,
+        factor2=factor2,
         alpha=alpha,
         epsilon0=min(alpha, 1.0 - alpha) * 0.5,
         parameters=params,
-        bindings=tuple(bindings),
+        bindings=bindings,
         loop_witness=LoopWitness(1, "a", 2),
         name="K3xK3" if alpha == 0.5 else f"K3xK3(alpha={alpha})",
     )

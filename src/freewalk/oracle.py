@@ -388,11 +388,18 @@ def return_probability_proxy(
     return out
 
 
-def series_to_rows(series: TruncatedSeries, label: str) -> dict[str, list]:
+def series_to_rows(series: TruncatedSeries, label: str) -> dict[str, np.ndarray]:
+    """The CSV form: each coefficient by index, as a float.
+
+    Provenance ``exact`` marks an enumerated coefficient, as against the
+    ``tail-bound`` row of :meth:`freewalk.genfun.RenewalLaw.to_rows`, not
+    rational arithmetic: ``oracle-check`` enumerates this series in float
+    with or without ``--float``.
+    """
     k = len(series.coeffs)
     return {
-        "index": list(range(k)),
-        "value": [float(c) for c in series.coeffs],
-        "provenance": ["exact"] * k,
-        "series": [label] * k,
+        "index": np.arange(k),
+        "value": np.array(series.coeffs, dtype=float),
+        "provenance": np.full(k, "exact"),
+        "series": np.full(k, label),
     }

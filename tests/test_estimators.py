@@ -82,6 +82,13 @@ class TestTruncatePool:
         with pytest.raises(EmptyPool):
             truncate_pool(make_pool([[], []]))
 
+    def test_block_counts_are_the_walks_blocks(self, pool_b):
+        """``n_blocks`` counts each walk's blocks, as the bootstrap reads it."""
+        pool = pool_b[0]
+        middle = int(np.median(pool.n_blocks))  # above the yield of half the walks
+        for p in (pool, truncate_pool(pool), truncate_pool(pool, max_index=middle)):
+            assert np.array_equal(p.n_blocks, np.bincount(p.walk, minlength=p.n_walks))
+
 
 class TestSigmaArithmetic:
     def test_degenerate_flagged(self):

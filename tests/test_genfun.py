@@ -16,12 +16,12 @@ from freewalk.genfun import (
     RADIUS_WIDTH,
     NoConvergence,
     SingularSolve,
+    _factor_L_row_grid,
     _inside_radius,
     _solve_xi_array,
     build_context,
     clt_constants,
-    factor_L,
-    factor_green,
+    factor_resolvent,
     radius_diagnostic,
     renewal_increment_gf,
     renewal_increment_law,
@@ -79,32 +79,30 @@ def _within_ulps(value, exact, ulps=4):
 
 class TestFactorGreen:
     def test_identity_at_zero(self, instance_a):
-        assert factor_green(instance_a, 1, "o1", "o1", 0.0) == 1.0
-        assert factor_green(instance_a, 1, "o1", "a", 0.0) == 0.0
+        green = factor_resolvent(instance_a, 1, np.array([0.0]))
+        assert np.array_equal(green, np.eye(3)[None])
 
     def test_k3_closed_form(self, instance_a):
         # eigendecomposition of the uniform K3 row gives
         # G(o,o|t) = (1/3)/(1-t) + (2/3)/(1+t/2)
-        assert math.isclose(factor_green(instance_a, 1, "o1", "o1", 0.5), 1.2)
-        assert math.isclose(factor_green(instance_a, 1, "o1", "a", 0.5), 0.4)
+        green = factor_resolvent(instance_a, 1, np.array([0.5]))[0]
+        assert math.isclose(green[0, 0].real, 1.2)
+        assert math.isclose(green[0, 1].real, 0.4)
+        assert not green.imag.any()
 
     def test_resolvent_identity(self, instance_a, instance_b):
+        ts = np.array([0.0, 0.25, 0.5, 0.6j, -0.3 + 0.4j])
         for cfg in (instance_a, instance_b):
             for i in (1, 2):
                 f = cfg.factor(i)
                 p = f.matrix()
-                for t in (0.0, 0.25, 0.5):
-                    g = np.array(
-                        [
-                            [factor_green(cfg, i, x, y, t) for y in f.vertices]
-                            for x in f.vertices
-                        ]
-                    )
+                for t, g in zip(ts, factor_resolvent(cfg, i, ts)):
                     assert np.allclose(g, np.eye(f.size) + t * p @ g, atol=1e-10)
 
     def test_singular_at_one(self, instance_a):
-        with pytest.raises(SingularSolve):
-            factor_green(instance_a, 1, "o1", "o1", 1.0)
+        for ts in ([1.0], [0.5, -1.0], [1j], [np.nan]):
+            with pytest.raises(SingularSolve):
+                factor_resolvent(instance_a, 1, np.array(ts))
 
     def test_resolvent_matches_series_enumeration(self, instance_a, instance_b):
         """Dual route: linear solve vs taboo-free path enumeration."""
@@ -112,26 +110,39 @@ class TestFactorGreen:
         for cfg in (instance_a, instance_b):
             for i in (1, 2):
                 f = cfg.factor(i)
+                green = factor_resolvent(cfg, i, np.array([t]))[0]
                 for x in f.vertices:
                     for y in f.vertices:
                         series = factor_green_series(i, x, y, 40, cfg)
                         partial = 0.0  # Horner's rule
                         for c in reversed(series.coeffs):
                             partial = partial * t + c
-                        solved = factor_green(cfg, i, x, y, t)
+                        solved = green[f.index(x), f.index(y)]
                         assert abs(solved - partial) < t**41 / (1 - t) + 1e-12
 
 
 class TestFactorL:
-    def test_self_is_one(self, instance_a):
-        for t in (0.0, 0.3, 0.7):
-            assert math.isclose(factor_L(instance_a, 1, "a", "a", t), 1.0)
+    def test_self_is_one(self, instance_a, instance_b):
+        """With ``L_i(o_i, o_i | t) = 1``, the root row solves the last-exit
+        equations ``L(o, v) = t sum_w L(o, w) p(w, v)`` for ``v != o``."""
+        ts = np.array([0.0, 0.3, 0.7, 0.5j])
+        for cfg in (instance_a, instance_b):
+            for i in (1, 2):
+                f = cfg.factor(i)
+                rows = _factor_L_row_grid(cfg, i, ts)
+                L = np.ones((len(ts), f.size), dtype=complex)
+                for v, values in rows.items():
+                    L[:, f.index(v)] = values
+                for v in f.nonroot:
+                    step = ts * (L @ f.matrix()[:, f.index(v)])
+                    assert np.allclose(L[:, f.index(v)], step, atol=1e-12)
 
     def test_k3_value(self, instance_a):
-        assert math.isclose(factor_L(instance_a, 1, "o1", "a", 0.5), 1.0 / 3.0)
+        L = _factor_L_row_grid(instance_a, 1, np.array([0.5]))["a"][0]
+        assert math.isclose(L.real, 1.0 / 3.0)
 
     def test_zero_at_origin(self, instance_a):
-        assert factor_L(instance_a, 1, "o1", "a", 0.0) == 0.0
+        assert _factor_L_row_grid(instance_a, 1, np.array([0.0]))["a"][0] == 0.0
 
 
 class TestSolveXi:

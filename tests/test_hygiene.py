@@ -232,6 +232,25 @@ def test_the_caller_check_sees_method_calls_only():
     assert _method_callers(sources, "letter_dl") == {"call.py"}
 
 
+def _calls_of(source: str, dotted: str) -> int:
+    """How many calls of the dotted name, ``np.linalg.inv`` say, the source makes."""
+    return sum(
+        isinstance(node, ast.Call) and ast.unparse(node.func) == dotted
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_one_matrix_inversion():
+    """Every factor resolvent is ``genfun.factor_resolvent``'s one batched inverse."""
+    sources = [p.read_text() for p in ROOT.glob("src/freewalk/*.py")]
+    assert sum(_calls_of(source, "np.linalg.inv") for source in sources) == 1
+
+
+def test_the_call_count_sees_calls_only():
+    source = "a = np.linalg.inv(m)\nf = np.linalg.inv\nb = inv(m) + np.linalg.inv(m[0])\n"
+    assert _calls_of(source, "np.linalg.inv") == 2
+
+
 # functions no command reaches, each kept because the benchmark (``perfbench/``)
 # calls or wraps it by name
 UNREACHED_ALLOWED = {
