@@ -237,30 +237,64 @@ EMIT_BLOCK_ROWS = 65536
 _NEEDS_CSV = re.compile('[,"\r\n]')  # delimiter, quote, line terminator of csv.excel
 
 
-def _distinct_fields(column: np.ndarray, lone: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One column as its distinct fields and each row's index into them.
+def _distinct_fields(column: np.ndarray, lone: bool, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """One column as its distinct fields, each followed by ``end``, and each
+    row's index into them.
 
-    Each distinct text is quoted once.  A text holding a special character of
-    ``csv.excel`` is quoted by the ``csv`` module itself, and so is the empty
-    cell of a one-column table (``lone``), which it writes as ``""``; every
-    other text is its own field.
+    Cells are compared by their bytes, so that a ``-0.0`` stays apart from
+    ``0.0``.  A cell of 1, 2, 4 or 8 bytes (a bool, int, float or
+    ``<U1``/``<U2`` text) is read as an unsigned integer: one sort plus a
+    binary search per row cost less than the argsort of
+    ``np.unique(..., return_inverse=True)``, which any other dtype takes,
+    such as ``<U3`` or complex, on its bytes, and an object column on its
+    values.  Each distinct text is quoted once.  A text holding a special
+    character of ``csv.excel`` is quoted by the ``csv`` module itself, and so
+    is the empty cell of a one-column table (``lone``), which it writes as
+    ``""``; every other text is its own field.
     """
-    if column.dtype == np.float64:
-        # by bit pattern: unique floats would merge -0.0 into 0.0
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        texts = [f"{v:.12g}" for v in bits.view(np.float64)]
-    else:
+    n_bytes = column.dtype.itemsize
+    if column.dtype.kind == "O":
         values, inverse = np.unique(column, return_inverse=True)
+    elif n_bytes in (1, 2, 4, 8):
+        bits = column.view(f"u{n_bytes}")
+        ordered = np.sort(bits)
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        values, inverse = distinct.view(column.dtype), np.searchsorted(distinct, bits)
+    else:
+        distinct, inverse = np.unique(column.view(f"V{n_bytes}"), return_inverse=True)
+        values = distinct.view(column.dtype)
+    if column.dtype == np.float64:
+        texts = [f"{v:.12g}" for v in values]
+    else:
         texts = [str(v) for v in values]  # numpy scalars: a float32 keeps its str
-    fields = np.array(texts, dtype=object)
-    if _NEEDS_CSV.search("".join(texts)) or (lone and "" in texts):
-        for i, text in enumerate(texts):
-            if _NEEDS_CSV.search(text) or (lone and not text):
-                buf = io.StringIO()
-                csv.writer(buf).writerow([text])
-                fields[i] = buf.getvalue().removesuffix("\r\n")
+    fields = []
+    for text in texts:
+        if _NEEDS_CSV.search(text) or (lone and not text):
+            buf = io.StringIO()
+            csv.writer(buf).writerow([text])
+            text = buf.getvalue().removesuffix("\r\n")
+        fields.append(text + end)
     # the narrowest index type: a byte or two per row rather than eight
-    return fields, inverse.astype(np.min_scalar_type(len(texts)))
+    return np.array(fields, dtype=object), inverse.astype(np.min_scalar_type(len(texts)))
+
+
+def _join_narrow(columns: list[tuple[np.ndarray, np.ndarray]], limit: int) -> list[tuple]:
+    """Adjacent columns joined into one field while their joint field table
+    holds at most ``limit`` entries, the smallest joint first.
+
+    Each group is its field table, every combination of its columns' fields
+    in order, and its columns' indices with their table sizes: a row's field
+    is the mixed-radix number of its indices in those sizes.
+    """
+    groups = [(fields, [(inverse, len(fields))]) for fields, inverse in columns]
+    while len(groups) > 1:
+        sizes = [len(a) * len(b) for (a, _), (b, _) in zip(groups, groups[1:])]
+        j = int(np.argmin(sizes))
+        if sizes[j] > limit:
+            break
+        (a, parts_a), (b, parts_b) = groups[j : j + 2]
+        groups[j : j + 2] = [(np.add.outer(a, b).ravel(), parts_a + parts_b)]
+    return groups
 
 
 def emit_csv(table: Mapping[str, np.ndarray], path: Path) -> None:
@@ -268,15 +302,17 @@ def emit_csv(table: Mapping[str, np.ndarray], path: Path) -> None:
 
     The bytes are those ``csv.DictWriter`` writes row by row: a float64 cell
     is written as ``f"{v:.12g}"``, any other cell, an int, ``bool``, str or
-    float32, as the ``str`` of its numpy scalar.  A table with no rows is its header line; a column that
-    is not a numpy array raises ``TypeError``, and columns of unequal length
-    raise ``ValueError``.
+    float32, as the ``str`` of its numpy scalar.  A table with no rows is its
+    header line; a column that is not a numpy array raises ``TypeError``, and
+    columns of unequal length raise ``ValueError``.
 
     No row is built as a Python object.  Each column becomes a table of its
-    distinct fields, quoted once, and an index array into it.  Rows are
-    written in blocks of ``EMIT_BLOCK_ROWS``: each block gathers every
-    column's fields into a ``(rows, 2 * columns)`` object array interleaved
-    with the separators, and one join of it is written.
+    distinct fields, quoted once and followed by their separator, and an
+    index array into it.  Adjacent columns whose joint table would hold no
+    more entries than a block has rows are joined into one field, so a row of
+    narrow columns is a few objects.  Rows are written in blocks of
+    ``EMIT_BLOCK_ROWS``: each block gathers every group's fields into a
+    ``(rows, groups)`` object array, and one join of it is written.
     """
     for name, column in table.items():
         if not isinstance(column, np.ndarray):
@@ -285,19 +321,27 @@ def emit_csv(table: Mapping[str, np.ndarray], path: Path) -> None:
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length {lengths} do not zip into rows")
     n_rows = lengths[0] if lengths else 0
-    columns = [_distinct_fields(column, len(table) == 1) for column in table.values()]
+    block_rows = min(n_rows, EMIT_BLOCK_ROWS)
+    ends = [","] * (len(table) - 1) + ["\r\n"]
+    columns = [
+        _distinct_fields(column, len(table) == 1, end)
+        for column, end in zip(table.values(), ends)
+    ] if n_rows else []
+    groups = _join_narrow(columns, block_rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(table.keys())
-        if not n_rows:
-            return
-        block = np.empty((min(n_rows, EMIT_BLOCK_ROWS), 2 * len(columns)), dtype=object)
-        block[:, 1::2] = ","
-        block[:, -1] = "\r\n"
+        block = np.empty((block_rows, len(groups)), dtype=object)
+        code = np.empty(block_rows, dtype=np.intp)
         for lo in range(0, n_rows, EMIT_BLOCK_ROWS):
-            rows = block[: min(EMIT_BLOCK_ROWS, n_rows - lo)]
-            for j, (fields, inverse) in enumerate(columns):
-                rows[:, 2 * j] = fields[inverse[lo : lo + len(rows)]]
+            hi = min(lo + EMIT_BLOCK_ROWS, n_rows)
+            rows, joint = block[: hi - lo], code[: hi - lo]
+            for j, (fields, parts) in enumerate(groups):
+                joint[:] = 0
+                for inverse, size in parts:
+                    joint *= size
+                    joint += inverse[lo:hi]
+                rows[:, j] = fields[joint]
             fh.write("".join(rows.ravel().tolist()))
 
 

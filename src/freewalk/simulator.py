@@ -357,8 +357,9 @@ class BlockPool:
 
     A block adds to each statistic the rewards of its appended pair of
     letter codes ``(w_first, w_second)``, read off the pool's
-    ``letter_rewards`` table by :meth:`reward`; no per-statistic array is
-    stored.  ``d_dist`` and ``d_ent`` are two of those rows.
+    ``letter_rewards`` table by :meth:`reward` through the pair's one
+    :attr:`pair_code`; no per-statistic array is stored.  ``d_dist`` and
+    ``d_ent`` are two of those rows.
     """
 
     walk: np.ndarray
@@ -382,12 +383,23 @@ class BlockPool:
     def size(self) -> int:
         return len(self.delta_t)
 
+    @functools.cached_property
+    def pair_code(self) -> np.ndarray:
+        """Each block's appended pair as one code, ``w_first * codes +
+        w_second``, in the narrowest signed type that holds ``codes**2``
+        (signed, so that the int16 ``w_second`` adds in place)."""
+        codes = self.letter_rewards.shape[1]
+        pair = self.w_first.astype(np.min_scalar_type(-codes * codes))
+        pair *= codes
+        pair += self.w_second
+        return pair
+
     def reward(self, k: int) -> np.ndarray:
-        """Each block's reward to statistic ``STATISTICS[k]``."""
+        """Each block's reward to statistic ``STATISTICS[k]``: one gather on
+        the (first, second) table of the row's sums, which are the sums of the
+        two letters' rewards."""
         row = self.letter_rewards[k]
-        out = np.take(row, self.w_first)
-        out += np.take(row, self.w_second)
-        return out
+        return np.take(np.add.outer(row, row), self.pair_code)
 
     @property
     def d_dist(self) -> np.ndarray:
@@ -449,25 +461,44 @@ def batch_decompose(
     t0_dist[has] = ldist[codes[t0_at]] + np.where(tau_h == 2, ldist[codes[t0_at - 1]], 0.0)
 
     n_blocks = np.where(has, (confirmed - tau) // 2, 0)
+    # block-length arrays are built in place, one temporary at a time, and
+    # no per-entry array outlives its use: the pool's own arrays, not their
+    # intermediates, set the peak
+    del live, f, late
     walk = np.repeat(np.arange(M), n_blocks)
     first_block = np.cumsum(n_blocks) - n_blocks
-    index = np.arange(len(walk)) - first_block[walk] + 1
-    at = start[walk] + tau[walk] + 2 * index  # the entry of each block's end level
-    first = codes[at - 1]
+    index = np.arange(1, len(walk) + 1)
+    index -= first_block[walk]
+    at = start[walk]  # the entry of each block's end level
+    at += tau[walk]
+    at += index
+    at += index
     second = codes[at]
+    delta_t = wtime[at].astype(np.int64)
+    at -= 1
+    first = codes[at]
+    at -= 1
+    delta_t -= wtime[at]
+    del at
     if not (np.all(fac[first] == 2) and np.all(fac[second] == 1)):
         raise AssertionError("appended pair does not match (factor2, factor1)")
-    d_dist = ldist[first] + ldist[second]
-    # letter distances are integers, so these float sums are exact
-    cum_dist = np.cumsum(d_dist)
-    before = (cum_dist - d_dist)[first_block[walk]]
+    # letter distances are integers, so these float sums are exact in any
+    # order: each block's distance is its walk's t0_dist plus the running sum
+    # of the walk's block rewards
+    d_at = ldist[first]
+    d_at += ldist[second]
+    np.cumsum(d_at, out=d_at)
+    before = np.zeros(M)
+    later = first_block > 0
+    before[later] = d_at[first_block[later] - 1]
+    d_at += (t0_dist - before)[walk]
     return BlockPool(
         walk=walk,
         index=index,
-        delta_t=(wtime[at] - wtime[at - 2]).astype(np.int64),
+        delta_t=delta_t,
         w_first=first,
         w_second=second,
-        d_at=t0_dist[walk] + (cum_dist - before),
+        d_at=d_at,
         tau=tau,
         t0_time=t0_time,
         t0_dist=t0_dist,
@@ -500,7 +531,7 @@ def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict[str, np.nd
 
     Three pool arrays as they are, the blocks' ``d_dist`` and ``d_ent``
     rewards, and ``pair``: the appended letters' vertex names, one gather on
-    a table indexed by (first code, second code).
+    a table indexed by the pool's pair code.
     """
     names = [v for _, v in kernel.letter_of_code]
     pair_names = np.array([[a + b for b in names] for a in names])
@@ -510,5 +541,5 @@ def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict[str, np.nd
         "delta_t": pool.delta_t,
         "d_dist": pool.d_dist,
         "d_ent": pool.d_ent,
-        "pair": pair_names[pool.w_first, pool.w_second],
+        "pair": np.take(pair_names, pool.pair_code),
     }

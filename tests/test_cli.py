@@ -308,6 +308,57 @@ class TestEmitCsvBlocks:
         assert peak < 2 * columns_bytes, peak / columns_bytes
 
 
+class TestEmitCsvJoins:
+    """Adjacent narrow columns written as one joint field keep the row-dict bytes."""
+
+    @staticmethod
+    def _group_widths(table: dict, tmp_path: Path, monkeypatch) -> list[int]:
+        """Assert ``emit_csv``'s bytes on ``table`` and return how many
+        columns each of its joint fields holds."""
+        widths = []
+        join = cli._join_narrow
+
+        def record(columns, limit):
+            groups = join(columns, limit)
+            widths.extend(len(parts) for _, parts in groups)
+            return groups
+
+        monkeypatch.setattr(cli, "_join_narrow", record)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        emit_csv(table, new)
+        dictwriter_reference(table, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        return widths
+
+    def test_special_cells_inside_one_joint_field(self, tmp_path, monkeypatch):
+        """Signed zeros and NaN of both float widths, quoted texts, and a
+        ``<U3`` and a complex column, which take ``np.unique``, in one field."""
+        n = 1000
+        table = {
+            "f64": np.resize([-0.0, 0.0, math.nan, 1.5], n),
+            "f32": np.resize(np.array([0.0, -0.0, math.nan], dtype=np.float32), n),
+            "text": np.resize(np.array(["a,b", 'q"q', "plain"]), n),
+            "u3": np.resize(np.array(["abc", "", "x"], dtype="<U3"), n),
+            "c128": np.resize([0j, complex(-0.0, 0.0), 1j], n),
+        }
+        assert self._group_widths(table, tmp_path, monkeypatch) == [5]
+
+    def test_wide_joints_stay_apart_across_blocks(self, tmp_path, monkeypatch):
+        """Two 300-value columns, whose joint table of 90,000 fields exceeds a
+        block, stay apart; the narrow columns after them join into one field
+        that crosses both block boundaries."""
+        n = 2 * EMIT_BLOCK_ROWS + 3
+        rng = np.random.default_rng(7)
+        table = {
+            "a": rng.permutation(np.resize(np.arange(300), n)),
+            "b": rng.permutation(np.resize(np.arange(-150, 150), n)),
+            "delta_t": rng.integers(2, 40, size=n),
+            "d_dist": rng.choice([1.0, 2.0], size=n),
+            "pair": rng.choice(np.array(["ab", "ba", "a,", 'c"']), size=n),
+        }
+        assert self._group_widths(table, tmp_path, monkeypatch) == [1, 1, 3]
+
+
 class TestCsvProducers:
     def test_every_producer_returns_numpy_columns(self, tmp_path, capsys, monkeypatch):
         """The tables of ``series_to_rows`` (joined into ``oracle-check``'s
