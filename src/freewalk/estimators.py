@@ -316,8 +316,9 @@ def run_clt_suite(
     ``sqrt(n) * sigma``, with the exact constants of
     :func:`freewalk.genfun.clt_constants` taken from the renewal increment
     law; no walk is spent on estimating them.  All requested statistics
-    share the same walks, which is deterministic given the seed.  With no
-    walks or fewer than ``MIN_KS_WALKS`` the KS test is skipped and each
+    share the same walks, which is deterministic given the seed; the batch
+    is simulated without runs, since only its letter counts are read.  With
+    no walks or fewer than ``MIN_KS_WALKS`` the KS test is skipped and each
     report's warnings say "no walks" or "too few walks".
     """
     if "entropy" in statistics and cfg.epsilon0 is None:
@@ -329,7 +330,7 @@ def run_clt_suite(
     constants = clt_constants(renewal_increment_law(cfg), cfg, ctx)
 
     streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
-    batch = simulate_batch(cfg, n, master_seed, streams)
+    batch = simulate_batch(cfg, n, master_seed, streams, runs=False)
     raws = dict(zip(STATISTICS, batch_walk_stats(batch, kernel, ctx).values))
 
     out: dict[str, CltReport] = {}

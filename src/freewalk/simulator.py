@@ -27,13 +27,16 @@ state, computes the same times from whole words, and is what the batch path
 is tested against, next to the numpy step loop and numpy's Philox that the
 compiled kernel is compared with bit for bit.
 
-A batch keeps each walk as the kernel leaves it: its depths ``0 .. sp`` as
-one run of int16 letter codes and one of int32 write times, walk after walk,
-with depth 0 holding the root's code and time 0.  Every reader indexes the
-runs through the walks' start offsets; no padded copy is made.  The kernel
-also counts the letters of each final word, and the endpoint statistics, sums
-of one reward per letter (:func:`freewalk.genfun.letter_rewards`), are read
-off those counts.
+The kernel counts the letters of each final word off its stack, and the
+endpoint statistics, sums of one reward per letter
+(:func:`freewalk.genfun.letter_rewards`), are read off those counts.  A batch
+simulated with its runs also keeps each walk as the kernel leaves it, for the
+renewal decomposition: its depths ``0 .. sp`` as one run of int16 letter
+codes and one of int32 write times, walk after walk, with depth 0 holding the
+root's code and time 0.  Every reader indexes the runs through the walks'
+start offsets; no padded copy is made.  A batch simulated without runs holds
+the final depths and the letter counts alone, which is all the CLT suite
+reads.
 """
 
 from __future__ import annotations
@@ -76,26 +79,28 @@ def stream_id(purpose: int, index: int) -> int:
 
 @dataclass
 class BatchWalks:
-    """Final stacks and per-depth write times of many walks, as runs, and the
-    letter counts of their final words.
+    """The final depths and letter counts of many walks and, when simulated
+    with them, their final stacks and per-depth write times as runs.
 
-    ``codes`` and ``wtime`` hold each walk's depths ``0 .. sp[m]`` as one
-    contiguous run, walk after walk, as the kernel writes them; run ``m``
-    starts at ``start[m]``.  ``wtime[start[m] + k]`` is the last step that
-    wrote depth ``k`` of walk ``m``, which for ``k >= 1`` is the level-k exit
-    time; depth 0 holds the root's code 0 and time 0.  ``counts[m, c]`` is
-    how many of depths ``1 .. sp[m]`` hold letter code ``c``.
+    ``counts[m, c]`` is how many of depths ``1 .. sp[m]`` of walk ``m`` hold
+    letter code ``c``.  ``codes`` and ``wtime`` hold each walk's depths
+    ``0 .. sp[m]`` as one contiguous run, walk after walk, as the kernel
+    writes them; run ``m`` starts at ``start[m]``.  ``wtime[start[m] + k]``
+    is the last step that wrote depth ``k`` of walk ``m``, which for
+    ``k >= 1`` is the level-k exit time; depth 0 holds the root's code 0 and
+    time 0.  A batch simulated with ``runs=False`` holds no runs: ``codes``,
+    ``wtime`` and ``start`` are ``None``.
     """
 
     n: int
     sp: np.ndarray  # (M,) final stack depth = ||X_n||
-    codes: np.ndarray  # (sum(sp + 1),) int16 letter codes
-    wtime: np.ndarray  # (sum(sp + 1),) int32 step that last wrote each depth
+    codes: Optional[np.ndarray]  # (sum(sp + 1),) int16 letter codes, or None
+    wtime: Optional[np.ndarray]  # (sum(sp + 1),) int32 step that last wrote each depth, or None
     counts: np.ndarray  # (M, n_letters + 1) int32 letter counts of each final word
-    start: np.ndarray = field(init=False, repr=False)  # (M,) offset of each run
+    start: Optional[np.ndarray] = field(init=False, repr=False)  # (M,) offset of each run
 
     def __post_init__(self) -> None:
-        self.start = np.cumsum(self.sp + 1) - (self.sp + 1)
+        self.start = None if self.codes is None else np.cumsum(self.sp + 1) - (self.sp + 1)
 
     @property
     def n_walks(self) -> int:
@@ -235,22 +240,21 @@ _FIRST_RUN_ENTRIES = 1 << 16
 
 
 def _simulate_span(
-    lib: ctypes.CDLL, tables: _StepTables, n: int, master_seed: int,
+    lib: ctypes.CDLL, tables: _StepTables, n: int, master_seed: int, runs: bool,
     streams: np.ndarray, sp: np.ndarray, counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A span's stacks of letter codes and write times up to each final
-    depth, concatenated walk by walk; the final depths go to ``sp`` and the
-    letter counts to the zeroed ``counts``.
+    depth, concatenated walk by walk, or ``None`` without ``runs``; the final
+    depths go to ``sp`` and the letter counts to the zeroed ``counts``.
 
-    Each kernel call steps walks until one would not fit the run buffers and
+    Without runs, one kernel call steps and counts every walk.  With them,
+    each call steps walks until one would not fit the run buffers and
     returns that walk unwritten.  The buffers then grow in place, to the
     entries the mean depth so far predicts for all walks plus a sixteenth,
     and the next call resumes from it; at the end they shrink in place to
     the runs.
     """
     M = len(streams)
-    codes = np.empty(min(_FIRST_RUN_ENTRIES, M * (n + 1)), dtype=np.int16)
-    wtime = np.empty(len(codes), dtype=np.int32)
     # the kernel's stack of row offsets and its write times, shared by the
     # walks: a walk reads only depth 0 and the depths it pushed to itself
     stack = np.zeros(n + 1, dtype=np.int32)
@@ -263,6 +267,11 @@ def _simulate_span(
         stack.ctypes.data, stack_time.ctypes.data, sp.ctypes.data,
         counts.ctypes.data, counts.shape[1],
     )
+    if not runs:
+        lib.step_span(*args, 0, None, None, 0, 0)
+        return None
+    codes = np.empty(min(_FIRST_RUN_ENTRIES, M * (n + 1)), dtype=np.int16)
+    wtime = np.empty(len(codes), dtype=np.int32)
     m = filled = 0
     while True:
         m = lib.step_span(*args, m, codes.ctypes.data, wtime.ctypes.data, filled, len(codes))
@@ -283,6 +292,7 @@ def simulate_batch(
     master_seed: int,
     streams: Sequence[int],
     workers: Optional[int] = None,
+    runs: bool = True,
 ) -> BatchWalks:
     """Simulate one walk per stream in the compiled kernel.
 
@@ -292,8 +302,10 @@ def simulate_batch(
     ``FREEWALK_WORKERS``) stream spans run on that many threads, since the
     kernel call releases the interpreter lock; per-stream keying makes the
     result independent of worker count and scheduling, and results are
-    assembled in stream order: the first span's runs grow in place and the
-    others are copied in.
+    assembled in stream order: each span writes its own rows of the final
+    depths and letter counts, the first span's runs grow in place and the
+    others' are copied in.  With ``runs=False`` the batch holds no runs
+    (see :class:`BatchWalks`), and no span allocates any.
     """
     if not 0 <= n < 2**31:
         raise InvalidConfig(f"n = {n} steps lie outside 0 .. 2**31 - 1, the int32 write times")
@@ -306,7 +318,9 @@ def simulate_batch(
     sp = np.empty(M, dtype=np.int64)
     counts = np.zeros((M, kernel.n_letters + 1), dtype=np.int32)
     # the library is loaded here, before any thread may build it
-    span = functools.partial(_simulate_span, _step_library(), _step_tables(kernel), n, master_seed)
+    span = functools.partial(
+        _simulate_span, _step_library(), _step_tables(kernel), n, master_seed, runs
+    )
     spans = [np.array_split(a, workers) for a in (streams, sp, counts)]
     if workers == 1:
         parts = list(map(span, *spans))
@@ -315,6 +329,8 @@ def simulate_batch(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(span, *spans))
+    if not runs:
+        return BatchWalks(n=n, sp=sp, codes=None, wtime=None, counts=counts)
     (codes, wtime), rest = parts[0], parts[1:]
     filled = len(codes)
     codes.resize(filled + sum(len(c) for c, _ in rest), refcheck=False)
@@ -427,8 +443,14 @@ def batch_decompose(
     ...`` among them, and blocks whose endpoints are not both confirmed are
     dropped entirely.  Appended pairs and renewal-word distances are read off
     the final stack, which is sound because every confirmed renewal word is
-    a prefix of the final word.
+    a prefix of the final word.  A batch simulated without runs is refused
+    with a ``ValueError``.
     """
+    if batch.codes is None:
+        raise ValueError(
+            "batch_decompose needs the walks' runs, and this batch was simulated "
+            "with runs=False, which keeps only the final depths and letter counts"
+        )
     n, sp, start = batch.n, batch.sp, batch.start
     codes, wtime = batch.codes, batch.wtime
     M = batch.n_walks

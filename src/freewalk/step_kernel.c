@@ -17,6 +17,12 @@
  * nothing reads before a push overwrites it.  Only integer operations and
  * double comparisons are involved, so walks are bit-identical to the numpy
  * reference of the tests (built without -ffast-math).
+ *
+ * Output.  After its last step a walk's stack holds its final word: one loop
+ * adds the letters at depths 1 .. sp to the walk's letter counts.  Given run
+ * buffers, the walk's depths 0 .. sp and their write times are also copied
+ * out as one run; given none, the counts and the final depth are all that is
+ * written, which is all the endpoint statistics need.
  */
 #include <stdint.h>
 
@@ -70,14 +76,16 @@ void fill_uniforms(uint64_t seed, uint64_t stream, int64_t n, double *out)
 /* Steps walks first .. n_walks - 1, walk m on stream streams[m], n steps each.
  *
  * stack and wtime are scratch of n + 1 entries, stack[0] = 0 (the root's row
- * offset, never written).  Walk m's final depth goes to depth[m], and its
- * depths 0 .. depth[m] go to codes (row offsets divided by row, the letter
- * codes, which the step tables keep within int16) and times from entry
- * filled on.  Row m of counts, width entries zeroed by the caller, gains
- * the count of each letter code at depths 1 .. depth[m].  A walk that would
- * pass entry capacity is not written or counted at all: its index is
- * returned, and the caller grows the buffers and resumes from it.
- * Otherwise n_walks is returned.
+ * offset, never written).  Walk m's final depth goes to depth[m], and row m
+ * of counts, width entries zeroed by the caller, gains the count of each
+ * letter code (row offset divided by row) at depths 1 .. depth[m].
+ *
+ * With codes NULL, no run is written: every walk is stepped and counted, and
+ * n_walks is returned.  Otherwise walk m's depths 0 .. depth[m] go to codes
+ * (the letter codes, which the step tables keep within int16) and times from
+ * entry filled on.  A walk that would pass entry capacity is not written or
+ * counted at all: its index is returned, and the caller grows the buffers
+ * and resumes from it.  Otherwise n_walks is returned.
  */
 int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64_t n,
                   const double *grid, int64_t n_cuts, const int32_t *up, const int32_t *dsp,
@@ -99,15 +107,18 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
             wtime[w] = (int32_t)(t + 1);
             sp += dsp[o];
         }
-        if (filled + sp + 1 > capacity)
-            return m;
-        for (int64_t k = 0; k <= sp; k++) {
-            codes[filled + k] = (int16_t)(stack[k] / row);
-            times[filled + k] = wtime[k];
-            counts[m * width + codes[filled + k]] += k > 0;
+        if (codes) {
+            if (filled + sp + 1 > capacity)
+                return m;
+            for (int64_t k = 0; k <= sp; k++) {
+                codes[filled + k] = (int16_t)(stack[k] / row);
+                times[filled + k] = wtime[k];
+            }
+            filled += sp + 1;
         }
+        for (int64_t k = 1; k <= sp; k++)
+            counts[m * width + stack[k] / row]++;
         depth[m] = sp;
-        filled += sp + 1;
     }
     return n_walks;
 }

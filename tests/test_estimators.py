@@ -10,6 +10,7 @@ from statistics import NormalDist
 from conftest import make_pool
 from reference_walk import dL_word
 
+from freewalk import estimators
 from freewalk.cli import emit_json
 from freewalk.core import WalkConfig, Word, step_distribution
 from freewalk.estimators import (
@@ -32,7 +33,7 @@ from freewalk.estimators import (
 from freewalk.genfun import STATISTICS
 from freewalk.instances import instance_k3_k3
 from freewalk.oracle import enum_green_series
-from freewalk.simulator import WalkStatsArrays
+from freewalk.simulator import WalkStatsArrays, simulate_batch
 
 
 def stats_of(n, values):
@@ -270,6 +271,21 @@ class TestCltExperiment:
         a = run_clt_suite(instance_a, 300, 40, 11, statistics=("dist",))["dist"]
         b = run_clt_suite(instance_a, 300, 40, 11, statistics=("dist",))["dist"]
         assert np.array_equal(a.standardized_samples, b.standardized_samples)
+
+    def test_suite_simulates_its_walks_without_runs(self, instance_a, monkeypatch):
+        """The statistics are read off letter counts, so the suite's batch
+        holds no runs (15 MB on the headline clt)."""
+        batches = []
+
+        def spy(*args, **kwargs):
+            batches.append(simulate_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(estimators, "simulate_batch", spy)
+        run_clt_suite(instance_a, 300, 40, 11)
+        [batch] = batches
+        assert batch.codes is None and batch.wtime is None and batch.start is None
+        assert batch.n_walks == 40
 
 
 class TestSmoothness:

@@ -477,6 +477,45 @@ class TestCompiledKernel:
                     assert np.array_equal(batch.wtime, wtime)
 
 
+class TestCountsOnly:
+    # no walks, walks that never leave the root, short walks, and runs that
+    # outgrow the first buffer of every span: 450 walks of 2,000 steps are
+    # over 65,536 entries a span at three workers on each shape.  The runs
+    # path returns a walk that does not fit unwritten and uncounted; the
+    # counts-only path never skips one
+    @pytest.mark.parametrize(
+        "make", [instance_k3_k3, instance_path_k3, instance_uneven, instance_wide]
+    )
+    def test_equals_a_runs_batch(self, make, monkeypatch):
+        cfg = make()
+        step_span = simulator._step_library().step_span
+        buffers = []
+
+        def recorded(*args):
+            buffers.append(args[16])  # the run buffer's address, None without one
+            return step_span(*args)
+
+        monkeypatch.setattr(simulator, "_step_library", lambda: SimpleNamespace(step_span=recorded))
+        for n, M in ((300, 0), (0, 5), (64, 9), (2000, 450)):
+            streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
+            for workers in (1, 2, 3):
+                spans = max(1, min(workers, M))
+                buffers.clear()
+                runs = simulate_batch(cfg, n, 5, streams, workers=workers)
+                resumes = len(buffers) - spans
+                assert None not in buffers
+                buffers.clear()
+                bare = simulate_batch(cfg, n, 5, streams, workers=workers, runs=False)
+                assert buffers == [None] * spans  # one call a span, no run buffer
+                assert bare.codes is None and bare.wtime is None and bare.start is None
+                assert bare.sp.dtype == runs.sp.dtype and bare.counts.dtype == runs.counts.dtype
+                assert np.array_equal(bare.sp, runs.sp)
+                assert np.array_equal(bare.counts, runs.counts)
+                assert bare.n_walks == runs.n_walks == M
+                if n == 2000:
+                    assert resumes >= spans, (workers, resumes)
+
+
 class TestBatchLayout:
     def test_simulate_batch_holds_its_runs_once(self, instance_a):
         """Peak traced memory stays near the runs' own 6 bytes per entry."""
@@ -563,6 +602,11 @@ class TestBatchLayout:
                 with pytest.raises(NoConfirmedExit):
                     renewal_decompose(traj, ctx, 20)
                 assert pool.tau[i] == 0 and pool.t0_time[i] == -1 and np.isnan(pool.t0_dist[i])
+
+    def test_a_batch_without_runs_is_refused(self, instance_a, ctx_a):
+        batch = simulate_batch(instance_a, 400, 3, [stream_id(4, i) for i in range(6)], runs=False)
+        with pytest.raises(ValueError, match="needs the walks' runs.*runs=False"):
+            batch_decompose(batch, compile_kernel(instance_a), ctx_a)
 
     def test_corrupt_runs_are_refused(self, instance_a, ctx_a):
         """Both checks compare each depth with the one below it in its own run."""
