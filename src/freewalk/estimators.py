@@ -69,13 +69,11 @@ class Estimate(NamedTuple):
     half_width: float  # half of the 95% normal CI
 
 
-def _ratio_estimate(pool: BlockPool, rewards: np.ndarray) -> Estimate:
-    """Pooled ratio mean(reward)/mean(increment) with a walk-level delta CI."""
-    total_t = float(pool.delta_t.sum())
-    total_d = float(rewards.sum())
-    r = total_d / total_t
-    sums_d = pool.walk_sums(rewards)
-    sums_t = pool.walk_sums(pool.delta_t.astype(float))
+def _ratio_estimate(sums: np.ndarray) -> Estimate:
+    """Pooled ratio ``ΣR / ΣΔt`` with a walk-level delta CI, from per-walk sums."""
+    sums_d, sums_t = sums[:, 0], sums[:, 3]
+    total_t = float(sums_t.sum())
+    r = float(sums_d.sum()) / total_t
     resid = sums_d - r * sums_t
     w = len(resid)
     var = float((resid**2).sum()) * w / (w - 1) / total_t**2
@@ -129,11 +127,11 @@ def truncate_pool(pool: BlockPool, max_index: Optional[int] = None) -> BlockPool
 def estimate_rates(pool: BlockPool, stats: WalkStatsArrays) -> RateEstimates:
     """Rates from the renewal formulas and from endpoint averages.
 
-    Renewal estimates are reward-over-increment ratios, each block's reward
-    read off the pool's letter table (:meth:`BlockPool.reward`); direct
-    estimates average ``statistic / n`` over walks.  The CIs spread over
-    walks, so a pool of one walk raises :class:`InsufficientBlocks` rather
-    than claim a zero width.
+    Renewal estimates are reward-over-increment ratios of the pool's per-walk
+    sums (:attr:`BlockPool.walk_summary`); direct estimates average
+    ``statistic / n`` over walks.  The CIs spread over walks, so a pool of
+    one walk raises :class:`InsufficientBlocks` rather than claim a zero
+    width.
     """
     if pool.size == 0:
         raise EmptyPool("no blocks in pool")
@@ -144,7 +142,7 @@ def estimate_rates(pool: BlockPool, stats: WalkStatsArrays) -> RateEstimates:
     n = float(stats.n)
     fields = {}
     for k, name in enumerate(RATE_NAMES):
-        fields[f"{name}_renewal"] = _ratio_estimate(pool, pool.reward(k))
+        fields[f"{name}_renewal"] = _ratio_estimate(pool.walk_summary[k])
         fields[f"{name}_direct"] = _mean_estimate(stats.values[k] / n)
     return RateEstimates(**fields)
 
@@ -163,54 +161,42 @@ class SigmaEstimates:
         return {**doc, "degenerate": list(self.degenerate)}
 
 
-def _plug_in_sigma_sq(delta_t: np.ndarray, rewards: np.ndarray) -> float:
-    rate = float(rewards.sum()) / float(delta_t.sum())
-    dev = rewards - delta_t * rate
-    return float((dev**2).mean()) / float(delta_t.mean())
+def _plug_in_sigma_sq(sums: np.ndarray) -> np.ndarray:
+    """``mean((R - Δt * rate)^2) / mean(Δt)`` from the six sums of
+    :attr:`BlockPool.walk_summary` along the last axis, expanded in them."""
+    s_d, s_dt, s_d2, s_t, s_t2, s_k = np.moveaxis(sums, -1, 0)
+    r = s_d / s_t
+    mean_sq = (s_d2 - 2 * r * s_dt + r**2 * s_t2) / s_k
+    return mean_sq / (s_t / s_k)
 
 
 def estimate_sigmas(pool: BlockPool) -> SigmaEstimates:
     """Plug-in ``mean((reward - increment * rate)^2) / mean(increment)``.
 
-    A zero estimate is flagged as degenerate rather than raised: strictly
-    positive variance is guaranteed by the return-loop assumption, so a zero
-    signals a configuration violating it (or a constant synthetic pool).
+    An estimate within ``8 eps ΣR² / ΣΔt`` of zero, the roundoff of the
+    terms the expanded sums cancel, is flagged as degenerate, not raised:
+    the return-loop assumption guarantees positive variance, so it signals
+    a configuration violating it (or a constant synthetic pool).
     """
     if pool.size < 2:
         raise EmptyPool("need at least 2 blocks for a variance estimate")
-    dt = pool.delta_t.astype(float)
-    values = {
-        f"{name}_sq": _plug_in_sigma_sq(dt, pool.reward(k)) for k, name in enumerate(RATE_NAMES)
-    }
-    return SigmaEstimates(**values, degenerate=tuple(v == 0.0 for v in values.values()))
+    totals = pool.walk_summary.sum(axis=1)
+    sq = _plug_in_sigma_sq(totals)
+    zero = sq <= 8 * np.finfo(float).eps * totals[:, 2] / totals[:, 3]
+    values = {f"{name}_sq": float(v) for name, v in zip(RATE_NAMES, sq)}
+    return SigmaEstimates(**values, degenerate=tuple(map(bool, zero)))
 
 
 def bootstrap_sigma_se(pool: BlockPool, which: str, seed: int = 0) -> float:
     """Walk-resampling standard error of the plug-in variance of the
-    statistic named ``which``, one of ``RATE_NAMES``."""
-    rewards = pool.reward(RATE_NAMES.index(which))
-    dt = pool.delta_t.astype(float)
+    statistic named ``which``, one of ``RATE_NAMES``, from its walks' sums."""
+    agg = pool.walk_summary[RATE_NAMES.index(which)]
     w = pool.n_walks
-    agg = np.stack(
-        [
-            pool.walk_sums(rewards),
-            pool.walk_sums(rewards * dt),
-            pool.walk_sums(rewards**2),
-            pool.walk_sums(dt),
-            pool.walk_sums(dt**2),
-            pool.n_blocks,
-        ],
-        axis=1,
-    )
     rng = np.random.Generator(np.random.Philox(key=seed))
     idx = rng.integers(0, w, size=(N_BOOT, w))
     sums = agg[idx].sum(axis=1)  # (N_BOOT, 6)
-    s_d, s_dt, s_d2, s_t, s_t2, s_k = sums.T
-    ok = (s_t > 0) & (s_k > 1)
-    r = s_d[ok] / s_t[ok]
-    mean_sq = (s_d2[ok] - 2 * r * s_dt[ok] + r**2 * s_t2[ok]) / s_k[ok]
-    sig = mean_sq / (s_t[ok] / s_k[ok])
-    return float(sig.std(ddof=1))
+    ok = (sums[:, 3] > 0) & (sums[:, 5] > 1)
+    return float(_plug_in_sigma_sq(sums[ok]).std(ddof=1))
 
 
 # -- Kolmogorov-Smirnov --------------------------------------------------------
@@ -404,8 +390,9 @@ def iid_diagnostics(pool: BlockPool) -> IidDiagnostics:
     correlations of the increments and the distance rewards up to
     ``IID_MAX_LAG``.
     """
-    first = pool.delta_t[pool.index == IID_FIRST_INDEX].astype(float)
-    later = pool.delta_t[pool.index == IID_LATER_INDEX].astype(float)
+    dt = pool.delta_t.astype(float)
+    first = dt[pool.index == IID_FIRST_INDEX]
+    later = dt[pool.index == IID_LATER_INDEX]
     if len(first) < 20 or len(later) < 20:
         raise InsufficientBlocks(
             f"need >= 20 walks with blocks at indices {IID_FIRST_INDEX} "
@@ -417,7 +404,7 @@ def iid_diagnostics(pool: BlockPool) -> IidDiagnostics:
     n_pairs: dict[int, int] = {}
     thresholds: dict[int, float] = {}
     for lag in range(1, IID_MAX_LAG + 1):
-        x, y = _lagged_pairs(pool, pool.delta_t.astype(float), lag)
+        x, y = _lagged_pairs(pool, dt, lag)
         lag_dt[lag] = _pearson(x, y)
         xd, yd = _lagged_pairs(pool, pool.d_dist, lag)
         lag_dd[lag] = _pearson(xd, yd)

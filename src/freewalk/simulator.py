@@ -375,7 +375,8 @@ class BlockPool:
     letter codes ``(w_first, w_second)``, read off the pool's
     ``letter_rewards`` table by :meth:`reward` through the pair's one
     :attr:`pair_code`; no per-statistic array is stored.  ``d_dist`` and
-    ``d_ent`` are two of those rows.
+    ``d_ent`` are two of those rows.  The estimators read the blocks only
+    through :attr:`walk_summary`, each walk's sums, built once per pool.
     """
 
     walk: np.ndarray
@@ -425,8 +426,19 @@ class BlockPool:
     def d_ent(self) -> np.ndarray:
         return self.reward(STATISTICS.index("entropy"))
 
-    def walk_sums(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.walk, weights=values, minlength=self.n_walks)
+    @functools.cached_property
+    def walk_summary(self) -> np.ndarray:
+        """``(len(STATISTICS), walks, 6)``: for each statistic, each walk's
+        ``Σr, Σr·Δt, Σr², ΣΔt, ΣΔt²`` and block count, every sum a
+        ``np.bincount`` over ``walk``, so O(blocks) whatever the factor size."""
+        sums = functools.partial(np.bincount, self.walk, minlength=self.n_walks)
+        dt = self.delta_t.astype(float)
+        out = np.empty((len(STATISTICS), self.n_walks, 6))
+        out[..., 3:] = np.column_stack([sums(dt), sums(dt * dt), self.n_blocks])
+        for k in range(len(STATISTICS)):
+            r = self.reward(k)
+            out[k, :, :3] = np.column_stack([sums(r), sums(r * dt), sums(r * r)])
+        return out
 
 
 def batch_decompose(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from freewalk.core import Word, compile_kernel
+from freewalk.core import FactorSpec, WalkConfig, Word, compile_kernel
 from freewalk.genfun import build_context, renewal_increment_law
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import BlockPool, simulate_pool
@@ -116,3 +116,39 @@ def make_pool(walks: list[list[tuple]]) -> BlockPool:
         censored=np.zeros(m, dtype=np.int64),
         letter_rewards=np.array([[0.0, *dds], [1.0] * (k + 1), [0.0, *des]]),
     )
+
+
+def instance_uneven(alpha: float = 0.4) -> WalkConfig:
+    """Non-uniform factor rows: ten distinct thresholds in the step grid."""
+    return WalkConfig(
+        factor1=FactorSpec(
+            1,
+            ("o1", "a", "b", "e"),
+            "o1",
+            (
+                (0.0, 0.5, 0.3, 0.2),
+                (0.6, 0.0, 0.4, 0.0),
+                (0.1, 0.2, 0.0, 0.7),
+                (0.5, 0.0, 0.5, 0.0),
+            ),
+        ),
+        factor2=FactorSpec(
+            2, ("o2", "c", "d"), "o2", ((0.0, 0.7, 0.3), (0.4, 0.0, 0.6), (0.8, 0.2, 0.0))
+        ),
+        alpha=alpha,
+        name="uneven",
+    )
+
+
+def instance_wide(alpha: float = 0.37) -> WalkConfig:
+    """Random weights on two 14-vertex factors: 354 distinct thresholds at
+    alpha 0.37, more than a byte counts."""
+    rng = np.random.default_rng(300)
+
+    def factor(i: int) -> FactorSpec:
+        w = rng.integers(1, 10, size=(14, 14)).astype(float)
+        np.fill_diagonal(w, 0)
+        names = (f"o{i}", *(f"v{i}_{j}" for j in range(1, 14)))
+        return FactorSpec(i, names, f"o{i}", tuple(map(tuple, w / w.sum(axis=1, keepdims=True))))
+
+    return WalkConfig(factor1=factor(1), factor2=factor(2), alpha=alpha, name="wide")

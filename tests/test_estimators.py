@@ -2,18 +2,22 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from statistics import NormalDist
 
-from conftest import make_pool
+from conftest import instance_uneven, instance_wide, make_pool
 from reference_walk import dL_word
 
 from freewalk import estimators
 from freewalk.cli import emit_json
 from freewalk.core import WalkConfig, Word, step_distribution
 from freewalk.estimators import (
+    N_BOOT,
+    RATE_NAMES,
+    Z95,
     DegenerateSample,
     EmptyPool,
     InsufficientBlocks,
@@ -30,10 +34,10 @@ from freewalk.estimators import (
     truncate_pool,
     two_sample_ks,
 )
-from freewalk.genfun import STATISTICS
+from freewalk.genfun import STATISTICS, build_context
 from freewalk.instances import instance_k3_k3
 from freewalk.oracle import enum_green_series
-from freewalk.simulator import WalkStatsArrays, simulate_batch
+from freewalk.simulator import BlockPool, WalkStatsArrays, simulate_batch, simulate_pool
 
 
 def stats_of(n, values):
@@ -98,6 +102,14 @@ class TestSigmaArithmetic:
         assert sig.lambda_sq == 0.0
         assert sig.degenerate[0]
 
+    def test_constant_pools_are_degenerate_through_roundoff(self):
+        """Blocks of one reward and one increment: the expanded sums cancel
+        to a few ulps on either side of zero, and every statistic is flagged."""
+        for dt in range(1, 60):
+            for reward in range(1, 8):
+                sig = estimate_sigmas(make_pool([[(dt, reward, 1.0)]] * 2))
+                assert all(sig.degenerate), (dt, reward, sig)
+
     def test_two_block_example(self):
         pool = make_pool([[(5, 3, 1.0)], [(7, 3, 1.0)]])
         sig = estimate_sigmas(pool)
@@ -109,6 +121,141 @@ class TestSigmaArithmetic:
         a = bootstrap_sigma_se(pool, "ell", seed=3)
         b = bootstrap_sigma_se(pool, "ell", seed=3)
         assert a == b and a > 0
+
+
+# -- the block-level reference: each estimate formed from per-block arrays, as
+# the estimators did before they read the pool's per-walk summary
+
+
+def _reference_walk_sums(pool, values):
+    return np.bincount(pool.walk, weights=values, minlength=pool.n_walks)
+
+
+def _reference_ratio(pool, rewards):
+    total_t = float(pool.delta_t.sum())
+    r = float(rewards.sum()) / total_t
+    resid = _reference_walk_sums(pool, rewards) - r * _reference_walk_sums(
+        pool, pool.delta_t.astype(float)
+    )
+    w = len(resid)
+    var = float((resid**2).sum()) * w / (w - 1) / total_t**2
+    return r, Z95 * math.sqrt(max(var, 0.0))
+
+
+def _reference_sigma_sq(pool, rewards):
+    dt = pool.delta_t.astype(float)
+    rate = float(rewards.sum()) / float(dt.sum())
+    return float(((rewards - dt * rate) ** 2).mean()) / float(dt.mean())
+
+
+def _reference_bootstrap_se(pool, rewards, seed):
+    dt = pool.delta_t.astype(float)
+    agg = np.stack(
+        [
+            _reference_walk_sums(pool, rewards),
+            _reference_walk_sums(pool, rewards * dt),
+            _reference_walk_sums(pool, rewards**2),
+            _reference_walk_sums(pool, dt),
+            _reference_walk_sums(pool, dt**2),
+            pool.n_blocks,
+        ],
+        axis=1,
+    )
+    w = pool.n_walks
+    idx = np.random.Generator(np.random.Philox(key=seed)).integers(0, w, size=(N_BOOT, w))
+    s_d, s_dt, s_d2, s_t, s_t2, s_k = agg[idx].sum(axis=1).T
+    ok = (s_t > 0) & (s_k > 1)
+    r = s_d[ok] / s_t[ok]
+    mean_sq = (s_d2[ok] - 2 * r * s_dt[ok] + r**2 * s_t2[ok]) / s_k[ok]
+    return float((mean_sq / (s_t[ok] / s_k[ok])).std(ddof=1))
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def pool_uneven():
+    cfg = instance_uneven()
+    return simulate_pool(cfg, build_context(cfg), 3000, 80, 5)
+
+
+@pytest.fixture(scope="module")
+def pool_wide():
+    """13 x 13 = 169 possible pairs of appended letters."""
+    cfg = instance_wide()
+    return simulate_pool(cfg, build_context(cfg), 3000, 80, 5)
+
+
+REFERENCE_POOLS = [
+    (name, cut)
+    for name in ("pool_a", "pool_b", "pool_uneven", "pool_wide")
+    for cut in (False, True)
+]
+
+
+class TestAgainstBlockLevelReference:
+    """The per-walk summary gives every estimate of the block-level formulas:
+    within 1e-13 relative, and bit for bit where the rewards are integers
+    (``lambda`` and ``ell``) or no block is read (``*_direct``)."""
+
+    @pytest.fixture(params=REFERENCE_POOLS, ids=lambda p: p[0] + ("-cut" if p[1] else ""))
+    def case(self, request):
+        name, cut = request.param
+        pool, stats = request.getfixturevalue(name)
+        return (truncate_pool(pool) if cut else pool), stats
+
+    def test_rates(self, case):
+        pool, stats = case
+        rates = estimate_rates(pool, stats)
+        for k, name in enumerate(RATE_NAMES):
+            got = getattr(rates, f"{name}_renewal")
+            ref = _reference_ratio(pool, pool.reward(k))
+            if name == "h":
+                assert got == pytest.approx(ref, rel=1e-13, abs=0), name
+            else:
+                assert list(map(_bits, got)) == list(map(_bits, ref)), name
+            values = stats.values[k] / float(stats.n)
+            se = float(values.std(ddof=1)) / math.sqrt(len(values))
+            direct = getattr(rates, f"{name}_direct")
+            assert list(map(_bits, direct)) == list(map(_bits, (values.mean(), Z95 * se)))
+
+    def test_sigmas(self, case):
+        pool, _ = case
+        sig = estimate_sigmas(pool)
+        for k, name in enumerate(RATE_NAMES):
+            ref = _reference_sigma_sq(pool, pool.reward(k))
+            assert getattr(sig, f"{name}_sq") == pytest.approx(ref, rel=1e-13, abs=0), name
+        assert sig.degenerate == (False, False, False)
+
+    def test_bootstrap(self, case):
+        pool, _ = case
+        for k, name in enumerate(RATE_NAMES):
+            ref = _reference_bootstrap_se(pool, pool.reward(k), seed=3)
+            assert bootstrap_sigma_se(pool, name, seed=3) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+class TestOneSummaryPerPool:
+    def test_every_estimate_reads_one_summary(self, pool_a, monkeypatch):
+        """Rates, variances and the three bootstrap errors read each block's
+        rewards once per statistic; a truncated pool builds its own sums."""
+        calls = []
+        reward = BlockPool.reward
+
+        def spy(pool, k):
+            calls.append(pool)
+            return reward(pool, k)
+
+        monkeypatch.setattr(BlockPool, "reward", spy)
+        pool, stats = replace(pool_a[0]), pool_a[1]  # a copy without a summary
+        for p in (pool, truncate_pool(pool)):
+            estimate_rates(p, stats)
+            estimate_sigmas(p)
+            for name in RATE_NAMES:
+                bootstrap_sigma_se(p, name, seed=3)
+            assert len(calls) == len(STATISTICS) and all(c is p for c in calls)
+            assert np.all(p.walk_summary[:, :, 5] == p.n_blocks)
+            calls.clear()
 
 
 class TestNormalityTest:

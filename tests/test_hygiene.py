@@ -251,6 +251,35 @@ def test_the_call_count_sees_calls_only():
     assert _calls_of(source, "np.linalg.inv") == 2
 
 
+def _block_passes(source: str) -> list[str]:
+    """The callee of each ``np.bincount(...)`` and ``<object>.reward(...)``
+    call of the source: passes over a pool's blocks."""
+    return sorted(
+        ast.unparse(node.func)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            ast.unparse(node.func) == "np.bincount"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "reward"
+        )
+    )
+
+
+def test_estimators_read_blocks_through_the_walk_summary():
+    """Every per-walk sum is ``BlockPool.walk_summary``'s, built once per pool."""
+    assert _block_passes((ROOT / "src/freewalk/estimators.py").read_text()) == []
+
+
+def test_the_block_pass_check_sees_calls_only():
+    source = (
+        "s = np.bincount(pool.walk)\n"
+        "f = np.bincount\n"
+        "r = pool.reward\n"
+        "x = pool.reward(0) + reward(1) + bincount(w)\n"
+    )
+    assert _block_passes(source) == ["np.bincount", "pool.reward"]
+
+
 # functions no command reaches, each kept because the benchmark (``perfbench/``)
 # calls or wraps it by name
 UNREACHED_ALLOWED = {

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pool
+from conftest import instance_uneven, instance_wide, make_pool
 from reference_walk import (
     PURPOSE_HIT_MC,
     ExitTime,
@@ -38,9 +38,7 @@ from freewalk import simulator
 from freewalk.core import (
     POP,
     PUSH,
-    FactorSpec,
     InvalidConfig,
-    WalkConfig,
     Word,
     compile_kernel,
     step_distribution,
@@ -71,42 +69,6 @@ WCA = Word(((2, "c"), (1, "a")))
 
 def hand_trajectory(cfg, words):
     return Trajectory(cfg=cfg, states=tuple(words))
-
-
-def instance_uneven(alpha: float = 0.4) -> WalkConfig:
-    """Non-uniform factor rows: ten distinct thresholds in the step grid."""
-    return WalkConfig(
-        factor1=FactorSpec(
-            1,
-            ("o1", "a", "b", "e"),
-            "o1",
-            (
-                (0.0, 0.5, 0.3, 0.2),
-                (0.6, 0.0, 0.4, 0.0),
-                (0.1, 0.2, 0.0, 0.7),
-                (0.5, 0.0, 0.5, 0.0),
-            ),
-        ),
-        factor2=FactorSpec(
-            2, ("o2", "c", "d"), "o2", ((0.0, 0.7, 0.3), (0.4, 0.0, 0.6), (0.8, 0.2, 0.0))
-        ),
-        alpha=alpha,
-        name="uneven",
-    )
-
-
-def instance_wide(alpha: float = 0.37) -> WalkConfig:
-    """Random weights on two 14-vertex factors: 354 distinct thresholds at
-    alpha 0.37, more than a byte counts."""
-    rng = np.random.default_rng(300)
-
-    def factor(i: int) -> FactorSpec:
-        w = rng.integers(1, 10, size=(14, 14)).astype(float)
-        np.fill_diagonal(w, 0)
-        names = (f"o{i}", *(f"v{i}_{j}" for j in range(1, 14)))
-        return FactorSpec(i, names, f"o{i}", tuple(map(tuple, w / w.sum(axis=1, keepdims=True))))
-
-    return WalkConfig(factor1=factor(1), factor2=factor(2), alpha=alpha, name="wide")
 
 
 @pytest.fixture(scope="module")
