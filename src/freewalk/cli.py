@@ -84,7 +84,7 @@ from .oracle import (
     series_combine,
     series_to_rows,
 )
-from .simulator import pool_to_csv_rows, simulate_pool
+from .simulator import _step_library, pool_to_csv_rows, simulate_pool
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -233,25 +233,36 @@ def emit_json(doc, path: Path) -> None:
     path.write_text(blob)
 
 
-EMIT_BLOCK_ROWS = 65536
+EMIT_BLOCK_ROWS = 16384
+_JOIN_SLACK = 16  # JOIN_SLACK of step_kernel.c
 _NEEDS_CSV = re.compile('[,"\r\n]')  # delimiter, quote, line terminator of csv.excel
 
 
-def _distinct_fields(column: np.ndarray, lone: bool, end: str) -> tuple[np.ndarray, np.ndarray]:
-    """One column as its distinct fields, each followed by ``end``, and each
-    row's index into them.
+def _column_fields(column: np.ndarray, lone: bool) -> tuple[list[str], np.ndarray]:
+    """One column as the texts of its fields and each row's index into them,
+    in the narrowest unsigned type that holds it.
 
-    Cells are compared by their bytes, so that a ``-0.0`` stays apart from
-    ``0.0``.  A cell of 1, 2, 4 or 8 bytes (a bool, int, float or
-    ``<U1``/``<U2`` text) is read as an unsigned integer: one sort plus a
-    binary search per row cost less than the argsort of
-    ``np.unique(..., return_inverse=True)``, which any other dtype takes,
-    such as ``<U3`` or complex, on its bytes, and an object column on its
-    values.  Each distinct text is quoted once.  A text holding a special
+    An integer column whose range is below its row count is coded by its
+    range: field ``i`` is the value ``min + i``, and a row's index is its
+    value less the minimum, computed straight into the index type.  Any
+    other column is coded by its distinct cells, compared by their bytes, so
+    that a ``-0.0`` stays apart from ``0.0``.  A cell of 1, 2, 4 or 8 bytes
+    (a bool, int, float or ``<U1``/``<U2`` text) is read as an unsigned
+    integer: one sort plus a binary search per row cost less than the
+    argsort of ``np.unique(..., return_inverse=True)``, which any other dtype
+    takes, such as ``<U3`` or complex, on its bytes, and an object column on
+    its values.  Each distinct text is quoted once.  A text holding a special
     character of ``csv.excel`` is quoted by the ``csv`` module itself, and so
     is the empty cell of a one-column table (``lone``), which it writes as
     ``""``; every other text is its own field.
     """
+    if column.dtype.kind in "iu":
+        lo, hi = int(column.min()), int(column.max())  # Python ints: no overflow
+        if hi - lo < len(column):
+            index = np.empty(len(column), np.min_scalar_type(hi - lo))
+            # the difference wraps in the column's type, and its low bits are exact
+            np.subtract(column, column.dtype.type(lo), out=index, casting="unsafe")
+            return [str(v) for v in range(lo, hi + 1)], index
     n_bytes = column.dtype.itemsize
     if column.dtype.kind == "O":
         values, inverse = np.unique(column, return_inverse=True)
@@ -267,82 +278,86 @@ def _distinct_fields(column: np.ndarray, lone: bool, end: str) -> tuple[np.ndarr
         texts = [f"{v:.12g}" for v in values]
     else:
         texts = [str(v) for v in values]  # numpy scalars: a float32 keeps its str
-    fields = []
-    for text in texts:
+    for i, text in enumerate(texts):
         if _NEEDS_CSV.search(text) or (lone and not text):
             buf = io.StringIO()
             csv.writer(buf).writerow([text])
-            text = buf.getvalue().removesuffix("\r\n")
-        fields.append(text + end)
-    # the narrowest index type: a byte or two per row rather than eight
-    return np.array(fields, dtype=object), inverse.astype(np.min_scalar_type(len(texts)))
+            texts[i] = buf.getvalue().removesuffix("\r\n")
+    return texts, inverse.astype(np.min_scalar_type(len(texts)))
 
 
-def _join_narrow(columns: list[tuple[np.ndarray, np.ndarray]], limit: int) -> list[tuple]:
-    """Adjacent columns joined into one field while their joint field table
-    holds at most ``limit`` entries, the smallest joint first.
+def _column_rows(name: str, column) -> int:
+    """The row count of a column: a one-dimensional numpy array, or an
+    indexed column, a pair of them ``(values, codes)`` with integer codes."""
+    parts = column if isinstance(column, tuple) and len(column) == 2 else (column,)
+    if not all(isinstance(part, np.ndarray) for part in parts):
+        raise TypeError(
+            f"column {name!r} is a {type(column).__name__}, not a numpy array "
+            "or a (values, codes) pair of them"
+        )
+    integer_codes = len(parts) == 1 or parts[1].dtype.kind in "iu"
+    if any(part.ndim != 1 for part in parts) or not integer_codes:
+        raise TypeError(f"column {name!r} is not one-dimensional, or its codes are not integers")
+    return len(parts[-1])
 
-    Each group is its field table, every combination of its columns' fields
-    in order, and its columns' indices with their table sizes: a row's field
-    is the mixed-radix number of its indices in those sizes.
+
+def emit_csv(table: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]], path: Path) -> None:
+    """Write a table given as column name -> column.
+
+    A column is a numpy array or an indexed column, a pair ``(values,
+    codes)`` of numpy arrays whose cells are ``values[codes]``.  The bytes
+    are those ``csv.DictWriter`` writes row by row: a float64 cell is written
+    as ``f"{v:.12g}"``, any other cell, an int, ``bool``, str or float32, as
+    the ``str`` of its numpy scalar, and each field is encoded as the file
+    encodes its text.  A table with no rows is its header line; a column of
+    any other type raises ``TypeError``, and columns of unequal length raise
+    ``ValueError``.
+
+    No row is built as a Python object.  Each column becomes the texts of
+    its fields (:func:`_column_fields`) and a narrow index per row; an
+    indexed column codes its ``values`` so and gathers that index once
+    through ``codes``.  Every field, followed by its separator, is encoded
+    into one blob, and each block of ``EMIT_BLOCK_ROWS`` rows is joined by
+    the compiled ``join_rows`` into a byte buffer and written at once.
     """
-    groups = [(fields, [(inverse, len(fields))]) for fields, inverse in columns]
-    while len(groups) > 1:
-        sizes = [len(a) * len(b) for (a, _), (b, _) in zip(groups, groups[1:])]
-        j = int(np.argmin(sizes))
-        if sizes[j] > limit:
-            break
-        (a, parts_a), (b, parts_b) = groups[j : j + 2]
-        groups[j : j + 2] = [(np.add.outer(a, b).ravel(), parts_a + parts_b)]
-    return groups
-
-
-def emit_csv(table: Mapping[str, np.ndarray], path: Path) -> None:
-    """Write a table given as column name -> numpy array.
-
-    The bytes are those ``csv.DictWriter`` writes row by row: a float64 cell
-    is written as ``f"{v:.12g}"``, any other cell, an int, ``bool``, str or
-    float32, as the ``str`` of its numpy scalar.  A table with no rows is its
-    header line; a column that is not a numpy array raises ``TypeError``, and
-    columns of unequal length raise ``ValueError``.
-
-    No row is built as a Python object.  Each column becomes a table of its
-    distinct fields, quoted once and followed by their separator, and an
-    index array into it.  Adjacent columns whose joint table would hold no
-    more entries than a block has rows are joined into one field, so a row of
-    narrow columns is a few objects.  Rows are written in blocks of
-    ``EMIT_BLOCK_ROWS``: each block gathers every group's fields into a
-    ``(rows, groups)`` object array, and one join of it is written.
-    """
-    for name, column in table.items():
-        if not isinstance(column, np.ndarray):
-            raise TypeError(f"column {name!r} is a {type(column).__name__}, not a numpy array")
-    lengths = [len(column) for column in table.values()]
+    lengths = [_column_rows(name, column) for name, column in table.items()]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length {lengths} do not zip into rows")
     n_rows = lengths[0] if lengths else 0
-    block_rows = min(n_rows, EMIT_BLOCK_ROWS)
-    ends = [","] * (len(table) - 1) + ["\r\n"]
-    columns = [
-        _distinct_fields(column, len(table) == 1, end)
-        for column, end in zip(table.values(), ends)
-    ] if n_rows else []
-    groups = _join_narrow(columns, block_rows)
+    texts, index = [], []
+    for column in table.values() if n_rows else ():
+        values, codes = column if isinstance(column, tuple) else (column, None)
+        column_texts, at = _column_fields(values, len(table) == 1)
+        texts.append(column_texts)
+        index.append(at if codes is None else at[codes])  # narrow, then gathered
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(table.keys())
-        block = np.empty((block_rows, len(groups)), dtype=object)
-        code = np.empty(block_rows, dtype=np.intp)
+        if not n_rows:
+            return
+        ends = [","] * (len(texts) - 1) + ["\r\n"]
+        fields = [
+            [(text + end).encode(fh.encoding, fh.errors) for text in column_texts]
+            for column_texts, end in zip(texts, ends)
+        ]
+        flat = [f for column in fields for f in column]
+        start = np.cumsum([0, *map(len, flat)], dtype=np.int64)
+        first = np.cumsum([0, *map(len, fields[:-1])], dtype=np.int64)
+        # join_rows copies a short field as _JOIN_SLACK bytes, so both end in as many spare
+        blob = np.frombuffer(b"".join(flat) + bytes(_JOIN_SLACK), np.uint8)
+        row_bytes = sum(max(map(len, column)) for column in fields)
+        out = np.empty(min(n_rows, EMIT_BLOCK_ROWS) * row_bytes + _JOIN_SLACK, np.uint8)
+        pointers = np.array([at.ctypes.data for at in index], np.uintp)
+        widths = np.array([at.itemsize for at in index], np.int64)
+        join = _step_library().join_rows
+        fh.flush()  # the header, written through the text layer, goes first
         for lo in range(0, n_rows, EMIT_BLOCK_ROWS):
             hi = min(lo + EMIT_BLOCK_ROWS, n_rows)
-            rows, joint = block[: hi - lo], code[: hi - lo]
-            for j, (fields, parts) in enumerate(groups):
-                joint[:] = 0
-                for inverse, size in parts:
-                    joint *= size
-                    joint += inverse[lo:hi]
-                rows[:, j] = fields[joint]
-            fh.write("".join(rows.ravel().tolist()))
+            size = join(
+                lo, hi, len(index), pointers.ctypes.data, widths.ctypes.data,
+                first.ctypes.data, start.ctypes.data, blob.ctypes.data, out.ctypes.data,
+            )
+            fh.buffer.write(out[:size])
 
 
 def emit_report(
@@ -571,6 +586,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """Argument type of ``--seed``: a Philox key word, ``0 .. 2**64 - 1``.
+    The kernel keys each stream by the seed's 64 bits, so a seed outside
+    them would write another seed's walks under its own ``master_seed``."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0 .. 2**64 - 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freewalk",
@@ -581,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default="K3xK3", help="config path or named instance")
         p.add_argument("--out", default="freewalk-out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=seed_int, default="0", help="master seed, 0 .. 2**64 - 1")
 
     p = sub.add_parser("validate", help="validate a configuration")
     common(p)

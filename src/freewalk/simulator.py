@@ -212,7 +212,8 @@ def _build(command: list[str], target: Path) -> Path:
 
 @functools.cache
 def _step_library() -> ctypes.CDLL:
-    """The compiled kernel, built on the first call of a process unless cached."""
+    """The compiled kernel, built on the first call of a process unless
+    cached; it also holds ``join_rows``, the row join of ``cli.emit_csv``."""
     command = _compile_command()
     path = _library_path(_KERNEL_SOURCE.read_bytes(), command)
     if not path.exists():
@@ -224,6 +225,8 @@ def _step_library() -> ctypes.CDLL:
     lib.step_span.argtypes = [ptr, i64, u64, i64, ptr, i64, ptr, ptr, ptr, i32, ptr, ptr, ptr]
     lib.step_span.argtypes += [ptr, i64, i64, ptr, ptr, i64, i64]
     lib.step_span.restype = i64
+    lib.join_rows.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.join_rows.restype = i64
     return lib
 
 
@@ -411,12 +414,16 @@ class BlockPool:
         pair += self.w_second
         return pair
 
+    def pair_rewards(self, k: int) -> np.ndarray:
+        """The reward to statistic ``STATISTICS[k]`` of each pair code: the
+        (first, second) table of the two letters' rewards summed, flat."""
+        row = self.letter_rewards[k]
+        return np.add.outer(row, row).ravel()
+
     def reward(self, k: int) -> np.ndarray:
         """Each block's reward to statistic ``STATISTICS[k]``: one gather on
-        the (first, second) table of the row's sums, which are the sums of the
-        two letters' rewards."""
-        row = self.letter_rewards[k]
-        return np.take(np.add.outer(row, row), self.pair_code)
+        :meth:`pair_rewards` by the block's pair code."""
+        return np.take(self.pair_rewards(k), self.pair_code)
 
     @property
     def d_dist(self) -> np.ndarray:
@@ -560,20 +567,22 @@ def simulate_pool(
     return pool, stats
 
 
-def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict[str, np.ndarray]:
+def pool_to_csv_rows(pool: BlockPool, kernel: CompiledKernel) -> dict:
     """The block CSV as columns for :func:`freewalk.cli.emit_csv`.
 
-    Three pool arrays as they are, the blocks' ``d_dist`` and ``d_ent``
-    rewards, and ``pair``: the appended letters' vertex names, one gather on
-    a table indexed by the pool's pair code.
+    Three pool arrays as they are, and the blocks' ``d_dist`` and ``d_ent``
+    rewards and ``pair``, the appended letters' vertex names, as indexed
+    columns ``(values, codes)``: a table with one entry per pair code and
+    the pool's :attr:`~BlockPool.pair_code`, so no per-block copy is made.
     """
     names = [v for _, v in kernel.letter_of_code]
-    pair_names = np.array([[a + b for b in names] for a in names])
+    pair_names = np.array([a + b for a in names for b in names])
+    pair = pool.pair_code
     return {
         "trajectory_id": pool.walk,
         "k": pool.index,
         "delta_t": pool.delta_t,
-        "d_dist": pool.d_dist,
-        "d_ent": pool.d_ent,
-        "pair": np.take(pair_names, pool.pair_code),
+        "d_dist": (pool.pair_rewards(STATISTICS.index("dist")), pair),
+        "d_ent": (pool.pair_rewards(STATISTICS.index("entropy")), pair),
+        "pair": (pair_names, pair),
     }

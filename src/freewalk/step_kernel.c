@@ -1,5 +1,6 @@
 /* The step kernel of freewalk.simulator: draws each walk's uniforms and steps
- * every walk of a span in one call.
+ * every walk of a span in one call.  Also the row join of freewalk.cli's CSV
+ * writer (join_rows, at the end).
  *
  * Uniforms.  Each walk owns the counter-based stream Philox4x64-10 (Salmon,
  * Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3",
@@ -25,6 +26,7 @@
  * written, which is all the endpoint statistics need.
  */
 #include <stdint.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -121,4 +123,49 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
         depth[m] = sp;
     }
     return n_walks;
+}
+
+/* Cell r of an index column of width bytes per entry, an unsigned integer. */
+static inline int64_t index_at(const void *index, int64_t width, int64_t r)
+{
+    switch (width) {
+    case 1:
+        return ((const uint8_t *)index)[r];
+    case 2:
+        return ((const uint16_t *)index)[r];
+    case 4:
+        return ((const uint32_t *)index)[r];
+    default:
+        return (int64_t)((const uint64_t *)index)[r];
+    }
+}
+
+#define JOIN_SLACK 16 /* bytes blob and out hold past their last field */
+
+/* Rows lo .. hi - 1 of a table, joined into out; returns the bytes written.
+ *
+ * Column c's cell in row r is field first[c] + index[c][r], an entry of
+ * width[c] bytes.  Field f is the bytes blob[start[f] .. start[f + 1] - 1],
+ * its separator included, so a row is its fields one after another.  out
+ * holds at least the rows' longest fields summed.  A field of at most
+ * JOIN_SLACK bytes is copied as JOIN_SLACK bytes, one fixed-size move in
+ * place of a call, and the next field overwrites what it copied past its
+ * end; so blob and out both end in JOIN_SLACK spare bytes.
+ */
+int64_t join_rows(int64_t lo, int64_t hi, int64_t n_cols, const void *const *index,
+                  const int64_t *width, const int64_t *first, const int64_t *start,
+                  const char *blob, char *out)
+{
+    char *p = out;
+    for (int64_t r = lo; r < hi; r++)
+        for (int64_t c = 0; c < n_cols; c++) {
+            int64_t f = first[c] + index_at(index[c], width[c], r);
+            int64_t n = start[f + 1] - start[f];
+            if (n <= JOIN_SLACK)
+                memcpy(p, blob + start[f], JOIN_SLACK);
+            else
+                memcpy(p, blob + start[f], (size_t)n);
+            p += n;
+        }
+    return p - out;
 }

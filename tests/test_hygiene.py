@@ -280,8 +280,65 @@ def test_the_block_pass_check_sees_calls_only():
     assert _block_passes(source) == ["np.bincount", "pool.reward"]
 
 
+def _exported(c_source: str) -> set[str]:
+    """The functions a C source defines without ``static``: a definition
+    starts at column 0 with its return type."""
+    head = re.compile(r"^(?!static\b|typedef\b)(?:[A-Za-z_]\w*[\s*]+)+([A-Za-z_]\w*)\s*\(", re.M)
+    return set(head.findall(c_source))
+
+
+def _undeclared(c_source: str, py_source: str) -> list[str]:
+    """``name.argtypes`` and ``name.restype`` of each exported function of
+    the C source that ``_step_library`` in the Python source does not set."""
+    loader = next(
+        node
+        for node in ast.walk(ast.parse(py_source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_step_library"
+    )
+    declared = {
+        (target.value.attr, target.attr)
+        for node in ast.walk(loader)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute)
+    }
+    return sorted(
+        f"{name}.{attr}"
+        for name in _exported(c_source)
+        for attr in ("argtypes", "restype")
+        if (name, attr) not in declared
+    )
+
+
+def test_every_kernel_function_has_a_declared_abi():
+    """ctypes would pass undeclared arguments as C ints and read an int back."""
+    c_source = (ROOT / "src/freewalk/step_kernel.c").read_text()
+    assert _exported(c_source) == {"fill_uniforms", "step_span", "join_rows"}
+    assert _undeclared(c_source, (ROOT / "src/freewalk/simulator.py").read_text()) == []
+
+
+def test_the_abi_check_sees_missing_declarations():
+    c_source = (
+        "typedef struct {\n    int a;\n} pair;\n"
+        "static inline int helper(int x)\n{\n    return x;\n}\n"
+        "int64_t sum(const int64_t *a,\n            int64_t n)\n{\n    for (;;)\n        helper(n);\n}\n"
+        "void *touch(void)\n{\n}\n"
+    )
+    py_source = (
+        "def _step_library():\n"
+        "    lib.sum.argtypes = [ptr, i64]\n"
+        "    lib.sum.restype = i64\n"
+        "    lib.touch.argtypes = []\n"
+        "    lib.helper.restype = None\n"
+        "def other():\n"
+        "    lib.touch.restype = ptr\n"
+    )
+    assert _exported(c_source) == {"sum", "touch"}
+    assert _undeclared(c_source, py_source) == ["touch.restype"]
+
+
 # functions no command reaches, each kept because the benchmark (``perfbench/``)
-# calls or wraps it by name
+# calls or wraps it by name, or an acceptance criterion reads it
 UNREACHED_ALLOWED = {
     "core.py:step_distribution": "spans.WordCounter counts enumeration work by BFS over it",
     "core.py:CompiledKernel.decode": "step_distribution's successor words",
@@ -290,6 +347,7 @@ UNREACHED_ALLOWED = {
     "estimators.py:truncate_pool": "a boundary of the span table in spans.py",
     "genfun.py:renewal_increment_gf": "the reference F'(1) of checks.py",
     "simulator.py:stream_uniforms": "a boundary of the span table in spans.py",
+    "simulator.py:BlockPool.d_ent": "criterion 8 of test_acceptance.py bounds it per block",
 }
 
 # each command on both shapes at small sizes, plus a config file
