@@ -22,10 +22,15 @@ stack of a batch walk carries all renewal words.  The candidate itself is
 the last step that wrote stack depth ``k``: the batch kernel records that
 time per depth next to the stack, and the batch decomposition reads every
 exit time off the final write times without storing intermediate states.
-The word-level reference in ``tests/reference_walk.py`` materializes every
-state, computes the same times from whole words, and is what the batch path
-is tested against, next to the numpy step loop and numpy's Philox that the
-compiled kernel is compared with bit for bit.
+The decomposition is compiled into the kernel's library too: one pass over
+the runs checks them and reads each walk's renewal start, block count and
+censored exits, a second writes the blocks, and one more sums each walk's
+blocks for the estimators (:attr:`BlockPool.walk_summary`).  The word-level
+reference in ``tests/reference_walk.py`` materializes every state, computes
+the same times from whole words, and is what the batch path is tested
+against, next to the numpy step loop, numpy's Philox, the numpy
+decomposition and the ``np.bincount`` summary, which the compiled passes
+match bit for bit.
 
 The kernel counts the letters of each final word off its stack, and the
 endpoint statistics, sums of one reward per letter
@@ -167,21 +172,26 @@ _KERNEL_SOURCE = Path(__file__).with_name("step_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 
 
+# no ``-ffast-math``, which would break the IEEE comparisons, no
+# ``-ffp-contract``, which may fuse a product into a sum, and no ``-march``
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
 def _compile_command() -> list[str]:
-    """The interpreter's own C compiler with fixed flags; no ``-ffast-math``,
-    which would break the IEEE comparisons, and no ``-march``."""
+    """The interpreter's own C compiler with the fixed flags."""
     import sysconfig
 
-    return [*(sysconfig.get_config_var("CC") or "cc").split(), "-O2", "-shared", "-fPIC"]
+    return [*(sysconfig.get_config_var("CC") or "cc").split(), *_FLAGS]
 
 
-def _library_path(source: bytes, command: list[str]) -> Path:
-    """The cached build of ``source`` by ``command``, keyed by both like a ``.pyc``."""
-    key = hashlib.sha256(b"\0".join([source, *(a.encode() for a in command)]))
+def _library_path(source: bytes, flags: Sequence[str]) -> Path:
+    """The cached build of ``source`` with ``flags``, keyed by both like a
+    ``.pyc``; the compiler is looked up only when a build is needed."""
+    key = hashlib.sha256(b"\0".join([source, *(a.encode() for a in flags)]))
     return _CACHE_DIR / f"step_kernel.{key.hexdigest()[:16]}.so"
 
 
-def _build(command: list[str], target: Path) -> Path:
+def _build(target: Path) -> Path:
     """Compile the kernel to ``target`` and return where it went.
 
     The build is written to a temporary file and moved into place, so
@@ -199,7 +209,7 @@ def _build(command: list[str], target: Path) -> Path:
         target = Path(private) / target.name
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
     os.close(fd)
-    argv = [*command, "-o", tmp, str(_KERNEL_SOURCE)]
+    argv = [*_compile_command(), "-o", tmp, str(_KERNEL_SOURCE)]
     try:
         subprocess.run(argv, capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError) as e:
@@ -213,21 +223,40 @@ def _build(command: list[str], target: Path) -> Path:
 @functools.cache
 def _step_library() -> ctypes.CDLL:
     """The compiled kernel, built on the first call of a process unless
-    cached; it also holds ``join_rows``, the row join of ``cli.emit_csv``."""
-    command = _compile_command()
-    path = _library_path(_KERNEL_SOURCE.read_bytes(), command)
+    cached; it also holds the renewal decomposition, the pools' per-walk
+    sums and ``join_rows``, the row join of ``cli.emit_csv``."""
+    path = _library_path(_KERNEL_SOURCE.read_bytes(), _FLAGS)
     if not path.exists():
-        path = _build(command, path)
+        path = _build(path)
     lib = ctypes.CDLL(str(path))
     ptr, i32, i64, u64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_uint64
+    f64 = ctypes.c_double
     lib.fill_uniforms.argtypes = [u64, u64, i64, ptr]
     lib.fill_uniforms.restype = None
     lib.step_span.argtypes = [ptr, i64, u64, i64, ptr, i64, ptr, ptr, ptr, i32, ptr, ptr, ptr]
     lib.step_span.argtypes += [ptr, i64, i64, ptr, ptr, i64, i64]
     lib.step_span.restype = i64
+    lib.decompose_walks.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, i64, f64, ptr, ptr, ptr]
+    lib.decompose_walks.argtypes += [ptr, ptr]
+    lib.decompose_walks.restype = i64
+    lib.decompose_blocks.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.decompose_blocks.argtypes += [ptr, ptr, ptr]
+    lib.decompose_blocks.restype = i64
+    lib.walk_summary.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, i64, i64, ptr, ptr]
+    lib.walk_summary.restype = i64
     lib.join_rows.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.join_rows.restype = i64
     return lib
+
+
+def _c_array(a: np.ndarray, dtype: type) -> np.ndarray:
+    """``a`` as a contiguous array of ``dtype``, the type a compiled function
+    declares for it: ctypes passes only the address, so any other dtype
+    would be read as garbage.  A cast that would change a value is refused."""
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.dtype != a.dtype and not np.array_equal(out, a):
+        raise TypeError(f"{a.dtype} values do not keep their values as {out.dtype}")
+    return out
 
 
 def stream_uniforms(master_seed: int, stream: int, n: int) -> np.ndarray:
@@ -436,16 +465,33 @@ class BlockPool:
     @functools.cached_property
     def walk_summary(self) -> np.ndarray:
         """``(len(STATISTICS), walks, 6)``: for each statistic, each walk's
-        ``Σr, Σr·Δt, Σr², ΣΔt, ΣΔt²`` and block count, every sum a
-        ``np.bincount`` over ``walk``, so O(blocks) whatever the factor size."""
-        sums = functools.partial(np.bincount, self.walk, minlength=self.n_walks)
-        dt = self.delta_t.astype(float)
-        out = np.empty((len(STATISTICS), self.n_walks, 6))
-        out[..., 3:] = np.column_stack([sums(dt), sums(dt * dt), self.n_blocks])
-        for k in range(len(STATISTICS)):
-            r = self.reward(k)
-            out[k, :, :3] = np.column_stack([sums(r), sums(r * dt), sums(r * r)])
+        ``Σr, Σr·Δt, Σr², ΣΔt, ΣΔt²`` and block count, summed in block order
+        by one compiled pass over the blocks, so O(blocks) whatever the
+        factor size and bit for bit ``np.bincount`` over ``walk``."""
+        rewards = _c_array(self.letter_rewards, np.float64)
+        walk, delta_t, count = (
+            _c_array(a, np.int64) for a in (self.walk, self.delta_t, self.n_blocks)
+        )
+        first, second = (_c_array(a, np.int16) for a in (self.w_first, self.w_second))
+        if not len(walk) == len(first) == len(second) == self.size or len(count) != self.n_walks:
+            raise ValueError("the pool's block or walk arrays differ in length")
+        out = np.empty((len(rewards), self.n_walks, 6))
+        if _step_library().walk_summary(
+            self.size, walk.ctypes.data, delta_t.ctypes.data, first.ctypes.data,
+            second.ctypes.data, len(rewards), rewards.ctypes.data, rewards.shape[1],
+            self.n_walks, count.ctypes.data, out.ctypes.data,
+        ):
+            raise IndexError("a block's walk or letter code lies outside the pool")
         return out
+
+
+# the decomposition's errors by their codes in ``step_kernel.c``
+_DECOMPOSE_ERRORS = {
+    -1: "final-stack letter codes lie outside the letter table",
+    -2: "final-stack letters do not alternate factors",
+    -3: "exit times do not increase with the level",
+    -4: "appended pair does not match (factor2, factor1)",
+}
 
 
 def batch_decompose(
@@ -462,77 +508,55 @@ def batch_decompose(
     ...`` among them, and blocks whose endpoints are not both confirmed are
     dropped entirely.  Appended pairs and renewal-word distances are read off
     the final stack, which is sound because every confirmed renewal word is
-    a prefix of the final word.  A batch simulated without runs is refused
-    with a ``ValueError``.
+    a prefix of the final word.  Two compiled passes over the runs do it
+    (``step_kernel.c``): the first checks the runs and writes the per-walk
+    arrays, the second the blocks; a failed check raises an
+    ``AssertionError`` that names it.  A batch simulated without runs is
+    refused with a ``ValueError``.
     """
     if batch.codes is None:
         raise ValueError(
             "batch_decompose needs the walks' runs, and this batch was simulated "
             "with runs=False, which keeps only the final depths and letter counts"
         )
-    n, sp, start = batch.n, batch.sp, batch.start
-    codes, wtime = batch.codes, batch.wtime
     M = batch.n_walks
-    fac = kernel.factor_of_code
+    sp = _c_array(batch.sp, np.int64)
+    codes = _c_array(batch.codes, np.int16)
+    wtime = _c_array(batch.wtime, np.int32)
+    if not len(codes) == len(wtime) == M + int(sp.sum()):
+        raise ValueError("the batch's runs do not hold depths 0 .. sp of every walk")
+    fac = _c_array(kernel.factor_of_code, np.int8)
     rewards = letter_rewards(kernel, ctx)
-    ldist = rewards[STATISTICS.index("dist")]
+    ldist = _c_array(rewards[STATISTICS.index("dist")], np.float64)
+    lib = _step_library()
+    runs = (M, sp.ctypes.data, codes.ctypes.data, wtime.ctypes.data, fac.ctypes.data)
 
-    # ``live`` marks every entry but a walk's depth 0; each is checked
-    # against the entry before it, the depth below in the same run
-    live = np.ones(len(codes), dtype=bool)
-    live[start] = False
-    f = fac[codes]
-    if not np.all((f[1:] != f[:-1]) | ~live[1:]):
-        raise AssertionError("final-stack letters do not alternate factors")
-    if not np.all((wtime[1:] > wtime[:-1]) | ~live[1:]):
-        raise AssertionError("exit times do not increase with the level")
-    late = np.flatnonzero((wtime > n - buffer) & live)
-    censored = np.bincount(np.searchsorted(start, late, side="right") - 1, minlength=M)
-    confirmed = sp - censored
-
-    tau = np.zeros(M, dtype=np.int8)
-    nonempty = sp > 0
-    tau[nonempty] = np.where(f[start[nonempty] + 1] == 1, 1, 2)
-    has = (tau > 0) & (confirmed >= tau)
-    t0_time = np.full(M, -1, dtype=np.int64)
-    t0_dist = np.full(M, np.nan)
-    tau_h = tau[has]
-    t0_at = start[has] + tau_h
-    t0_time[has] = wtime[t0_at]
-    t0_dist[has] = ldist[codes[t0_at]] + np.where(tau_h == 2, ldist[codes[t0_at - 1]], 0.0)
-
-    n_blocks = np.where(has, (confirmed - tau) // 2, 0)
-    # block-length arrays are built in place, one temporary at a time, and
-    # no per-entry array outlives its use: the pool's own arrays, not their
-    # intermediates, set the peak
-    del live, f, late
-    walk = np.repeat(np.arange(M), n_blocks)
-    first_block = np.cumsum(n_blocks) - n_blocks
-    index = np.arange(1, len(walk) + 1)
-    index -= first_block[walk]
-    at = start[walk]  # the entry of each block's end level
-    at += tau[walk]
-    at += index
-    at += index
-    second = codes[at]
-    delta_t = wtime[at].astype(np.int64)
-    at -= 1
-    first = codes[at]
-    at -= 1
-    delta_t -= wtime[at]
-    del at
-    if not (np.all(fac[first] == 2) and np.all(fac[second] == 1)):
-        raise AssertionError("appended pair does not match (factor2, factor1)")
-    # letter distances are integers, so these float sums are exact in any
-    # order: each block's distance is its walk's t0_dist plus the running sum
-    # of the walk's block rewards
-    d_at = ldist[first]
-    d_at += ldist[second]
-    np.cumsum(d_at, out=d_at)
-    before = np.zeros(M)
-    later = first_block > 0
-    before[later] = d_at[first_block[later] - 1]
-    d_at += (t0_dist - before)[walk]
+    tau = np.empty(M, dtype=np.int8)
+    t0_time = np.empty(M, dtype=np.int64)
+    t0_dist = np.empty(M)
+    n_blocks = np.empty(M, dtype=np.int64)
+    censored = np.empty(M, dtype=np.int64)
+    # walks without a confirmed renewal level get numpy's own nan, whose
+    # bits differ from the 0.0 / 0.0 of C
+    total = lib.decompose_walks(
+        *runs, len(fac), ldist.ctypes.data, batch.n - buffer, np.nan, tau.ctypes.data,
+        t0_time.ctypes.data, t0_dist.ctypes.data, n_blocks.ctypes.data, censored.ctypes.data,
+    )
+    if total < 0:
+        raise AssertionError(_DECOMPOSE_ERRORS[total])
+    walk = np.empty(total, dtype=np.int64)
+    index = np.empty(total, dtype=np.int64)
+    delta_t = np.empty(total, dtype=np.int64)
+    first = np.empty(total, dtype=np.int16)
+    second = np.empty(total, dtype=np.int16)
+    d_at = np.empty(total)
+    error = lib.decompose_blocks(
+        *runs, ldist.ctypes.data, tau.ctypes.data, t0_dist.ctypes.data, n_blocks.ctypes.data,
+        walk.ctypes.data, index.ctypes.data, delta_t.ctypes.data, first.ctypes.data,
+        second.ctypes.data, d_at.ctypes.data,
+    )
+    if error:
+        raise AssertionError(_DECOMPOSE_ERRORS[error])
     return BlockPool(
         walk=walk,
         index=index,

@@ -1,6 +1,8 @@
-/* The step kernel of freewalk.simulator: draws each walk's uniforms and steps
- * every walk of a span in one call.  Also the row join of freewalk.cli's CSV
- * writer (join_rows, at the end).
+/* The compiled passes of freewalk.simulator: the step kernel, which draws each
+ * walk's uniforms and steps every walk of a span in one call; the renewal
+ * decomposition of the walks' runs into blocks; and the per-walk sums of a
+ * block pool.  Also the row join of freewalk.cli's CSV writer (join_rows, at
+ * the end).
  *
  * Uniforms.  Each walk owns the counter-based stream Philox4x64-10 (Salmon,
  * Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3",
@@ -24,6 +26,13 @@
  * buffers, the walk's depths 0 .. sp and their write times are also copied
  * out as one run; given none, the counts and the final depth are all that is
  * written, which is all the endpoint statistics need.
+ *
+ * Blocks.  decompose_walks reads each walk's renewal start, block count and
+ * censored exits off its run, and decompose_blocks writes the blocks; both
+ * check the run as they read it.  walk_summary adds each block's rewards to
+ * its walk's sums in block order, the order of numpy's bincount, so every sum
+ * is numpy's bit for bit.  The build passes -ffp-contract=off, so no product
+ * is fused into a sum where numpy rounds twice.
  */
 #include <stdint.h>
 #include <string.h>
@@ -123,6 +132,131 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
         depth[m] = sp;
     }
     return n_walks;
+}
+
+/* Errors of the decomposition, raised by its caller with their messages. */
+enum { BAD_CODE = -1, NOT_ALTERNATING = -2, NOT_INCREASING = -3, BAD_PAIR = -4 };
+
+/* First pass of the renewal decomposition: the per-walk arrays of n_walks
+ * runs, laid out as step_span writes them (walk m's depths 0 .. depth[m],
+ * one run after another, in codes and times).  Returns the total number of
+ * blocks, or the first error in the order BAD_CODE, NOT_ALTERNATING,
+ * NOT_INCREASING, the order of the checks over the whole batch.
+ *
+ * Every code must lie in 0 .. n_codes - 1, and every depth k >= 1 must lie
+ * in the other factor than depth k - 1 and be written later.  The level-k
+ * exit is censored when its time exceeds cutoff; the walk's renewal levels
+ * are tau, tau + 2, ... up to its last confirmed level, tau being 1 when
+ * depth 1 lies in factor 1 and 2 otherwise (0 for an empty word).  A walk
+ * with no confirmed renewal level keeps t0_time -1 and t0_dist nan.
+ */
+int64_t decompose_walks(int64_t n_walks, const int64_t *depth, const int16_t *codes,
+                        const int32_t *times, const int8_t *factor, int64_t n_codes,
+                        const double *dist, int64_t cutoff, double nan, int8_t *tau,
+                        int64_t *t0_time, double *t0_dist, int64_t *n_blocks,
+                        int64_t *censored)
+{
+    int64_t total = 0, s = 0;
+    int bad_code = 0, bad_factor = 0, bad_time = 0;
+    for (int64_t m = 0; m < n_walks; s += depth[m] + 1, m++) {
+        const int16_t *c = codes + s;
+        const int32_t *w = times + s;
+        int64_t sp = depth[m], late = 0;
+        for (int64_t k = 0; k <= sp; k++)
+            bad_code |= c[k] < 0 || c[k] >= n_codes;
+        if (bad_code)
+            return BAD_CODE;
+        for (int64_t k = 1; k <= sp; k++) {
+            bad_factor |= factor[c[k]] == factor[c[k - 1]];
+            bad_time |= w[k] <= w[k - 1];
+            late += w[k] > cutoff;
+        }
+        int8_t t = sp == 0 ? 0 : factor[c[1]] == 1 ? 1 : 2;
+        int64_t confirmed = sp - late;
+        tau[m] = t;
+        censored[m] = late;
+        if (t > 0 && confirmed >= t) {
+            t0_time[m] = w[t];
+            t0_dist[m] = dist[c[t]] + (t == 2 ? dist[c[t - 1]] : 0.0);
+            n_blocks[m] = (confirmed - t) / 2;
+        } else {
+            t0_time[m] = -1;
+            t0_dist[m] = nan;
+            n_blocks[m] = 0;
+        }
+        total += n_blocks[m];
+    }
+    return bad_factor ? NOT_ALTERNATING : bad_time ? NOT_INCREASING : total;
+}
+
+/* Second pass: the blocks of every walk, walk after walk, from the per-walk
+ * arrays of decompose_walks.  Block j of walk m ends at level tau + 2j and
+ * appends the pair of letters (first, second) at levels tau + 2j - 1 and
+ * tau + 2j, which must lie in factors 2 and 1; its increment is the time
+ * between the exits at levels tau + 2j - 2 and tau + 2j, and d_at is the
+ * walk's t0_dist plus its blocks' letter distances so far, integers, so
+ * the sum is exact.  Returns 0, or BAD_PAIR at the first pair that does not
+ * match.
+ */
+int64_t decompose_blocks(int64_t n_walks, const int64_t *depth, const int16_t *codes,
+                         const int32_t *times, const int8_t *factor, const double *dist,
+                         const int8_t *tau, const double *t0_dist, const int64_t *n_blocks,
+                         int64_t *walk, int64_t *index, int64_t *delta_t, int16_t *first,
+                         int16_t *second, double *d_at)
+{
+    int64_t b = 0, s = 0;
+    for (int64_t m = 0; m < n_walks; s += depth[m] + 1, m++) {
+        double d = t0_dist[m];
+        for (int64_t j = 1; j <= n_blocks[m]; j++, b++) {
+            int64_t at = s + tau[m] + 2 * j;
+            int16_t x = codes[at - 1], y = codes[at];
+            if (factor[x] != 2 || factor[y] != 1)
+                return BAD_PAIR;
+            walk[b] = m;
+            index[b] = j;
+            delta_t[b] = (int64_t)times[at] - times[at - 2];
+            first[b] = x;
+            second[b] = y;
+            d += dist[x] + dist[y];
+            d_at[b] = d;
+        }
+    }
+    return 0;
+}
+
+/* Per-walk sums of a block pool: out[k][m] holds, for statistic k of
+ * n_stats, walk m's sums of r, r * dt, r * r, dt, dt * dt over its blocks in
+ * block order, and count[m]; r is the block's reward, rewards[k][first] +
+ * rewards[k][second], and dt its increment.  Returns 0, or -1 when a block's
+ * walk or letter code lies outside the pool, before anything is written.
+ */
+int64_t walk_summary(int64_t n_blocks, const int64_t *walk, const int64_t *delta_t,
+                     const int16_t *first, const int16_t *second, int64_t n_stats,
+                     const double *rewards, int64_t n_codes, int64_t n_walks,
+                     const int64_t *count, double *out)
+{
+    for (int64_t b = 0; b < n_blocks; b++)
+        if (walk[b] < 0 || walk[b] >= n_walks || first[b] < 0 || first[b] >= n_codes ||
+            second[b] < 0 || second[b] >= n_codes)
+            return -1;
+    memset(out, 0, (size_t)(n_stats * n_walks * 6) * sizeof(double));
+    for (int64_t b = 0; b < n_blocks; b++) {
+        double dt = (double)delta_t[b];
+        for (int64_t k = 0; k < n_stats; k++) {
+            const double *row = rewards + k * n_codes;
+            double r = row[first[b]] + row[second[b]];
+            double *o = out + (k * n_walks + walk[b]) * 6;
+            o[0] += r;
+            o[1] += r * dt;
+            o[2] += r * r;
+            o[3] += dt;
+            o[4] += dt * dt;
+        }
+    }
+    for (int64_t k = 0; k < n_stats; k++)
+        for (int64_t m = 0; m < n_walks; m++)
+            out[(k * n_walks + m) * 6 + 5] = (double)count[m];
+    return 0;
 }
 
 /* Cell r of an index column of width bytes per entry, an unsigned integer. */

@@ -17,12 +17,15 @@ a batch walk's final word and its letter counts (``final_codes``,
 step loop over the library's step tables: ``numpy_batch`` steps many walks
 together with it, and the compiled kernel of ``simulate_batch`` must match
 it bit for bit, while the hitting-frequency Monte Carlo drives it to
-cross-check the exit probabilities.
+cross-check the exit probabilities.  Likewise ``numpy_decompose`` and
+``bincount_walk_summary`` are the whole-array numpy passes that the compiled
+decomposition and per-walk sums must match bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +39,8 @@ from freewalk.core import (
     WalkConfig,
     compile_kernel,
 )
-from freewalk.genfun import GenFunContext
-from freewalk.simulator import _MASK64, DEFAULT_BUFFER, _step_tables, stream_id
+from freewalk.genfun import STATISTICS, GenFunContext, letter_rewards
+from freewalk.simulator import _MASK64, DEFAULT_BUFFER, BlockPool, _step_tables, stream_id
 
 
 class NoConfirmedExit(FreewalkError):
@@ -377,6 +380,90 @@ def numpy_batch(
     keep = (np.arange(n + 1) <= sp[:, None]).ravel()
     codes = sf[keep] // (len(tables.grid) + 1)
     return codes.astype(np.int16), wf[keep], sp
+
+
+# -- the numpy decomposition and per-walk sums ------------------------------------
+
+
+def numpy_decompose(batch, kernel, ctx: GenFunContext, buffer: int = DEFAULT_BUFFER) -> BlockPool:
+    """``batch_decompose`` in whole-array numpy passes over the runs: the
+    reference its compiled passes must match array for array, bit for bit."""
+    n, sp, start = batch.n, batch.sp, batch.start
+    codes, wtime = batch.codes, batch.wtime
+    M = batch.n_walks
+    fac = kernel.factor_of_code
+    rewards = letter_rewards(kernel, ctx)
+    ldist = rewards[STATISTICS.index("dist")]
+
+    # ``live`` marks every entry but a walk's depth 0; each is checked
+    # against the entry before it, the depth below in the same run
+    live = np.ones(len(codes), dtype=bool)
+    live[start] = False
+    f = fac[codes]
+    if not np.all((f[1:] != f[:-1]) | ~live[1:]):
+        raise AssertionError("final-stack letters do not alternate factors")
+    if not np.all((wtime[1:] > wtime[:-1]) | ~live[1:]):
+        raise AssertionError("exit times do not increase with the level")
+    late = np.flatnonzero((wtime > n - buffer) & live)
+    censored = np.bincount(np.searchsorted(start, late, side="right") - 1, minlength=M)
+    confirmed = sp - censored
+
+    tau = np.zeros(M, dtype=np.int8)
+    nonempty = sp > 0
+    tau[nonempty] = np.where(f[start[nonempty] + 1] == 1, 1, 2)
+    has = (tau > 0) & (confirmed >= tau)
+    t0_time = np.full(M, -1, dtype=np.int64)
+    t0_dist = np.full(M, np.nan)
+    tau_h = tau[has]
+    t0_at = start[has] + tau_h
+    t0_time[has] = wtime[t0_at]
+    t0_dist[has] = ldist[codes[t0_at]] + np.where(tau_h == 2, ldist[codes[t0_at - 1]], 0.0)
+
+    n_blocks = np.where(has, (confirmed - tau) // 2, 0)
+    walk = np.repeat(np.arange(M), n_blocks)
+    first_block = np.cumsum(n_blocks) - n_blocks
+    index = np.arange(1, len(walk) + 1) - first_block[walk]
+    at = start[walk] + tau[walk] + 2 * index  # the entry of each block's end level
+    second = codes[at]
+    first = codes[at - 1]
+    delta_t = wtime[at].astype(np.int64) - wtime[at - 2]
+    if not (np.all(fac[first] == 2) and np.all(fac[second] == 1)):
+        raise AssertionError("appended pair does not match (factor2, factor1)")
+    # letter distances are integers, so these float sums are exact in any
+    # order: each block's distance is its walk's t0_dist plus the running sum
+    # of the walk's block rewards
+    d_at = np.cumsum(ldist[first] + ldist[second])
+    before = np.zeros(M)
+    later = first_block > 0
+    before[later] = d_at[first_block[later] - 1]
+    d_at += (t0_dist - before)[walk]
+    return BlockPool(
+        walk=walk,
+        index=index,
+        delta_t=delta_t,
+        w_first=first,
+        w_second=second,
+        d_at=d_at,
+        tau=tau,
+        t0_time=t0_time,
+        t0_dist=t0_dist,
+        n_blocks=n_blocks,
+        censored=censored,
+        letter_rewards=rewards,
+    )
+
+
+def bincount_walk_summary(pool: BlockPool) -> np.ndarray:
+    """``BlockPool.walk_summary`` by one ``np.bincount`` over ``walk`` per sum:
+    the reference of its compiled pass."""
+    sums = partial(np.bincount, pool.walk, minlength=pool.n_walks)
+    dt = pool.delta_t.astype(float)
+    out = np.empty((len(STATISTICS), pool.n_walks, 6))
+    out[..., 3:] = np.column_stack([sums(dt), sums(dt * dt), pool.n_blocks])
+    for k in range(len(STATISTICS)):
+        r = pool.reward(k)
+        out[k, :, :3] = np.column_stack([sums(r), sums(r * dt), sums(r * r)])
+    return out
 
 
 # -- hitting frequency -------------------------------------------------------------

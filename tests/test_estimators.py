@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from statistics import NormalDist
 from conftest import instance_uneven, instance_wide, make_pool
 from reference_walk import dL_word
 
-from freewalk import estimators
+from freewalk import estimators, simulator
 from freewalk.cli import emit_json
 from freewalk.core import WalkConfig, Word, step_distribution
 from freewalk.estimators import (
@@ -237,25 +238,32 @@ class TestAgainstBlockLevelReference:
 
 class TestOneSummaryPerPool:
     def test_every_estimate_reads_one_summary(self, pool_a, monkeypatch):
-        """Rates, variances and the three bootstrap errors read each block's
-        rewards once per statistic; a truncated pool builds its own sums."""
-        calls = []
-        reward = BlockPool.reward
+        """Rates, variances and the three bootstrap errors read the blocks
+        through one compiled pass per pool, and no per-block reward array;
+        a truncated pool makes its own pass."""
+        walk_summary = simulator._step_library().walk_summary
+        sizes = []
 
-        def spy(pool, k):
-            calls.append(pool)
-            return reward(pool, k)
+        def counted(*args):
+            sizes.append(args[0])  # the blocks the pass sums
+            return walk_summary(*args)
 
-        monkeypatch.setattr(BlockPool, "reward", spy)
+        def no_reward(pool, k):
+            raise AssertionError("a per-block reward array was built")
+
+        monkeypatch.setattr(
+            simulator, "_step_library", lambda: SimpleNamespace(walk_summary=counted)
+        )
+        monkeypatch.setattr(BlockPool, "reward", no_reward)
         pool, stats = replace(pool_a[0]), pool_a[1]  # a copy without a summary
         for p in (pool, truncate_pool(pool)):
             estimate_rates(p, stats)
             estimate_sigmas(p)
             for name in RATE_NAMES:
                 bootstrap_sigma_se(p, name, seed=3)
-            assert len(calls) == len(STATISTICS) and all(c is p for c in calls)
+            assert sizes == [p.size]
             assert np.all(p.walk_summary[:, :, 5] == p.n_blocks)
-            calls.clear()
+            sizes.clear()
 
 
 class TestNormalityTest:

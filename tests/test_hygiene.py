@@ -313,7 +313,10 @@ def _undeclared(c_source: str, py_source: str) -> list[str]:
 def test_every_kernel_function_has_a_declared_abi():
     """ctypes would pass undeclared arguments as C ints and read an int back."""
     c_source = (ROOT / "src/freewalk/step_kernel.c").read_text()
-    assert _exported(c_source) == {"fill_uniforms", "step_span", "join_rows"}
+    assert _exported(c_source) == {
+        "fill_uniforms", "step_span", "decompose_walks", "decompose_blocks", "walk_summary",
+        "join_rows",
+    }
     assert _undeclared(c_source, (ROOT / "src/freewalk/simulator.py").read_text()) == []
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,14 +28,16 @@ from reference_walk import (
     graph_distance,
     hit_probability_mc,
     in_cone,
+    bincount_walk_summary,
     letter_counts,
     numpy_batch,
+    numpy_decompose,
     philox_uniforms,
     renewal_decompose,
     sample_trajectory,
 )
 
-from freewalk import simulator
+from freewalk import estimators, simulator
 from freewalk.core import (
     POP,
     PUSH,
@@ -46,6 +49,7 @@ from freewalk.core import (
 from freewalk.genfun import STATISTICS, build_context
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import (
+    DEFAULT_BUFFER,
     PURPOSE_GRID,
     PURPOSE_MAIN,
     PURPOSE_POOL,
@@ -494,8 +498,9 @@ class TestBatchLayout:
         assert peak < 1.5 * run_bytes, peak / run_bytes
 
     def test_batch_decompose_peaks_near_its_pool(self, instance_b, kernel_b, ctx_b):
-        """Peak traced memory stays near the pool's own arrays: 1.24x on this
-        shape, against 2.3x when each block array was built from temporaries."""
+        """Peak traced memory stays at the pool's own arrays: 1.0008x on this
+        shape, against 1.24x for the numpy passes' in-place temporaries and
+        2.3x when each block array was built from temporaries."""
         streams = [stream_id(4, i) for i in range(200)]
         batch = simulate_batch(instance_b, 4000, 1, streams, workers=1)
         batch_decompose(batch, kernel_b, ctx_b)  # letter table and context caches built
@@ -507,7 +512,23 @@ class TestBatchLayout:
             tracemalloc.stop()
         pool_bytes = sum(getattr(pool, f.name).nbytes for f in dataclasses.fields(pool))
         assert pool.size > 90_000
-        assert peak < 1.3 * pool_bytes, peak / pool_bytes
+        assert peak < 1.02 * pool_bytes, peak / pool_bytes
+
+    def test_walk_summary_peaks_near_its_output(self, pool_b):
+        """Building the summary holds its ``(3, walks, 6)`` sums and little
+        else: 1.04x of them, against 114x when every sum was a bincount over
+        block-length temporaries."""
+        pool = dataclasses.replace(pool_b[0])  # a copy without a summary
+        pool.walk_summary  # the library loaded
+        pool = dataclasses.replace(pool)
+        tracemalloc.start()
+        try:
+            summary = pool.walk_summary
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pool.size > 90_000
+        assert peak < 1.5 * summary.nbytes, peak / summary.nbytes
 
     def test_outgrown_buffers_resume_to_the_same_runs(self, instance_a, monkeypatch):
         """Spans from a one-entry first buffer resume several times and give
@@ -570,23 +591,124 @@ class TestBatchLayout:
         with pytest.raises(ValueError, match="needs the walks' runs.*runs=False"):
             batch_decompose(batch, compile_kernel(instance_a), ctx_a)
 
-    def test_corrupt_runs_are_refused(self, instance_a, ctx_a):
-        """Both checks compare each depth with the one below it in its own run."""
-        kernel = compile_kernel(instance_a)
-        batch = simulate_batch(instance_a, 400, 3, [stream_id(4, i) for i in range(6)])
-        m = int(np.flatnonzero(batch.sp >= 3)[1])
-        at = int(batch.start[m]) + 2
-        codes, wtime = batch.codes.copy(), batch.wtime.copy()
+    # each check compares a depth with the one below it in its own run, or
+    # an appended pair with its factors, in the compiled and the numpy passes
+    def test_corrupt_runs_are_refused(self, instance_b, kernel_b, ctx_b):
+        batch, at = _first_block_letter(instance_b, kernel_b, ctx_b)
+        codes = batch.codes.copy()
         codes[at] = codes[at - 1]
-        with pytest.raises(AssertionError, match="alternate"):
-            batch_decompose(
-                BatchWalks(batch.n, batch.sp, codes, batch.wtime, batch.counts), kernel, ctx_a
-            )
+        message = "final-stack letters do not alternate factors"
+        _assert_refused(batch, codes, batch.wtime, kernel_b, ctx_b, message)
+
+    def test_exits_that_do_not_increase_are_refused(self, instance_b, kernel_b, ctx_b):
+        batch, at = _first_block_letter(instance_b, kernel_b, ctx_b)
+        wtime = batch.wtime.copy()
         wtime[at] = wtime[at - 1]
-        with pytest.raises(AssertionError, match="increase"):
-            batch_decompose(
-                BatchWalks(batch.n, batch.sp, batch.codes, wtime, batch.counts), kernel, ctx_a
-            )
+        message = "exit times do not increase with the level"
+        _assert_refused(batch, batch.codes, wtime, kernel_b, ctx_b, message)
+
+    def test_a_pair_outside_its_factors_is_refused(self, instance_b, kernel_b, ctx_b):
+        """The root's code, factor 0, as a block's first letter still
+        alternates with the factor-1 letters around it."""
+        batch, at = _first_block_letter(instance_b, kernel_b, ctx_b)
+        codes = batch.codes.copy()
+        codes[at] = 0
+        message = "appended pair does not match (factor2, factor1)"
+        _assert_refused(batch, codes, batch.wtime, kernel_b, ctx_b, message)
+
+    def test_a_code_outside_the_letter_table_is_refused(self, instance_b, kernel_b, ctx_b):
+        batch = simulate_batch(instance_b, 400, 3, [stream_id(4, i) for i in range(6)])
+        for code in (-1, kernel_b.n_letters + 1):
+            codes = batch.codes.copy()
+            codes[-1] = code
+            bad = BatchWalks(batch.n, batch.sp, codes, batch.wtime, batch.counts)
+            with pytest.raises(AssertionError, match="outside the letter table"):
+                batch_decompose(bad, kernel_b, ctx_b)
+
+    def test_runs_of_another_length_are_refused(self, instance_b, kernel_b, ctx_b):
+        batch = simulate_batch(instance_b, 400, 3, [stream_id(4, i) for i in range(6)])
+        short = BatchWalks(batch.n, batch.sp, batch.codes[:-1], batch.wtime[:-1], batch.counts)
+        with pytest.raises(ValueError, match="depths 0 .. sp of every walk"):
+            batch_decompose(short, kernel_b, ctx_b)
+
+
+def _first_block_letter(cfg, kernel, ctx) -> tuple[BatchWalks, int]:
+    """A batch with its runs, and the entry of one walk's first appended letter."""
+    batch = simulate_batch(cfg, 400, 3, [stream_id(4, i) for i in range(6)])
+    pool = batch_decompose(batch, kernel, ctx, 20)
+    m = int(np.flatnonzero(pool.n_blocks > 0)[1])
+    return batch, int(batch.start[m]) + int(pool.tau[m]) + 1
+
+
+def _assert_refused(batch, codes, wtime, kernel, ctx, message: str) -> None:
+    """Both decompositions raise exactly ``message`` on the corrupted runs."""
+    bad = BatchWalks(batch.n, batch.sp, codes, wtime, batch.counts)
+    for decompose in (batch_decompose, numpy_decompose):
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            decompose(bad, kernel, ctx, 20)
+
+
+def _assert_same_bits(got: np.ndarray, expect: np.ndarray, name: str) -> None:
+    assert (got.dtype, got.shape) == (expect.dtype, expect.shape), name
+    assert got.tobytes() == expect.tobytes(), name
+
+
+def _assert_matches_numpy(pool, batch, kernel, ctx, buffer) -> None:
+    """The compiled pool and its summary against the numpy passes: every
+    array in dtype, shape and bytes, nan bits included."""
+    ref = numpy_decompose(batch, kernel, ctx, buffer)
+    for f in dataclasses.fields(pool):
+        _assert_same_bits(getattr(pool, f.name), getattr(ref, f.name), f.name)
+    _assert_same_bits(pool.walk_summary, bincount_walk_summary(ref), "walk_summary")
+
+
+class TestCompiledDecomposition:
+    # every shape; no walks, walks that never leave the root, walks of a few
+    # steps that often end back at depth 0, and long ones; no buffer, the
+    # default, and a buffer at or past the horizon, which confirms no exit
+    # and leaves every t0_dist nan
+    @pytest.mark.parametrize(
+        "make", [instance_k3_k3, instance_path_k3, instance_uneven, instance_wide]
+    )
+    def test_equals_the_numpy_passes(self, make):
+        cfg = make()
+        kernel, ctx = compile_kernel(cfg), build_context(cfg)
+        for n, M in ((300, 0), (0, 5), (2, 40), (2000, 60)):
+            batch = simulate_batch(cfg, n, 9, [stream_id(4, i) for i in range(M)], workers=1)
+            if n == 2:
+                assert np.any(batch.sp == 0) and np.any(batch.sp > 0)
+            for buffer in (0, DEFAULT_BUFFER, n, n + 1):
+                pool = batch_decompose(batch, kernel, ctx, buffer)
+                _assert_matches_numpy(pool, batch, kernel, ctx, buffer)
+                if buffer >= n:
+                    assert pool.size == 0 and np.all(np.isnan(pool.t0_dist))
+
+    def test_two_workers_give_the_same_pool(self, instance_b, kernel_b, ctx_b, monkeypatch):
+        monkeypatch.setenv("FREEWALK_WORKERS", "2")
+        streams = [stream_id(4, i) for i in range(30)]
+        batch = simulate_batch(instance_b, 3000, 9, streams)
+        single = simulate_batch(instance_b, 3000, 9, streams, workers=1)
+        one = batch_decompose(single, kernel_b, ctx_b)
+        pool = batch_decompose(batch, kernel_b, ctx_b)
+        assert pool.size > 0
+        _assert_matches_numpy(pool, batch, kernel_b, ctx_b, DEFAULT_BUFFER)
+        for f in dataclasses.fields(pool):
+            _assert_same_bits(getattr(pool, f.name), getattr(one, f.name), f.name)
+
+    def test_summaries_of_synthetic_and_truncated_pools(self, pool_b):
+        """``make_pool`` keeps int64 letter codes, which the compiled pass
+        reads as its int16 after a cast; a code no int16 holds is refused."""
+        synthetic = make_pool([[(3, j % 4, j / 7) for j in range(120)], [(2, 1, 0.5)] * 80, []])
+        assert synthetic.w_first.dtype == np.int64
+        for pool in (synthetic, pool_b[0]):
+            for p in (pool, estimators.truncate_pool(pool), estimators.truncate_pool(pool, 3)):
+                _assert_same_bits(p.walk_summary, bincount_walk_summary(p), "walk_summary")
+        wide = dataclasses.replace(synthetic, w_first=synthetic.w_first + (1 << 15))
+        with pytest.raises(TypeError, match="int64 values do not keep their values as int16"):
+            wide.walk_summary
+        outside = dataclasses.replace(synthetic, w_second=synthetic.w_second + 1000)
+        with pytest.raises(IndexError, match="outside the pool"):
+            outside.walk_summary
 
 
 @pytest.fixture
@@ -627,11 +749,27 @@ class TestKernelBuild:
 
     def test_editing_the_source_changes_the_key(self):
         source = simulator._KERNEL_SOURCE.read_bytes()
-        command = simulator._compile_command()
-        path = simulator._library_path(source, command)
+        flags = simulator._FLAGS
+        path = simulator._library_path(source, flags)
         assert path.parent == simulator._CACHE_DIR
-        assert simulator._library_path(source + b"\n", command) != path
-        assert simulator._library_path(source, [*command, "-g"]) != path
+        assert simulator._library_path(source + b"\n", flags) != path
+        assert simulator._library_path(source, [*flags, "-g"]) != path
+        assert simulator._compile_command()[-len(flags) :] == list(flags)
+
+    def test_a_cached_build_loads_without_looking_up_the_compiler(self):
+        """A fresh process that finds its build imports no ``sysconfig``,
+        which only the compiler's lookup needs."""
+        simulator._step_library()  # the build cached
+        code = (
+            "import sys\n"
+            "from freewalk import simulator\n"
+            "simulator._step_library().fill_uniforms\n"
+            "print('sysconfig' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(simulator.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_the_kernel_compiles_without_warnings(self):
         flags = ["-Wall", "-Wextra", "-Wconversion", "-Werror", "-fsyntax-only"]
