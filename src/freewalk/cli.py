@@ -353,10 +353,7 @@ def emit_csv(table: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]], pa
         fh.flush()  # the header, written through the text layer, goes first
         for lo in range(0, n_rows, EMIT_BLOCK_ROWS):
             hi = min(lo + EMIT_BLOCK_ROWS, n_rows)
-            size = join(
-                lo, hi, len(index), pointers.ctypes.data, widths.ctypes.data,
-                first.ctypes.data, start.ctypes.data, blob.ctypes.data, out.ctypes.data,
-            )
+            size = join(lo, hi, len(index), pointers, widths, first, start, blob, out)
             fh.buffer.write(out[:size])
 
 

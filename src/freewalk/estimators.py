@@ -119,7 +119,6 @@ def truncate_pool(pool: BlockPool, max_index: Optional[int] = None) -> BlockPool
         delta_t=pool.delta_t[keep],
         w_first=pool.w_first[keep],
         w_second=pool.w_second[keep],
-        d_at=pool.d_at[keep],
         n_blocks=np.minimum(pool.n_blocks, j),
     )
 

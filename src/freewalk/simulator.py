@@ -38,10 +38,15 @@ endpoint statistics, sums of one reward per letter
 simulated with its runs also keeps each walk as the kernel leaves it, for the
 renewal decomposition: its depths ``0 .. sp`` as one run of int16 letter
 codes and one of int32 write times, walk after walk, with depth 0 holding the
-root's code and time 0.  Every reader indexes the runs through the walks'
-start offsets; no padded copy is made.  A batch simulated without runs holds
-the final depths and the letter counts alone, which is all the CLT suite
-reads.
+root's code and time 0.  Walk ``m``'s run starts after the runs before it,
+at ``sum(sp[:m] + 1)``; no padded copy is made.  A batch simulated without
+runs holds the final depths and the letter counts alone, which is all the
+CLT suite reads.
+
+Every array passed to the library goes through a typed pointer
+(``np.ctypeslib.ndpointer``) of the dtype its C parameter declares, writeable
+exactly where that parameter is not ``const``, so ctypes refuses a wrong
+dtype, a non-contiguous array or a read-only output before any C code runs.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -90,11 +95,11 @@ class BatchWalks:
     ``counts[m, c]`` is how many of depths ``1 .. sp[m]`` of walk ``m`` hold
     letter code ``c``.  ``codes`` and ``wtime`` hold each walk's depths
     ``0 .. sp[m]`` as one contiguous run, walk after walk, as the kernel
-    writes them; run ``m`` starts at ``start[m]``.  ``wtime[start[m] + k]``
+    writes them; run ``m`` starts at ``s = sum(sp[:m] + 1)``.  ``wtime[s + k]``
     is the last step that wrote depth ``k`` of walk ``m``, which for
     ``k >= 1`` is the level-k exit time; depth 0 holds the root's code 0 and
-    time 0.  A batch simulated with ``runs=False`` holds no runs: ``codes``,
-    ``wtime`` and ``start`` are ``None``.
+    time 0.  A batch simulated with ``runs=False`` holds no runs: ``codes``
+    and ``wtime`` are ``None``.
     """
 
     n: int
@@ -102,10 +107,6 @@ class BatchWalks:
     codes: Optional[np.ndarray]  # (sum(sp + 1),) int16 letter codes, or None
     wtime: Optional[np.ndarray]  # (sum(sp + 1),) int32 step that last wrote each depth, or None
     counts: np.ndarray  # (M, n_letters + 1) int32 letter counts of each final word
-    start: Optional[np.ndarray] = field(init=False, repr=False)  # (M,) offset of each run
-
-    def __post_init__(self) -> None:
-        self.start = None if self.codes is None else np.cumsum(self.sp + 1) - (self.sp + 1)
 
     @property
     def n_walks(self) -> int:
@@ -229,41 +230,42 @@ def _step_library() -> ctypes.CDLL:
     if not path.exists():
         path = _build(path)
     lib = ctypes.CDLL(str(path))
-    ptr, i32, i64, u64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_uint64
-    f64 = ctypes.c_double
-    lib.fill_uniforms.argtypes = [u64, u64, i64, ptr]
+    i32, i64, u64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
+    # arrays by their C element type, ``in_`` for ``const`` ones, ``out_``
+    # for written ones, which must be writeable; ``in_ptr`` is a table of addresses
+    in_u64, in_f64, in_i8, in_i16, in_i32, in_i64, in_u8, in_ptr = (
+        np.ctypeslib.ndpointer(t, flags="C")
+        for t in (np.uint64, np.float64, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uintp)
+    )
+    out_f64, out_i8, out_i16, out_i32, out_i64, out_u8 = (
+        np.ctypeslib.ndpointer(t, flags="C,W")
+        for t in (np.float64, np.int8, np.int16, np.int32, np.int64, np.uint8)
+    )
+    lib.fill_uniforms.argtypes = [u64, u64, i64, out_f64]
     lib.fill_uniforms.restype = None
-    lib.step_span.argtypes = [ptr, i64, u64, i64, ptr, i64, ptr, ptr, ptr, i32, ptr, ptr, ptr]
-    lib.step_span.argtypes += [ptr, i64, i64, ptr, ptr, i64, i64]
+    lib.step_span.argtypes = [in_u64, i64, u64, i64, in_f64, i64, in_i32, in_i32, in_i32, i32]
+    lib.step_span.argtypes += [out_i32, out_i32, out_i64, out_i32, i64, i64, out_i16, out_i32]
+    lib.step_span.argtypes += [i64, i64]
     lib.step_span.restype = i64
-    lib.decompose_walks.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, i64, f64, ptr, ptr, ptr]
-    lib.decompose_walks.argtypes += [ptr, ptr]
+    lib.decompose_walks.argtypes = [i64, in_i64, in_i16, in_i32, in_i8, i64, in_f64, i64, f64]
+    lib.decompose_walks.argtypes += [out_i8, out_i64, out_f64, out_i64, out_i64]
     lib.decompose_walks.restype = i64
-    lib.decompose_blocks.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.decompose_blocks.argtypes += [ptr, ptr, ptr]
-    lib.decompose_blocks.restype = i64
-    lib.walk_summary.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, i64, i64, ptr, ptr]
+    lib.decompose_blocks.argtypes = [i64, in_i64, in_i16, in_i32, in_i8, in_i64]
+    lib.decompose_blocks.argtypes += [out_i64, out_i64, out_i64, out_i16, out_i16]
+    lib.decompose_blocks.restype = None
+    lib.walk_summary.argtypes = [i64, in_i64, in_i64, in_i16, in_i16, i64, in_f64, i64, i64]
+    lib.walk_summary.argtypes += [in_i64, out_f64]
     lib.walk_summary.restype = i64
-    lib.join_rows.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.join_rows.argtypes = [i64, i64, i64, in_ptr, in_i64, in_i64, in_i64, in_u8, out_u8]
     lib.join_rows.restype = i64
     return lib
-
-
-def _c_array(a: np.ndarray, dtype: type) -> np.ndarray:
-    """``a`` as a contiguous array of ``dtype``, the type a compiled function
-    declares for it: ctypes passes only the address, so any other dtype
-    would be read as garbage.  A cast that would change a value is refused."""
-    out = np.ascontiguousarray(a, dtype=dtype)
-    if out.dtype != a.dtype and not np.array_equal(out, a):
-        raise TypeError(f"{a.dtype} values do not keep their values as {out.dtype}")
-    return out
 
 
 def stream_uniforms(master_seed: int, stream: int, n: int) -> np.ndarray:
     """The uniform variates of one walk stream (Philox, 128-bit key), as the
     step kernel draws them."""
     out = np.empty(n)
-    _step_library().fill_uniforms(master_seed & _MASK64, stream & _MASK64, n, out.ctypes.data)
+    _step_library().fill_uniforms(master_seed & _MASK64, stream & _MASK64, n, out)
     return out
 
 
@@ -279,12 +281,12 @@ def _simulate_span(
     depth, concatenated walk by walk, or ``None`` without ``runs``; the final
     depths go to ``sp`` and the letter counts to the zeroed ``counts``.
 
-    Without runs, one kernel call steps and counts every walk.  With them,
-    each call steps walks until one would not fit the run buffers and
-    returns that walk unwritten.  The buffers then grow in place, to the
-    entries the mean depth so far predicts for all walks plus a sixteenth,
-    and the next call resumes from it; at the end they shrink in place to
-    the runs.
+    Without runs, one kernel call, given run buffers of capacity 0, steps
+    and counts every walk.  With them, each call steps walks until one would
+    not fit the run buffers and returns that walk unwritten.  The buffers
+    then grow in place, to the entries the mean depth so far predicts for
+    all walks plus a sixteenth, and the next call resumes from it; at the
+    end they shrink in place to the runs.
     """
     M = len(streams)
     # the kernel's stack of row offsets and its write times, shared by the
@@ -292,21 +294,19 @@ def _simulate_span(
     stack = np.zeros(n + 1, dtype=np.int32)
     stack_time = np.zeros(n + 1, dtype=np.int32)
     args = (
-        streams.ctypes.data, M, master_seed & _MASK64, n,
-        tables.grid.ctypes.data, len(tables.grid) - 1,
-        tables.up.ctypes.data, tables.dsp.ctypes.data, tables.let.ctypes.data,
-        len(tables.grid) + 1,
-        stack.ctypes.data, stack_time.ctypes.data, sp.ctypes.data,
-        counts.ctypes.data, counts.shape[1],
+        streams, M, master_seed & _MASK64, n, tables.grid, len(tables.grid) - 1,
+        tables.up, tables.dsp, tables.let, len(tables.grid) + 1,
+        stack, stack_time, sp, counts, counts.shape[1],
     )
+    size = min(_FIRST_RUN_ENTRIES, M * (n + 1)) if runs else 0
+    codes = np.empty(size, dtype=np.int16)
+    wtime = np.empty(size, dtype=np.int32)
     if not runs:
-        lib.step_span(*args, 0, None, None, 0, 0)
+        lib.step_span(*args, 0, codes, wtime, 0, 0)
         return None
-    codes = np.empty(min(_FIRST_RUN_ENTRIES, M * (n + 1)), dtype=np.int16)
-    wtime = np.empty(len(codes), dtype=np.int32)
     m = filled = 0
     while True:
-        m = lib.step_span(*args, m, codes.ctypes.data, wtime.ctypes.data, filled, len(codes))
+        m = lib.step_span(*args, m, codes, wtime, filled, len(codes))
         filled = int((sp[:m] + 1).sum())
         if m == M:
             break
@@ -407,8 +407,9 @@ class BlockPool:
     letter codes ``(w_first, w_second)``, read off the pool's
     ``letter_rewards`` table by :meth:`reward` through the pair's one
     :attr:`pair_code`; no per-statistic array is stored.  ``d_dist`` and
-    ``d_ent`` are two of those rows.  The estimators read the blocks only
-    through :attr:`walk_summary`, each walk's sums, built once per pool.
+    ``d_ent`` are two of those rows, and :attr:`d_at` is derived from them.
+    The estimators read the blocks only through :attr:`walk_summary`, each
+    walk's sums, built once per pool.
     """
 
     walk: np.ndarray
@@ -416,7 +417,6 @@ class BlockPool:
     delta_t: np.ndarray
     w_first: np.ndarray
     w_second: np.ndarray
-    d_at: np.ndarray
     tau: np.ndarray
     t0_time: np.ndarray
     t0_dist: np.ndarray
@@ -463,23 +463,28 @@ class BlockPool:
         return self.reward(STATISTICS.index("entropy"))
 
     @functools.cached_property
+    def d_at(self) -> np.ndarray:
+        """Each block's renewal word's graph distance from the root: its
+        walk's ``t0_dist`` plus the ``d_dist`` of its blocks up to this one.
+        Letter distances are integers, so these sums are exact in any order."""
+        before = np.cumsum(self.n_blocks) - self.n_blocks  # the blocks of earlier walks
+        total = np.concatenate(([0.0], np.cumsum(self.d_dist)))
+        return total[1:] + (self.t0_dist - total[before])[self.walk]
+
+    @functools.cached_property
     def walk_summary(self) -> np.ndarray:
         """``(len(STATISTICS), walks, 6)``: for each statistic, each walk's
         ``Σr, Σr·Δt, Σr², ΣΔt, ΣΔt²`` and block count, summed in block order
         by one compiled pass over the blocks, so O(blocks) whatever the
         factor size and bit for bit ``np.bincount`` over ``walk``."""
-        rewards = _c_array(self.letter_rewards, np.float64)
-        walk, delta_t, count = (
-            _c_array(a, np.int64) for a in (self.walk, self.delta_t, self.n_blocks)
-        )
-        first, second = (_c_array(a, np.int16) for a in (self.w_first, self.w_second))
+        rewards = self.letter_rewards
+        walk, first, second, count = self.walk, self.w_first, self.w_second, self.n_blocks
         if not len(walk) == len(first) == len(second) == self.size or len(count) != self.n_walks:
             raise ValueError("the pool's block or walk arrays differ in length")
         out = np.empty((len(rewards), self.n_walks, 6))
         if _step_library().walk_summary(
-            self.size, walk.ctypes.data, delta_t.ctypes.data, first.ctypes.data,
-            second.ctypes.data, len(rewards), rewards.ctypes.data, rewards.shape[1],
-            self.n_walks, count.ctypes.data, out.ctypes.data,
+            self.size, walk, self.delta_t, first, second, len(rewards), rewards,
+            rewards.shape[1], self.n_walks, count, out,
         ):
             raise IndexError("a block's walk or letter code lies outside the pool")
         return out
@@ -487,10 +492,10 @@ class BlockPool:
 
 # the decomposition's errors by their codes in ``step_kernel.c``
 _DECOMPOSE_ERRORS = {
-    -1: "final-stack letter codes lie outside the letter table",
+    -1: "final-stack codes lie outside the letter table: the root's 0 at depth 0, "
+    "a letter's 1 .. L above it",
     -2: "final-stack letters do not alternate factors",
     -3: "exit times do not increase with the level",
-    -4: "appended pair does not match (factor2, factor1)",
 }
 
 
@@ -510,26 +515,22 @@ def batch_decompose(
     the final stack, which is sound because every confirmed renewal word is
     a prefix of the final word.  Two compiled passes over the runs do it
     (``step_kernel.c``): the first checks the runs and writes the per-walk
-    arrays, the second the blocks; a failed check raises an
-    ``AssertionError`` that names it.  A batch simulated without runs is
-    refused with a ``ValueError``.
+    arrays, raising an ``AssertionError`` that names a failed check, and the
+    second writes the blocks.  A batch simulated without runs is refused with
+    a ``ValueError``.
     """
     if batch.codes is None:
         raise ValueError(
             "batch_decompose needs the walks' runs, and this batch was simulated "
             "with runs=False, which keeps only the final depths and letter counts"
         )
-    M = batch.n_walks
-    sp = _c_array(batch.sp, np.int64)
-    codes = _c_array(batch.codes, np.int16)
-    wtime = _c_array(batch.wtime, np.int32)
+    M, sp, codes, wtime = batch.n_walks, batch.sp, batch.codes, batch.wtime
     if not len(codes) == len(wtime) == M + int(sp.sum()):
         raise ValueError("the batch's runs do not hold depths 0 .. sp of every walk")
-    fac = _c_array(kernel.factor_of_code, np.int8)
+    fac = kernel.factor_of_code
     rewards = letter_rewards(kernel, ctx)
-    ldist = _c_array(rewards[STATISTICS.index("dist")], np.float64)
     lib = _step_library()
-    runs = (M, sp.ctypes.data, codes.ctypes.data, wtime.ctypes.data, fac.ctypes.data)
+    runs = (M, sp, codes, wtime)
 
     tau = np.empty(M, dtype=np.int8)
     t0_time = np.empty(M, dtype=np.int64)
@@ -539,31 +540,20 @@ def batch_decompose(
     # walks without a confirmed renewal level get numpy's own nan, whose
     # bits differ from the 0.0 / 0.0 of C
     total = lib.decompose_walks(
-        *runs, len(fac), ldist.ctypes.data, batch.n - buffer, np.nan, tau.ctypes.data,
-        t0_time.ctypes.data, t0_dist.ctypes.data, n_blocks.ctypes.data, censored.ctypes.data,
+        *runs, fac, len(fac), rewards[STATISTICS.index("dist")], batch.n - buffer, np.nan,
+        tau, t0_time, t0_dist, n_blocks, censored,
     )
     if total < 0:
         raise AssertionError(_DECOMPOSE_ERRORS[total])
-    walk = np.empty(total, dtype=np.int64)
-    index = np.empty(total, dtype=np.int64)
-    delta_t = np.empty(total, dtype=np.int64)
-    first = np.empty(total, dtype=np.int16)
-    second = np.empty(total, dtype=np.int16)
-    d_at = np.empty(total)
-    error = lib.decompose_blocks(
-        *runs, ldist.ctypes.data, tau.ctypes.data, t0_dist.ctypes.data, n_blocks.ctypes.data,
-        walk.ctypes.data, index.ctypes.data, delta_t.ctypes.data, first.ctypes.data,
-        second.ctypes.data, d_at.ctypes.data,
-    )
-    if error:
-        raise AssertionError(_DECOMPOSE_ERRORS[error])
+    walk, index, delta_t = (np.empty(total, dtype=np.int64) for _ in range(3))
+    first, second = (np.empty(total, dtype=np.int16) for _ in range(2))
+    lib.decompose_blocks(*runs, tau, n_blocks, walk, index, delta_t, first, second)
     return BlockPool(
         walk=walk,
         index=index,
         delta_t=delta_t,
         w_first=first,
         w_second=second,
-        d_at=d_at,
         tau=tau,
         t0_time=t0_time,
         t0_dist=t0_dist,

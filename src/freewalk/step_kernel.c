@@ -23,16 +23,20 @@
  *
  * Output.  After its last step a walk's stack holds its final word: one loop
  * adds the letters at depths 1 .. sp to the walk's letter counts.  Given run
- * buffers, the walk's depths 0 .. sp and their write times are also copied
- * out as one run; given none, the counts and the final depth are all that is
- * written, which is all the endpoint statistics need.
+ * buffers of some capacity, the walk's depths 0 .. sp and their write times
+ * are also copied out as one run; given a capacity of 0, the counts and the
+ * final depth are all that is written, which is all the endpoint statistics
+ * need.
  *
- * Blocks.  decompose_walks reads each walk's renewal start, block count and
- * censored exits off its run, and decompose_blocks writes the blocks; both
- * check the run as they read it.  walk_summary adds each block's rewards to
- * its walk's sums in block order, the order of numpy's bincount, so every sum
- * is numpy's bit for bit.  The build passes -ffp-contract=off, so no product
- * is fused into a sum where numpy rounds twice.
+ * Blocks.  decompose_walks checks each walk's run and reads its renewal
+ * start, block count and censored exits off it, and decompose_blocks writes
+ * the blocks.  walk_summary adds each block's rewards to its walk's sums in
+ * block order, the order of numpy's bincount, so every sum is numpy's bit for
+ * bit.  The build passes -ffp-contract=off, so no product is fused into a sum
+ * where numpy rounds twice.
+ *
+ * Every array is passed as a typed pointer, which freewalk.simulator declares
+ * with the array's dtype; a parameter the function writes is not const.
  */
 #include <stdint.h>
 #include <string.h>
@@ -91,7 +95,7 @@ void fill_uniforms(uint64_t seed, uint64_t stream, int64_t n, double *out)
  * of counts, width entries zeroed by the caller, gains the count of each
  * letter code (row offset divided by row) at depths 1 .. depth[m].
  *
- * With codes NULL, no run is written: every walk is stepped and counted, and
+ * With capacity 0, no run is written: every walk is stepped and counted, and
  * n_walks is returned.  Otherwise walk m's depths 0 .. depth[m] go to codes
  * (the letter codes, which the step tables keep within int16) and times from
  * entry filled on.  A walk that would pass entry capacity is not written or
@@ -118,7 +122,7 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
             wtime[w] = (int32_t)(t + 1);
             sp += dsp[o];
         }
-        if (codes) {
+        if (capacity > 0) {
             if (filled + sp + 1 > capacity)
                 return m;
             for (int64_t k = 0; k <= sp; k++) {
@@ -135,7 +139,7 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
 }
 
 /* Errors of the decomposition, raised by its caller with their messages. */
-enum { BAD_CODE = -1, NOT_ALTERNATING = -2, NOT_INCREASING = -3, BAD_PAIR = -4 };
+enum { BAD_CODE = -1, NOT_ALTERNATING = -2, NOT_INCREASING = -3 };
 
 /* First pass of the renewal decomposition: the per-walk arrays of n_walks
  * runs, laid out as step_span writes them (walk m's depths 0 .. depth[m],
@@ -143,8 +147,10 @@ enum { BAD_CODE = -1, NOT_ALTERNATING = -2, NOT_INCREASING = -3, BAD_PAIR = -4 }
  * blocks, or the first error in the order BAD_CODE, NOT_ALTERNATING,
  * NOT_INCREASING, the order of the checks over the whole batch.
  *
- * Every code must lie in 0 .. n_codes - 1, and every depth k >= 1 must lie
- * in the other factor than depth k - 1 and be written later.  The level-k
+ * Depth 0 must hold the root's code 0 and every depth k >= 1 a letter's code
+ * in 1 .. n_codes - 1, in the other factor than depth k - 1 and written
+ * later.  So letters alternate factors from depth 1 on, and every appended
+ * pair decompose_blocks reads lies in factors 2 and 1.  The level-k
  * exit is censored when its time exceeds cutoff; the walk's renewal levels
  * are tau, tau + 2, ... up to its last confirmed level, tau being 1 when
  * depth 1 lies in factor 1 and 2 otherwise (0 for an empty word).  A walk
@@ -162,8 +168,9 @@ int64_t decompose_walks(int64_t n_walks, const int64_t *depth, const int16_t *co
         const int16_t *c = codes + s;
         const int32_t *w = times + s;
         int64_t sp = depth[m], late = 0;
-        for (int64_t k = 0; k <= sp; k++)
-            bad_code |= c[k] < 0 || c[k] >= n_codes;
+        bad_code |= c[0] != 0;
+        for (int64_t k = 1; k <= sp; k++)
+            bad_code |= c[k] < 1 || c[k] >= n_codes;
         if (bad_code)
             return BAD_CODE;
         for (int64_t k = 1; k <= sp; k++) {
@@ -192,36 +199,24 @@ int64_t decompose_walks(int64_t n_walks, const int64_t *depth, const int16_t *co
 /* Second pass: the blocks of every walk, walk after walk, from the per-walk
  * arrays of decompose_walks.  Block j of walk m ends at level tau + 2j and
  * appends the pair of letters (first, second) at levels tau + 2j - 1 and
- * tau + 2j, which must lie in factors 2 and 1; its increment is the time
- * between the exits at levels tau + 2j - 2 and tau + 2j, and d_at is the
- * walk's t0_dist plus its blocks' letter distances so far, integers, so
- * the sum is exact.  Returns 0, or BAD_PAIR at the first pair that does not
- * match.
+ * tau + 2j, in factors 2 and 1; its increment is the time between the exits
+ * at levels tau + 2j - 2 and tau + 2j.
  */
-int64_t decompose_blocks(int64_t n_walks, const int64_t *depth, const int16_t *codes,
-                         const int32_t *times, const int8_t *factor, const double *dist,
-                         const int8_t *tau, const double *t0_dist, const int64_t *n_blocks,
-                         int64_t *walk, int64_t *index, int64_t *delta_t, int16_t *first,
-                         int16_t *second, double *d_at)
+void decompose_blocks(int64_t n_walks, const int64_t *depth, const int16_t *codes,
+                      const int32_t *times, const int8_t *tau, const int64_t *n_blocks,
+                      int64_t *walk, int64_t *index, int64_t *delta_t, int16_t *first,
+                      int16_t *second)
 {
     int64_t b = 0, s = 0;
-    for (int64_t m = 0; m < n_walks; s += depth[m] + 1, m++) {
-        double d = t0_dist[m];
+    for (int64_t m = 0; m < n_walks; s += depth[m] + 1, m++)
         for (int64_t j = 1; j <= n_blocks[m]; j++, b++) {
             int64_t at = s + tau[m] + 2 * j;
-            int16_t x = codes[at - 1], y = codes[at];
-            if (factor[x] != 2 || factor[y] != 1)
-                return BAD_PAIR;
             walk[b] = m;
             index[b] = j;
             delta_t[b] = (int64_t)times[at] - times[at - 2];
-            first[b] = x;
-            second[b] = y;
-            d += dist[x] + dist[y];
-            d_at[b] = d;
+            first[b] = codes[at - 1];
+            second[b] = codes[at];
         }
-    }
-    return 0;
 }
 
 /* Per-walk sums of a block pool: out[k][m] holds, for statistic k of
@@ -288,9 +283,9 @@ static inline int64_t index_at(const void *index, int64_t width, int64_t r)
  */
 int64_t join_rows(int64_t lo, int64_t hi, int64_t n_cols, const void *const *index,
                   const int64_t *width, const int64_t *first, const int64_t *start,
-                  const char *blob, char *out)
+                  const uint8_t *blob, uint8_t *out)
 {
-    char *p = out;
+    uint8_t *p = out;
     for (int64_t r = lo; r < hi; r++)
         for (int64_t c = 0; c < n_cols; c++) {
             int64_t f = first[c] + index_at(index[c], width[c], r);

@@ -106,9 +106,8 @@ def make_pool(walks: list[list[tuple]]) -> BlockPool:
         walk=np.array(walk_idx, dtype=np.int64),
         index=np.array(block_idx, dtype=np.int64),
         delta_t=np.array(dts, dtype=np.int64),
-        w_first=np.arange(1, k + 1),
-        w_second=np.zeros(k, dtype=np.int64),
-        d_at=np.zeros(k),
+        w_first=np.arange(1, k + 1, dtype=np.int16),
+        w_second=np.zeros(k, dtype=np.int16),
         tau=np.array(taus, dtype=np.int8),
         t0_time=np.array(t0s, dtype=np.int64),
         t0_dist=np.ones(m),

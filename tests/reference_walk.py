@@ -19,7 +19,9 @@ together with it, and the compiled kernel of ``simulate_batch`` must match
 it bit for bit, while the hitting-frequency Monte Carlo drives it to
 cross-check the exit probabilities.  Likewise ``numpy_decompose`` and
 ``bincount_walk_summary`` are the whole-array numpy passes that the compiled
-decomposition and per-walk sums must match bit for bit.
+decomposition and per-walk sums must match bit for bit, and ``numpy_d_at``
+sums each renewal word's letter distances off the runs, the reference of
+``BlockPool.d_at``.
 """
 
 from __future__ import annotations
@@ -103,10 +105,16 @@ def dL_word(w: Word, ctx: GenFunContext) -> float:
     return sum(ctx.letter_dl(i, v) for i, v in w.letters)
 
 
+def run_starts(batch) -> np.ndarray:
+    """The offset of each walk's run in a ``BatchWalks``: the runs, of
+    ``sp + 1`` entries each, lie walk after walk."""
+    return np.cumsum(batch.sp + 1) - (batch.sp + 1)
+
+
 def final_codes(batch, m: int) -> np.ndarray:
     """The letter codes of walk ``m``'s final word in a ``BatchWalks``: depths
     ``1 .. sp[m]`` of its run."""
-    lo = int(batch.start[m]) + 1
+    lo = int(run_starts(batch)[m]) + 1
     return batch.codes[lo : lo + int(batch.sp[m])]
 
 
@@ -388,7 +396,7 @@ def numpy_batch(
 def numpy_decompose(batch, kernel, ctx: GenFunContext, buffer: int = DEFAULT_BUFFER) -> BlockPool:
     """``batch_decompose`` in whole-array numpy passes over the runs: the
     reference its compiled passes must match array for array, bit for bit."""
-    n, sp, start = batch.n, batch.sp, batch.start
+    n, sp, start = batch.n, batch.sp, run_starts(batch)
     codes, wtime = batch.codes, batch.wtime
     M = batch.n_walks
     fac = kernel.factor_of_code
@@ -399,6 +407,11 @@ def numpy_decompose(batch, kernel, ctx: GenFunContext, buffer: int = DEFAULT_BUF
     # against the entry before it, the depth below in the same run
     live = np.ones(len(codes), dtype=bool)
     live[start] = False
+    if not np.all(np.where(live, (codes >= 1) & (codes < len(fac)), codes == 0)):
+        raise AssertionError(
+            "final-stack codes lie outside the letter table: the root's 0 at depth 0, "
+            "a letter's 1 .. L above it"
+        )
     f = fac[codes]
     if not np.all((f[1:] != f[:-1]) | ~live[1:]):
         raise AssertionError("final-stack letters do not alternate factors")
@@ -427,23 +440,12 @@ def numpy_decompose(batch, kernel, ctx: GenFunContext, buffer: int = DEFAULT_BUF
     second = codes[at]
     first = codes[at - 1]
     delta_t = wtime[at].astype(np.int64) - wtime[at - 2]
-    if not (np.all(fac[first] == 2) and np.all(fac[second] == 1)):
-        raise AssertionError("appended pair does not match (factor2, factor1)")
-    # letter distances are integers, so these float sums are exact in any
-    # order: each block's distance is its walk's t0_dist plus the running sum
-    # of the walk's block rewards
-    d_at = np.cumsum(ldist[first] + ldist[second])
-    before = np.zeros(M)
-    later = first_block > 0
-    before[later] = d_at[first_block[later] - 1]
-    d_at += (t0_dist - before)[walk]
     return BlockPool(
         walk=walk,
         index=index,
         delta_t=delta_t,
         w_first=first,
         w_second=second,
-        d_at=d_at,
         tau=tau,
         t0_time=t0_time,
         t0_dist=t0_dist,
@@ -451,6 +453,17 @@ def numpy_decompose(batch, kernel, ctx: GenFunContext, buffer: int = DEFAULT_BUF
         censored=censored,
         letter_rewards=rewards,
     )
+
+
+def numpy_d_at(batch, kernel, ctx: GenFunContext, pool: BlockPool) -> np.ndarray:
+    """Each block's renewal word's graph distance, the letter distances of
+    depths ``1 .. tau + 2j`` of its walk's run summed, read off the runs of
+    the batch the pool came from, not telescoped over the blocks.  They are
+    integers, so the running sums along the runs are exact."""
+    ldist = letter_rewards(kernel, ctx)[STATISTICS.index("dist")]
+    along = np.cumsum(ldist[batch.codes])  # depth 0 adds the root's 0
+    start = run_starts(batch)[pool.walk]
+    return along[start + pool.tau[pool.walk] + 2 * pool.index] - along[start]
 
 
 def bincount_walk_summary(pool: BlockPool) -> np.ndarray:

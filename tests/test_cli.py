@@ -453,7 +453,7 @@ class TestBlockCsvMemory:
         kernel = compile_kernel(cfg)
         emit_csv(pool_to_csv_rows(pool, kernel), tmp_path / "warm.csv")  # loads the library
         pool, _ = simulator.simulate_pool(cfg, build_context(cfg), 4000, 200, 7)  # no pair code yet
-        blocks = ("walk", "index", "delta_t", "w_first", "w_second", "d_at")
+        blocks = ("walk", "index", "delta_t", "w_first", "w_second")
         block_bytes = sum(getattr(pool, name).nbytes for name in blocks)
         tracemalloc.start()
         try:

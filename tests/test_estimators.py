@@ -439,7 +439,7 @@ class TestCltExperiment:
         monkeypatch.setattr(estimators, "simulate_batch", spy)
         run_clt_suite(instance_a, 300, 40, 11)
         [batch] = batches
-        assert batch.codes is None and batch.wtime is None and batch.start is None
+        assert batch.codes is None and batch.wtime is None
         assert batch.n_walks == 40
 
 

@@ -4,12 +4,16 @@ function of the package runs under some command, and summaries have one
 serializer."""
 
 import ast
+import ctypes
 import importlib.util
 import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Optional
 
+import numpy as np
 import pytest
 
 import freewalk
@@ -280,64 +284,145 @@ def test_the_block_pass_check_sees_calls_only():
     assert _block_passes(source) == ["np.bincount", "pool.reward"]
 
 
-def _exported(c_source: str) -> set[str]:
-    """The functions a C source defines without ``static``: a definition
-    starts at column 0 with its return type."""
-    head = re.compile(r"^(?!static\b|typedef\b)(?:[A-Za-z_]\w*[\s*]+)+([A-Za-z_]\w*)\s*\(", re.M)
-    return set(head.findall(c_source))
+# the ctypes type of each C scalar type, and the dtype of each C element
+# type an array parameter points to; ``void *`` elements make a table of addresses
+_C_SCALARS = {
+    "void": None, "int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64,
+    "uint64_t": ctypes.c_uint64, "double": ctypes.c_double,
+}
+_C_ELEMENTS = {
+    "int8_t": np.int8, "int16_t": np.int16, "int32_t": np.int32, "int64_t": np.int64,
+    "uint8_t": np.uint8, "uint64_t": np.uint64, "double": np.float64, "void *": np.uintp,
+}
 
 
-def _undeclared(c_source: str, py_source: str) -> list[str]:
-    """``name.argtypes`` and ``name.restype`` of each exported function of
-    the C source that ``_step_library`` in the Python source does not set."""
-    loader = next(
-        node
-        for node in ast.walk(ast.parse(py_source))
-        if isinstance(node, ast.FunctionDef) and node.name == "_step_library"
+def _prototypes(c_source: str) -> dict[str, tuple[str, list[str]]]:
+    """The return type and the parameter types of each exported function,
+    spaced as ``const int64_t *``."""
+    head = re.compile(
+        r"^(?!static\b|typedef\b)([A-Za-z_][\w\s*]*?)\b([A-Za-z_]\w*)\s*\(([^)]*)\)", re.M
     )
-    declared = {
-        (target.value.attr, target.attr)
-        for node in ast.walk(loader)
-        if isinstance(node, ast.Assign)
-        for target in node.targets
-        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute)
+    return {
+        name: (_spaced(ret), [_spaced(re.sub(r"\w+$", "", p.strip())) for p in params.split(",")])
+        for ret, name, params in head.findall(c_source)
     }
-    return sorted(
-        f"{name}.{attr}"
-        for name in _exported(c_source)
-        for attr in ("argtypes", "restype")
-        if (name, attr) not in declared
-    )
+
+
+def _spaced(c_type: str) -> str:
+    return " ".join(c_type.replace("*", " * ").split())
+
+
+def _accepts(argtype, array: np.ndarray) -> bool:
+    try:
+        argtype.from_param(array)
+    except TypeError:
+        return False
+    return True
+
+
+def _argtype_mismatch(argtype, c_type: str) -> Optional[str]:
+    """How a declared argtype differs from its C parameter type: a scalar's
+    ctypes type, or an array's dtype, contiguity and writeability, each read
+    off what the declaration accepts."""
+    if not c_type.endswith("*"):
+        return None if argtype is _C_SCALARS[c_type] else f"{argtype} for {c_type}"
+    element = c_type[:-1].strip()
+    writes = "const" not in element.rsplit("*", 1)[-1].split()  # the pointee's own qualifier
+    dtype = _C_ELEMENTS["void *" if "*" in element else element.removeprefix("const ")]
+    good = np.zeros(4, dtype)
+    read_only = good.copy()
+    read_only.flags.writeable = False
+    if not _accepts(argtype, good) or _accepts(argtype, good.astype(np.float32)):
+        return f"not an array of {np.dtype(dtype)} for {c_type}"
+    if _accepts(argtype, good[::2]):
+        return f"accepts a non-contiguous array for {c_type}"
+    if _accepts(argtype, read_only) == writes:
+        return f"{'accepts a read-only' if writes else 'requires a writeable'} array for {c_type}"
+    return None
+
+
+def _abi_mismatches(c_source: str, lib) -> list[str]:
+    """Each way the library's declarations differ from the C prototypes."""
+    out = []
+    for name, (ret, params) in _prototypes(c_source).items():
+        fn = getattr(lib, name)
+        if fn.restype is not _C_SCALARS[ret]:
+            out.append(f"{name} returns {fn.restype} for {ret}")
+        if fn.argtypes is None or len(fn.argtypes) != len(params):
+            declared = None if fn.argtypes is None else len(fn.argtypes)
+            out.append(f"{name} declares {declared} of {len(params)} arguments")
+            continue
+        for i, (argtype, c_type) in enumerate(zip(fn.argtypes, params)):
+            if (mismatch := _argtype_mismatch(argtype, c_type)) is not None:
+                out.append(f"{name} argument {i}: {mismatch}")
+    return out
 
 
 def test_every_kernel_function_has_a_declared_abi():
-    """ctypes would pass undeclared arguments as C ints and read an int back."""
+    """ctypes would pass undeclared arguments as C ints and read an int back,
+    and a bare address would let any array through.  Each exported function
+    declares its C prototype's parameter count and scalar types, and each
+    array parameter as a contiguous array of its element's dtype, writeable
+    exactly where the parameter is not ``const``."""
     c_source = (ROOT / "src/freewalk/step_kernel.c").read_text()
-    assert _exported(c_source) == {
+    assert set(_prototypes(c_source)) == {
         "fill_uniforms", "step_span", "decompose_walks", "decompose_blocks", "walk_summary",
         "join_rows",
     }
-    assert _undeclared(c_source, (ROOT / "src/freewalk/simulator.py").read_text()) == []
+    assert _prototypes(c_source)["join_rows"][1][3] == "const void * const *"
+    assert _abi_mismatches(c_source, simulator._step_library()) == []
 
 
 def test_the_abi_check_sees_missing_declarations():
     c_source = (
         "typedef struct {\n    int a;\n} pair;\n"
         "static inline int helper(int x)\n{\n    return x;\n}\n"
-        "int64_t sum(const int64_t *a,\n            int64_t n)\n{\n    for (;;)\n        helper(n);\n}\n"
-        "void *touch(void)\n{\n}\n"
+        "int64_t sum(const int64_t *a,\n            int64_t n)\n{\n"
+        "    for (;;)\n        helper(n);\n}\n"
+        "void touch(double *out)\n{\n}\n"
     )
-    py_source = (
-        "def _step_library():\n"
-        "    lib.sum.argtypes = [ptr, i64]\n"
-        "    lib.sum.restype = i64\n"
-        "    lib.touch.argtypes = []\n"
-        "    lib.helper.restype = None\n"
-        "def other():\n"
-        "    lib.touch.restype = ptr\n"
+    in_i64 = np.ctypeslib.ndpointer(np.int64, flags="C")
+    lib = SimpleNamespace(
+        sum=SimpleNamespace(argtypes=[in_i64, ctypes.c_int64], restype=ctypes.c_int64),
+        touch=SimpleNamespace(argtypes=None, restype=ctypes.c_int),  # ctypes' defaults
     )
-    assert _exported(c_source) == {"sum", "touch"}
-    assert _undeclared(c_source, py_source) == ["touch.restype"]
+    assert set(_prototypes(c_source)) == {"sum", "touch"}  # no typedef, no static function
+    assert _abi_mismatches(c_source, lib) == [
+        "touch returns <class 'ctypes.c_int'> for void",
+        "touch declares None of 1 arguments",
+    ]
+
+
+def test_the_abi_check_sees_a_mutated_declaration():
+    """The library's own declarations, each mutated once: a ``const`` array
+    declared writeable, an output declared read-only, another dtype, a bare
+    address, a narrower scalar and a missing argument."""
+    c_source = (ROOT / "src/freewalk/step_kernel.c").read_text()
+    lib = simulator._step_library()
+    ndpointer = np.ctypeslib.ndpointer
+    mutations = {
+        ("walk_summary", 1): ndpointer(np.int64, flags="C,W"),
+        ("walk_summary", 10): ndpointer(np.float64, flags="C"),
+        ("decompose_walks", 2): ndpointer(np.int32, flags="C"),
+        ("fill_uniforms", 3): ctypes.c_void_p,
+        ("step_span", 9): ctypes.c_int64,
+        ("join_rows", 3): ndpointer(np.uintp),
+    }
+    for (name, i), argtype in mutations.items():
+        argtypes = list(getattr(lib, name).argtypes)
+        argtypes[i] = argtype
+        mutated = SimpleNamespace(**{
+            other: getattr(lib, other) for other in _prototypes(c_source) if other != name
+        })
+        restype = getattr(lib, name).restype
+        setattr(mutated, name, SimpleNamespace(argtypes=argtypes, restype=restype))
+        [mismatch] = _abi_mismatches(c_source, mutated)
+        assert mismatch.startswith(f"{name} argument {i}: "), mismatch
+    short = SimpleNamespace(**{name: getattr(lib, name) for name in _prototypes(c_source)})
+    short.decompose_blocks = SimpleNamespace(
+        argtypes=lib.decompose_blocks.argtypes[:-1], restype=None
+    )
+    assert _abi_mismatches(c_source, short) == ["decompose_blocks declares 10 of 11 arguments"]
 
 
 # functions no command reaches, each kept because the benchmark (``perfbench/``)
@@ -351,6 +436,7 @@ UNREACHED_ALLOWED = {
     "genfun.py:renewal_increment_gf": "the reference F'(1) of checks.py",
     "simulator.py:stream_uniforms": "a boundary of the span table in spans.py",
     "simulator.py:BlockPool.d_ent": "criterion 8 of test_acceptance.py bounds it per block",
+    "simulator.py:BlockPool.d_at": "criterion 8 of test_acceptance.py checks that it telescopes",
 }
 
 # each command on both shapes at small sizes, plus a config file

@@ -1,5 +1,6 @@
 """Sampling determinism, exit-time detection, and renewal decomposition tests."""
 
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -31,9 +32,11 @@ from reference_walk import (
     bincount_walk_summary,
     letter_counts,
     numpy_batch,
+    numpy_d_at,
     numpy_decompose,
     philox_uniforms,
     renewal_decompose,
+    run_starts,
     sample_trajectory,
 )
 
@@ -291,7 +294,8 @@ class TestRenewalDecompose:
         wide = make_pool([[(3, j % 4, j / 7) for j in range(120)], [(2, 1, 0.5)] * 80])
         codes = wide.letter_rewards.shape[1]
         assert codes * codes > np.iinfo(np.int16).max
-        assert list(wide.pair_code) == list(wide.w_first * codes + wide.w_second)
+        expect = wide.w_first.astype(np.int64) * codes + wide.w_second
+        assert wide.pair_code.dtype == np.int32 and list(wide.pair_code) == list(expect)
         for pool in (pool_b[0], wide):
             for k, row in enumerate(pool.letter_rewards):
                 expect = np.take(row, pool.w_first) + np.take(row, pool.w_second)
@@ -305,7 +309,7 @@ class TestRenewalDecompose:
         pool = batch_decompose(batch, kernel, ctx_b, 20)
         for i, s in enumerate(streams):
             exits = detect_exit_times(sample_trajectory(instance_b, n, 17, s), 20)
-            lo, sp = int(batch.start[i]), int(batch.sp[i])
+            lo, sp = int(run_starts(batch)[i]), int(batch.sp[i])
             assert [e.time for e in exits] == list(batch.wtime[lo + 1 : lo + sp + 1])
             assert pool.censored[i] == sum(not e.confirmed for e in exits)
 
@@ -455,10 +459,10 @@ class TestCountsOnly:
     def test_equals_a_runs_batch(self, make, monkeypatch):
         cfg = make()
         step_span = simulator._step_library().step_span
-        buffers = []
+        capacities = []
 
         def recorded(*args):
-            buffers.append(args[16])  # the run buffer's address, None without one
+            capacities.append(args[19])  # the run buffers' capacity, 0 without runs
             return step_span(*args)
 
         monkeypatch.setattr(simulator, "_step_library", lambda: SimpleNamespace(step_span=recorded))
@@ -466,14 +470,14 @@ class TestCountsOnly:
             streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
             for workers in (1, 2, 3):
                 spans = max(1, min(workers, M))
-                buffers.clear()
+                capacities.clear()
                 runs = simulate_batch(cfg, n, 5, streams, workers=workers)
-                resumes = len(buffers) - spans
-                assert None not in buffers
-                buffers.clear()
+                resumes = len(capacities) - spans
+                assert M == 0 or 0 not in capacities  # no walks need no buffer
+                capacities.clear()
                 bare = simulate_batch(cfg, n, 5, streams, workers=workers, runs=False)
-                assert buffers == [None] * spans  # one call a span, no run buffer
-                assert bare.codes is None and bare.wtime is None and bare.start is None
+                assert capacities == [0] * spans  # one call a span, no run buffer
+                assert bare.codes is None and bare.wtime is None
                 assert bare.sp.dtype == runs.sp.dtype and bare.counts.dtype == runs.counts.dtype
                 assert np.array_equal(bare.sp, runs.sp)
                 assert np.array_equal(bare.counts, runs.counts)
@@ -609,12 +613,29 @@ class TestBatchLayout:
 
     def test_a_pair_outside_its_factors_is_refused(self, instance_b, kernel_b, ctx_b):
         """The root's code, factor 0, as a block's first letter still
-        alternates with the factor-1 letters around it."""
+        alternates with the factor-1 letters around it; the code check
+        refuses it, so no appended pair can lie outside factors (2, 1)."""
         batch, at = _first_block_letter(instance_b, kernel_b, ctx_b)
         codes = batch.codes.copy()
         codes[at] = 0
-        message = "appended pair does not match (factor2, factor1)"
-        _assert_refused(batch, codes, batch.wtime, kernel_b, ctx_b, message)
+        _assert_refused(batch, codes, batch.wtime, kernel_b, ctx_b, _CODE_MESSAGE)
+
+    def test_a_root_code_at_the_renewal_start_is_refused(self, instance_b, kernel_b, ctx_b):
+        """With tau = 2 the renewal start lies in factor 1 between two
+        factor-2 letters, so the root's code there alternates with both, and
+        no block's pair reads it; it would move the walk's ``t0_dist``."""
+        batch = simulate_batch(instance_b, 400, 3, [stream_id(4, i) for i in range(6)])
+        pool = batch_decompose(batch, kernel_b, ctx_b, 20)
+        m = int(np.flatnonzero((pool.tau == 2) & (pool.n_blocks > 0))[0])
+        codes = batch.codes.copy()
+        codes[run_starts(batch)[m] + 2] = 0
+        _assert_refused(batch, codes, batch.wtime, kernel_b, ctx_b, _CODE_MESSAGE)
+
+    def test_a_letter_code_at_depth_0_is_refused(self, instance_b, kernel_b, ctx_b):
+        batch = simulate_batch(instance_b, 400, 3, [stream_id(4, i) for i in range(6)])
+        codes = batch.codes.copy()
+        codes[run_starts(batch)[1]] = 1
+        _assert_refused(batch, codes, batch.wtime, kernel_b, ctx_b, _CODE_MESSAGE)
 
     def test_a_code_outside_the_letter_table_is_refused(self, instance_b, kernel_b, ctx_b):
         batch = simulate_batch(instance_b, 400, 3, [stream_id(4, i) for i in range(6)])
@@ -632,12 +653,18 @@ class TestBatchLayout:
             batch_decompose(short, kernel_b, ctx_b)
 
 
+_CODE_MESSAGE = (
+    "final-stack codes lie outside the letter table: the root's 0 at depth 0, "
+    "a letter's 1 .. L above it"
+)
+
+
 def _first_block_letter(cfg, kernel, ctx) -> tuple[BatchWalks, int]:
     """A batch with its runs, and the entry of one walk's first appended letter."""
     batch = simulate_batch(cfg, 400, 3, [stream_id(4, i) for i in range(6)])
     pool = batch_decompose(batch, kernel, ctx, 20)
     m = int(np.flatnonzero(pool.n_blocks > 0)[1])
-    return batch, int(batch.start[m]) + int(pool.tau[m]) + 1
+    return batch, int(run_starts(batch)[m]) + int(pool.tau[m]) + 1
 
 
 def _assert_refused(batch, codes, wtime, kernel, ctx, message: str) -> None:
@@ -655,11 +682,16 @@ def _assert_same_bits(got: np.ndarray, expect: np.ndarray, name: str) -> None:
 
 def _assert_matches_numpy(pool, batch, kernel, ctx, buffer) -> None:
     """The compiled pool and its summary against the numpy passes: every
-    array in dtype, shape and bytes, nan bits included."""
+    array in dtype, shape and bytes, nan bits included; and the derived
+    ``d_at``, of the pool and of its truncations, against the renewal words'
+    distances summed off the runs."""
     ref = numpy_decompose(batch, kernel, ctx, buffer)
     for f in dataclasses.fields(pool):
         _assert_same_bits(getattr(pool, f.name), getattr(ref, f.name), f.name)
     _assert_same_bits(pool.walk_summary, bincount_walk_summary(ref), "walk_summary")
+    truncated = [estimators.truncate_pool(pool, j) for j in (None, 3)] if pool.size else []
+    for p in (pool, *truncated):
+        _assert_same_bits(p.d_at, numpy_d_at(batch, kernel, ctx, p), "d_at")
 
 
 class TestCompiledDecomposition:
@@ -696,19 +728,56 @@ class TestCompiledDecomposition:
             _assert_same_bits(getattr(pool, f.name), getattr(one, f.name), f.name)
 
     def test_summaries_of_synthetic_and_truncated_pools(self, pool_b):
-        """``make_pool`` keeps int64 letter codes, which the compiled pass
-        reads as its int16 after a cast; a code no int16 holds is refused."""
+        """``make_pool`` builds the int16 letter codes of a decomposed pool;
+        int64 codes are refused before the compiled pass runs."""
         synthetic = make_pool([[(3, j % 4, j / 7) for j in range(120)], [(2, 1, 0.5)] * 80, []])
-        assert synthetic.w_first.dtype == np.int64
+        assert synthetic.w_first.dtype == synthetic.w_second.dtype == pool_b[0].w_first.dtype
+        assert synthetic.w_first.dtype == np.int16
         for pool in (synthetic, pool_b[0]):
             for p in (pool, estimators.truncate_pool(pool), estimators.truncate_pool(pool, 3)):
                 _assert_same_bits(p.walk_summary, bincount_walk_summary(p), "walk_summary")
-        wide = dataclasses.replace(synthetic, w_first=synthetic.w_first + (1 << 15))
-        with pytest.raises(TypeError, match="int64 values do not keep their values as int16"):
+        wide = dataclasses.replace(synthetic, w_first=synthetic.w_first.astype(np.int64))
+        with pytest.raises(ctypes.ArgumentError, match="array must have data type int16"):
             wide.walk_summary
         outside = dataclasses.replace(synthetic, w_second=synthetic.w_second + 1000)
         with pytest.raises(IndexError, match="outside the pool"):
             outside.walk_summary
+
+
+class TestTypedBoundary:
+    """Every array reaches the library through a typed pointer, so ctypes
+    refuses an array its C function would misread, before any C code runs."""
+
+    def test_a_wrong_dtype_is_refused(self, instance_b, kernel_b, ctx_b):
+        """Int64 letter codes, and int64 write times with all else right,
+        where the blocks stay as they were."""
+        batch = simulate_batch(instance_b, 400, 3, [stream_id(4, i) for i in range(6)])
+        wide = BatchWalks(batch.n, batch.sp, batch.codes.astype(np.int64), batch.wtime, batch.counts)
+        with pytest.raises(ctypes.ArgumentError, match="must have data type int16"):
+            batch_decompose(wide, kernel_b, ctx_b)
+        depth, codes = np.array([4]), np.array([0, 1, 4, 1, 4], dtype=np.int16)
+        tau, n_blocks = np.array([1], dtype=np.int8), np.array([1])
+        blocks = [np.full(1, -7), np.full(1, -7), np.full(1, -7)]
+        blocks += [np.full(1, -7, dtype=np.int16), np.full(1, -7, dtype=np.int16)]
+        with pytest.raises(ctypes.ArgumentError, match="must have data type int32"):
+            simulator._step_library().decompose_blocks(
+                1, depth, codes, np.arange(5, dtype=np.int64), tau, n_blocks, *blocks
+            )
+        assert all(list(b) == [-7] for b in blocks)
+
+    def test_a_non_contiguous_view_is_refused(self, pool_b):
+        pool = pool_b[0]
+        strided = dataclasses.replace(pool, walk=np.repeat(pool.walk, 2)[::2])
+        assert np.array_equal(strided.walk, pool.walk) and not strided.walk.flags.c_contiguous
+        with pytest.raises(ctypes.ArgumentError, match="C_CONTIGUOUS"):
+            strided.walk_summary
+
+    def test_a_read_only_output_is_refused(self):
+        out = np.zeros(8)
+        out.flags.writeable = False
+        with pytest.raises(ctypes.ArgumentError, match="WRITEABLE"):
+            simulator._step_library().fill_uniforms(1, 2, len(out), out)
+        assert not out.any()
 
 
 @pytest.fixture
