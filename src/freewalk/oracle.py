@@ -41,11 +41,18 @@ from .genfun import RenewalLaw, renewal_pairs
 
 DEFAULT_ORDER_CAP = 14
 
+# the words one walk's index may hold: 16x the 131,069 of ``oracle-check
+# --order 14`` on K3xK3, the largest shipped use.  Measured at 5- and
+# 14-vertex factors, a word costs 190-340 bytes of peak memory, so the
+# budget holds an index below about 0.7 GB
+WORD_BUDGET = 1 << 21
+
 Number = float | Fraction
 
 
 class OrderTooLarge(FreewalkError):
-    """Requested truncation order exceeds the enumeration cap ``DEFAULT_ORDER_CAP``."""
+    """Requested truncation order exceeds the enumeration cap ``DEFAULT_ORDER_CAP``,
+    or its walk would index more than ``WORD_BUDGET`` words."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,28 @@ def max_coeff_gap(a: TruncatedSeries, b: TruncatedSeries) -> Number:
 def _check_order(n: int) -> None:
     if n > DEFAULT_ORDER_CAP:
         raise OrderTooLarge(f"order {n} exceeds the enumeration cap {DEFAULT_ORDER_CAP}")
+
+
+def predicted_words(kernel: CompiledKernel, depth: int) -> int:
+    """``WordIndex.end[depth]``, the words within graph distance ``depth``,
+    before any is built.
+
+    A word at distance ``d`` whose last letter lies in factor ``f`` is a
+    letter of ``f`` at some distance ``k`` after the root (``k = d``) or after
+    a word at distance ``d - k`` ending in the other factor, so
+    ``count[d][f] = sum_k letters(f, k) * count[d - k][other]``.
+    """
+    fac, dist = kernel.factor_of_code[1:], kernel.letter_distance[1:].astype(np.int64)
+    letters = {f: list(enumerate(np.bincount(dist[fac == f]).tolist())) for f in (1, 2)}
+    count = {1: [0] * (depth + 1), 2: [0] * (depth + 1)}  # Python ints: no overflow
+    words = 1
+    for d in range(1, depth + 1):
+        for f, other in ((1, 2), (2, 1)):
+            count[f][d] = sum(
+                n * (1 if k == d else count[other][d - k]) for k, n in letters[f] if 0 < k <= d
+            )
+        words += count[1][d] + count[2][d]
+    return words
 
 
 # -- the word index and the step ----------------------------------------------
@@ -185,6 +214,12 @@ class _Walk:
     def __init__(self, kernel: CompiledKernel, codes: tuple[int, ...], N: int, exact: bool):
         self.d0 = int(sum(kernel.letter_distance[c] for c in codes))
         self.depth = self.d0 + N
+        words = predicted_words(kernel, self.depth)
+        if words > WORD_BUDGET:
+            raise OrderTooLarge(
+                f"order {N} from distance {self.d0} reaches {words} words, "
+                f"above the enumeration budget of {WORD_BUDGET}"
+            )
         self.index = ix = word_index(kernel).grow(self.depth)
         self.exact = exact
         self.size = ix.end[self.depth]

@@ -4,10 +4,11 @@ Sampling is driven by counter-based Philox streams keyed by
 ``(master_seed, stream_id)``: every walk owns its stream and consumes exactly
 one uniform per step through cumulative-probability inversion, so results do
 not depend on scheduling or worker count.  The step kernel, compiled from
-``step_kernel.c`` on first use, steps every walk of a span in one call and
-draws each walk's uniforms itself, by Philox4x64-10 exactly as numpy's
-Philox does (numpy's is the tests' reference); spans run on threads, since
-the call releases the interpreter lock.  The kernel inverts through the
+``step_kernel.c`` on first use, steps every walk of a span in one call, two
+walks at a time in lockstep, and draws each walk's uniforms itself, by
+Philox4x64-10 exactly as numpy's Philox does (numpy's is the tests'
+reference); spans run on threads, since the call releases the interpreter
+lock.  The kernel inverts through the
 sorted distinct thresholds of all states at once: the count of thresholds
 ``<= u``, the cell of ``u``, fixes every comparison with ``u``, so a flat
 table indexed by the state's row offset (which the stack holds) plus the
@@ -152,7 +153,10 @@ def _step_tables(kernel: CompiledKernel) -> _StepTables:
     configs have four.
     """
     cum = kernel.cum
-    grid = np.unique(cum)
+    # the distinct thresholds, as ``np.unique(cum)`` gives them, without the
+    # import of ``numpy.ma`` that it makes on numpy 2.4 (8-16 ms a command)
+    ordered = np.sort(cum, axis=None)
+    grid = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     lowest = np.concatenate(([-np.inf], grid))
     _check_widths(kernel.n_letters, len(lowest))
     j = (lowest[None, :, None] < cum[:, None, :]).argmax(axis=2)
@@ -289,10 +293,11 @@ def _simulate_span(
     end they shrink in place to the runs.
     """
     M = len(streams)
-    # the kernel's stack of row offsets and its write times, shared by the
-    # walks: a walk reads only depth 0 and the depths it pushed to itself
-    stack = np.zeros(n + 1, dtype=np.int32)
-    stack_time = np.zeros(n + 1, dtype=np.int32)
+    # the kernel's stacks of row offsets and their write times, one of each
+    # for each of its two lanes, at offsets 0 and n + 1; the walks of a lane
+    # share them, as a walk reads only depth 0 and the depths it pushed to
+    stack = np.zeros(2 * (n + 1), dtype=np.int32)
+    stack_time = np.zeros(2 * (n + 1), dtype=np.int32)
     args = (
         streams, M, master_seed & _MASK64, n, tables.grid, len(tables.grid) - 1,
         tables.up, tables.dsp, tables.let, len(tables.grid) + 1,

@@ -6,11 +6,13 @@
  *
  * Uniforms.  Each walk owns the counter-based stream Philox4x64-10 (Salmon,
  * Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3",
- * SC 2011) keyed by the words (stream, master seed).  Counter word 0 counts
- * blocks from 1, carrying into the higher words; each block gives four
- * 64-bit outputs in order, and an output x becomes the double
- * (x >> 11) * 2^-53.  That is numpy's Philox with the 128-bit key
- * (seed << 64) | stream and its random(), bit for bit.
+ * SC 2011) keyed by the words (stream, master seed).  Block b, counted from
+ * 1, is the ten rounds on the counter (b, 0, 0, 0), computed from b alone by
+ * philox_at; the counter's higher words stay 0, as a walk of n < 2^31 steps
+ * draws far fewer than 2^64 blocks.  Each block gives four 64-bit outputs in
+ * order, and an output x becomes the double (x >> 11) * 2^-53.  That is
+ * numpy's Philox with the 128-bit key (seed << 64) | stream and its
+ * random(), bit for bit.
  *
  * Steps.  The cell of a uniform u is the count of thresholds
  * grid[0 .. n_cuts - 1] with u >= grid[c]; the move is read off the flat step
@@ -19,7 +21,11 @@
  * current one for a replace, and one above the new top for a pop, which
  * nothing reads before a push overwrites it.  Only integer operations and
  * double comparisons are involved, so walks are bit-identical to the numpy
- * reference of the tests (built without -ffast-math).
+ * reference of the tests (built without -ffast-math).  Each step waits on
+ * the one before it through a chain of dependent loads, so step_span steps
+ * two walks in lockstep, one per lane, and one walk's chain fills the time
+ * the other's leaves idle; each lane draws a block of four uniforms for its
+ * next four steps.
  *
  * Output.  After its last step a walk's stack holds its final word: one loop
  * adds the letters at depths 1 .. sp to the walk's letter counts.  Given run
@@ -43,64 +49,64 @@
 
 typedef unsigned __int128 u128;
 
-typedef struct {
-    uint64_t key[2], ctr[4], out[4];
-} philox;
-
-/* The next block of four outputs into p->out. */
-static inline void philox_block(philox *p)
+/* Block `block` (counted from 1) of the stream keyed by (k0, k1): its four
+ * outputs, by the ten rounds of Philox4x64-10, unrolled. */
+static inline void philox_at(uint64_t k0, uint64_t k1, uint64_t block, uint64_t out[4])
 {
-    if (++p->ctr[0] == 0 && ++p->ctr[1] == 0 && ++p->ctr[2] == 0)
-        ++p->ctr[3];
-    uint64_t c0 = p->ctr[0], c1 = p->ctr[1], c2 = p->ctr[2], c3 = p->ctr[3];
-    uint64_t k0 = p->key[0], k1 = p->key[1];
+    uint64_t c0 = block, c1 = 0, c2 = 0, c3 = 0;
+#pragma GCC unroll 10
     for (int r = 0; r < 10; r++) {
-        if (r > 0) {
-            k0 += 0x9E3779B97F4A7C15u;
-            k1 += 0xBB67AE8584CAA73Bu;
-        }
         u128 p0 = (u128)0xD2E7470EE14C6C93u * c0;
         u128 p1 = (u128)0xCA5A826395121157u * c2;
         c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
         c1 = (uint64_t)p1;
         c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
         c3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
     }
-    p->out[0] = c0;
-    p->out[1] = c1;
-    p->out[2] = c2;
-    p->out[3] = c3;
+    out[0] = c0;
+    out[1] = c1;
+    out[2] = c2;
+    out[3] = c3;
 }
 
-/* Uniform t of the stream, drawn in order from t = 0. */
-static inline double next_uniform(philox *p, int64_t t)
+/* The uniform in [0, 1) of one 64-bit output. */
+static inline double unit(uint64_t x)
 {
-    if (t % 4 == 0)
-        philox_block(p);
-    return (double)(p->out[t % 4] >> 11) * (1.0 / 9007199254740992.0);
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* The first n uniforms of one stream. */
 void fill_uniforms(uint64_t seed, uint64_t stream, int64_t n, double *out)
 {
-    philox p = {{stream, seed}, {0}, {0}};
-    for (int64_t t = 0; t < n; t++)
-        out[t] = next_uniform(&p, t);
+    uint64_t x[4];
+    for (int64_t t = 0; t < n; t++) {
+        if (t % 4 == 0)
+            philox_at(stream, seed, (uint64_t)(t / 4) + 1, x);
+        out[t] = unit(x[t % 4]);
+    }
 }
 
-/* Steps walks first .. n_walks - 1, walk m on stream streams[m], n steps each.
+/* Steps walks first .. n_walks - 1, walk m on stream streams[m], n steps each,
+ * two at a time: walks m and m + 1 run in lockstep in lanes 0 and 1, so that
+ * each walk's chain of dependent loads overlaps the other's.  An odd last
+ * walk runs in lane 0, and lane 1 repeats it; that repeat is dropped.
  *
- * stack and wtime are scratch of n + 1 entries, stack[0] = 0 (the root's row
- * offset, never written).  Walk m's final depth goes to depth[m], and row m
- * of counts, width entries zeroed by the caller, gains the count of each
- * letter code (row offset divided by row) at depths 1 .. depth[m].
+ * stack and wtime are scratch of 2 * (n + 1) entries, lane l's at offset
+ * l * (n + 1), and stack[0] = stack[n + 1] = 0 (the root's row offset, never
+ * written).  Walk m's final depth goes to depth[m], and row m of counts,
+ * width entries zeroed by the caller, gains the count of each letter code
+ * (row offset divided by row) at depths 1 .. depth[m].
  *
  * With capacity 0, no run is written: every walk is stepped and counted, and
- * n_walks is returned.  Otherwise walk m's depths 0 .. depth[m] go to codes
- * (the letter codes, which the step tables keep within int16) and times from
- * entry filled on.  A walk that would pass entry capacity is not written or
- * counted at all: its index is returned, and the caller grows the buffers
- * and resumes from it.  Otherwise n_walks is returned.
+ * n_walks is returned.  Otherwise, after the two lanes' steps, each lane's
+ * walk is written and counted in walk order: its depths 0 .. depth[m] go to
+ * codes (the letter codes, which the step tables keep within int16) and
+ * times from entry filled on.  A walk that would pass entry capacity is not
+ * written or counted at all: its index, m or m + 1, is returned, and the
+ * caller grows the buffers and resumes from it.  Otherwise n_walks is
+ * returned.
  */
 int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64_t n,
                   const double *grid, int64_t n_cuts, const int32_t *up, const int32_t *dsp,
@@ -108,32 +114,45 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
                   int64_t *depth, int32_t *counts, int64_t width, int64_t first,
                   int16_t *codes, int32_t *times, int64_t filled, int64_t capacity)
 {
-    for (int64_t m = first; m < n_walks; m++) {
-        philox p = {{streams[m], seed}, {0}, {0}};
-        int64_t sp = 0;
-        for (int64_t t = 0; t < n; t++) {
-            double u = next_uniform(&p, t);
-            int32_t g = 0;
-            for (int64_t c = 0; c < n_cuts; c++)
-                g += u >= grid[c];
-            int32_t o = stack[sp] + g;
-            int64_t w = sp + up[o];
-            stack[w] = let[o];
-            wtime[w] = (int32_t)(t + 1);
-            sp += dsp[o];
-        }
-        if (capacity > 0) {
-            if (filled + sp + 1 > capacity)
-                return m;
-            for (int64_t k = 0; k <= sp; k++) {
-                codes[filled + k] = (int16_t)(stack[k] / row);
-                times[filled + k] = wtime[k];
+    int32_t *st[2] = {stack, stack + n + 1}, *wt[2] = {wtime, wtime + n + 1};
+    for (int64_t m = first; m < n_walks; m += 2) {
+        int lanes = m + 1 < n_walks ? 2 : 1;
+        int64_t walk[2] = {m, m + lanes - 1};
+        int64_t sp[2] = {0, 0};
+        uint64_t x[2][4];
+        for (int64_t b = 0; b < n; b += 4) {
+            for (int l = 0; l < 2; l++)
+                philox_at(streams[walk[l]], seed, (uint64_t)(b / 4) + 1, x[l]);
+            int64_t end = b + 4 < n ? b + 4 : n;
+            for (int64_t t = b; t < end; t++) {
+                double u[2] = {unit(x[0][t - b]), unit(x[1][t - b])};
+                int32_t g[2] = {0, 0};
+                for (int64_t c = 0; c < n_cuts; c++)
+                    for (int l = 0; l < 2; l++)
+                        g[l] += u[l] >= grid[c];
+                for (int l = 0; l < 2; l++) {
+                    int32_t o = st[l][sp[l]] + g[l];
+                    int64_t w = sp[l] + up[o];
+                    st[l][w] = let[o];
+                    wt[l][w] = (int32_t)(t + 1);
+                    sp[l] += dsp[o];
+                }
             }
-            filled += sp + 1;
         }
-        for (int64_t k = 1; k <= sp; k++)
-            counts[m * width + stack[k] / row]++;
-        depth[m] = sp;
+        for (int l = 0; l < lanes; l++) {
+            if (capacity > 0) {
+                if (filled + sp[l] + 1 > capacity)
+                    return walk[l];
+                for (int64_t k = 0; k <= sp[l]; k++) {
+                    codes[filled + k] = (int16_t)(st[l][k] / row);
+                    times[filled + k] = wt[l][k];
+                }
+                filled += sp[l] + 1;
+            }
+            for (int64_t k = 1; k <= sp[l]; k++)
+                counts[walk[l] * width + st[l][k] / row]++;
+            depth[walk[l]] = sp[l];
+        }
     }
     return n_walks;
 }

@@ -6,12 +6,14 @@ orders 10 (rational) and 14 (float) runs in the acceptance module.
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
+from conftest import instance_uneven, instance_wide
 from reference_series import (
     ComposeNeedsZeroConstant,
     compose,
@@ -21,16 +23,20 @@ from reference_series import (
 
 from freewalk.cli import main
 from freewalk.core import Word, compile_kernel
-from freewalk.instances import instance_k3_k3
+from freewalk import oracle
+from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.oracle import (
+    WORD_BUDGET,
     OrderTooLarge,
     TruncatedSeries,
+    WordIndex,
     _Walk,
     enum_green_series,
     enum_L_series,
     enum_xi_series,
     exact_renewal_increment_dist,
     max_coeff_gap,
+    predicted_words,
     return_probability_proxy,
     series_combine,
 )
@@ -357,3 +363,41 @@ class TestWordIndex:
         words = [_decode(walk.index, n) for n in range(walk.size)]
         assert len(set(words)) == len(words)
         assert all(walk.find(w) == n for n, w in enumerate(words))
+
+
+class TestWordBudget:
+    @pytest.mark.parametrize("make", [instance_k3_k3, instance_path_k3, instance_uneven])
+    def test_prediction_equals_the_index(self, make):
+        kernel = compile_kernel(make())
+        index = WordIndex(kernel).grow(12)
+        assert [predicted_words(kernel, d) for d in range(13)] == index.end
+
+    def test_the_shipped_orders_fit(self):
+        """``oracle-check --order 14`` walks from one-letter words, at letter
+        distance 1 on K3xK3 and up to 2 on PathxK3."""
+        assert predicted_words(compile_kernel(instance_k3_k3()), 15) == 131_069
+        assert predicted_words(compile_kernel(instance_path_k3()), 16) == 36_061
+        assert 131_069 < WORD_BUDGET
+
+    def test_wide_factors_exit_4_before_any_index_is_built(self, tmp_path, monkeypatch):
+        """The 14-vertex factors reach 1.8e9 words at order 8, which numpy
+        refused as a 27 GiB array; the budget refuses them before building."""
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps(instance_wide().to_json_dict()))
+
+        def no_index(kernel):
+            raise AssertionError("a word index was built")
+
+        monkeypatch.setattr(oracle, "word_index", no_index)
+        argv = ["oracle-check", "--config", str(config), "--order", "8", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 2**22, peak
+        assert predicted_words(compile_kernel(instance_wide()), 8) == 1_767_416_561
+        with pytest.raises(OrderTooLarge, match="1767416561 words"):
+            enum_green_series(O, O, 8, instance_wide())

@@ -162,6 +162,13 @@ class TestSampling:
                 assert u.dtype == np.float64
                 assert u.tobytes() == philox_uniforms(seed, stream, n).tobytes()
 
+    # 2**18 + 7 draws: block counters past 16 bits, and a partial last block
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 3])
+    def test_kernel_uniforms_past_a_16_bit_counter(self, seed):
+        n = 2**18 + 7
+        stream = stream_id(PURPOSE_POOL, 2**32 - 1)
+        assert stream_uniforms(seed, stream, n).tobytes() == philox_uniforms(seed, stream, n).tobytes()
+
     def test_worker_count_clamped_to_cores(self, monkeypatch):
         cores = os.cpu_count() or 1
         monkeypatch.setenv("FREEWALK_WORKERS", str(cores + 1000))
@@ -396,6 +403,37 @@ class TestStepTables:
             assert np.array_equal(tables.up[o], act == PUSH)
             assert np.array_equal(tables.dsp[o], (act == PUSH).astype(int) - (act == POP))
 
+    @pytest.mark.parametrize(
+        "make", [instance_k3_k3, instance_path_k3, instance_uneven, instance_wide]
+    )
+    def test_grid_is_numpys_unique(self, make):
+        for alpha in (0.02, 0.5, 0.98):
+            kernel = compile_kernel(make(alpha))
+            assert _step_tables(kernel).grid.tobytes() == np.unique(kernel.cum).tobytes()
+        # -0.0 and 0.0 merge into the one that sorts first, as in np.unique
+        for cum in ([[-0.0, 0.5, 1.0], [0.0, 1.0, 1.0]], [[0.0, 0.5, 1.0], [-0.0, 1.0, 1.0]]):
+            zeros = np.zeros((2, 3), dtype=np.int64)
+            kernel = SimpleNamespace(n_letters=1, cum=np.array(cum), act=zeros, let=zeros)
+            assert _step_tables(kernel).grid.tobytes() == np.unique(kernel.cum).tobytes()
+
+    def test_simulating_commands_import_no_numpy_ma(self, tmp_path):
+        """numpy 2.4's ``np.unique`` imports ``numpy.ma``, 8-16 ms of a
+        command; the step tables find their grid without it."""
+        out = str(tmp_path)
+        code = (
+            "import sys\n"
+            "from freewalk.cli import main\n"
+            f"main(['clt', '--stat', 'dist', '--n', '200', '--M', '20', '--out', {out!r}])\n"
+            "main(['simulate', '--config', 'PathxK3', '--n', '1000', '--M', '10',\n"
+            f"      '--out', {out!r}])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(simulator.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert {"clt_summary.json", "simulate_summary.json"} <= {p.name for p in tmp_path.iterdir()}
+        assert done.stdout.strip().splitlines()[-1] == "False"
+
     def test_uneven_rows_give_a_wide_grid(self):
         assert len(_step_tables(compile_kernel(instance_uneven())).grid) >= 8
 
@@ -560,6 +598,37 @@ class TestBatchLayout:
             assert np.array_equal(shrunk.counts, whole.counts)
             if workers == 1:
                 assert len(starts) >= 3 and starts == sorted(starts), starts  # two resumes
+
+    # the kernel steps walks m and m + 1 together and writes them in walk
+    # order, so either may not fit: lane 0 refuses at an even index, lane 1
+    # at an odd one.  An odd M leaves the last walk of a span alone in lane 0
+    @pytest.mark.parametrize("M", [40, 41])
+    def test_both_lanes_refuse_and_resume(self, instance_a, M, monkeypatch):
+        streams = [stream_id(4, i) for i in range(M)]
+        codes, wtime, sp = numpy_batch(instance_a, 600, 5, streams)
+        walk = np.repeat(np.arange(M), sp + 1)
+        live = codes != 0  # the letters above each walk's depth 0
+        step_span = simulator._step_library().step_span
+        refused = []
+
+        def recorded(*args):
+            m = step_span(*args)
+            if m < args[1]:  # not every walk of the span was written
+                refused.append(m)
+            return m
+
+        monkeypatch.setattr(simulator, "_FIRST_RUN_ENTRIES", 1)
+        monkeypatch.setattr(simulator, "_step_library", lambda: SimpleNamespace(step_span=recorded))
+        for workers in (1, 3):
+            refused.clear()
+            batch = simulate_batch(instance_a, 600, 5, streams, workers=workers)
+            assert np.array_equal(batch.sp, sp)
+            assert np.array_equal(batch.codes, codes)
+            assert np.array_equal(batch.wtime, wtime)
+            counts = np.zeros_like(batch.counts)
+            np.add.at(counts, (walk[live], codes[live]), 1)
+            assert np.array_equal(batch.counts, counts)
+            assert {m % 2 for m in refused} == {0, 1}, refused
 
     # no walks at all, and walks that never leave the root (one entry each)
     @pytest.mark.parametrize("n, M", [(300, 0), (0, 5)])
