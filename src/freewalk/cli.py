@@ -84,7 +84,7 @@ from .oracle import (
     series_combine,
     series_to_rows,
 )
-from .simulator import _step_library, pool_to_csv_rows, simulate_pool
+from .simulator import DEFAULT_BUFFER, _step_library, pool_to_csv_rows, simulate_pool
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=non_negative_int, default=4000)
     p.add_argument("--M", type=non_negative_int, default=100)
-    p.add_argument("--buffer", type=non_negative_int, default=500)
+    p.add_argument("--buffer", type=non_negative_int, default=DEFAULT_BUFFER)
 
     p = sub.add_parser("clt", help="CLT experiment")
     common(p)
@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=non_negative_int, default=2400)
     p.add_argument("--M", type=non_negative_int, default=320)
-    p.add_argument("--buffer", type=non_negative_int, default=500)
+    p.add_argument("--buffer", type=non_negative_int, default=DEFAULT_BUFFER)
     p.add_argument(
         "--mgf-base",
         type=float,

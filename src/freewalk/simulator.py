@@ -2,17 +2,17 @@
 
 Sampling is driven by counter-based Philox streams keyed by
 ``(master_seed, stream_id)``: every walk owns its stream and consumes exactly
-one uniform per step through cumulative-probability inversion, so results do
-not depend on scheduling or worker count.  The step kernel, compiled from
-``step_kernel.c`` on first use, steps every walk of a span in one call, two
-walks at a time in lockstep, and draws each walk's uniforms itself, by
-Philox4x64-10 exactly as numpy's Philox does (numpy's is the tests'
-reference); spans run on threads, since the call releases the interpreter
-lock.  The kernel inverts through the
-sorted distinct thresholds of all states at once: the count of thresholds
-``<= u``, the cell of ``u``, fixes every comparison with ``u``, so a flat
-table indexed by the state's row offset (which the stack holds) plus the
-cell gives the same move as inversion on the state's own row.
+one uniform per step through cumulative-probability inversion, so no result
+depends on the order in which walks are stepped.  The step kernel, compiled
+from ``step_kernel.c`` on first use, steps a batch on the calling thread,
+in one call unless its run buffers must grow, two walks at a time in
+lockstep, and draws each walk's uniforms itself, by Philox4x64-10 exactly
+as numpy's Philox does (numpy's is the tests' reference).  The kernel
+inverts through the sorted distinct thresholds of all states at once: the
+count of thresholds ``<= u``, the cell of ``u``, fixes every comparison with
+``u``, so a flat table indexed by the state's row offset (which the stack
+holds) plus the cell gives the same move as inversion on the state's own
+row.
 
 Exit times are detected retrospectively.  Writing ``c_t`` for the common
 prefix length of consecutive states, the level-k candidate exit time is the
@@ -112,15 +112,6 @@ class BatchWalks:
     @property
     def n_walks(self) -> int:
         return len(self.sp)
-
-
-def default_workers() -> int:
-    """Worker count from ``FREEWALK_WORKERS``, clamped to the core count."""
-    try:
-        requested = int(os.environ.get("FREEWALK_WORKERS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))
 
 
 class _StepTables(NamedTuple):
@@ -248,8 +239,7 @@ def _step_library() -> ctypes.CDLL:
     lib.fill_uniforms.argtypes = [u64, u64, i64, out_f64]
     lib.fill_uniforms.restype = None
     lib.step_span.argtypes = [in_u64, i64, u64, i64, in_f64, i64, in_i32, in_i32, in_i32, i32]
-    lib.step_span.argtypes += [out_i32, out_i32, out_i64, out_i32, i64, i64, out_i16, out_i32]
-    lib.step_span.argtypes += [i64, i64]
+    lib.step_span.argtypes += [out_i64, out_i32, i64, i64, out_i16, out_i32, i64, i64]
     lib.step_span.restype = i64
     lib.decompose_walks.argtypes = [i64, in_i64, in_i16, in_i32, in_i8, i64, in_f64, i64, f64]
     lib.decompose_walks.argtypes += [out_i8, out_i64, out_f64, out_i64, out_i64]
@@ -273,54 +263,8 @@ def stream_uniforms(master_seed: int, stream: int, n: int) -> np.ndarray:
     return out
 
 
-# entries of a span's first run buffers; later sizes follow the walks' mean depth
+# entries of the first run buffers; later sizes follow the walks' mean depth
 _FIRST_RUN_ENTRIES = 1 << 16
-
-
-def _simulate_span(
-    lib: ctypes.CDLL, tables: _StepTables, n: int, master_seed: int, runs: bool,
-    streams: np.ndarray, sp: np.ndarray, counts: np.ndarray,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A span's stacks of letter codes and write times up to each final
-    depth, concatenated walk by walk, or ``None`` without ``runs``; the final
-    depths go to ``sp`` and the letter counts to the zeroed ``counts``.
-
-    Without runs, one kernel call, given run buffers of capacity 0, steps
-    and counts every walk.  With them, each call steps walks until one would
-    not fit the run buffers and returns that walk unwritten.  The buffers
-    then grow in place, to the entries the mean depth so far predicts for
-    all walks plus a sixteenth, and the next call resumes from it; at the
-    end they shrink in place to the runs.
-    """
-    M = len(streams)
-    # the kernel's stacks of row offsets and their write times, one of each
-    # for each of its two lanes, at offsets 0 and n + 1; the walks of a lane
-    # share them, as a walk reads only depth 0 and the depths it pushed to
-    stack = np.zeros(2 * (n + 1), dtype=np.int32)
-    stack_time = np.zeros(2 * (n + 1), dtype=np.int32)
-    args = (
-        streams, M, master_seed & _MASK64, n, tables.grid, len(tables.grid) - 1,
-        tables.up, tables.dsp, tables.let, len(tables.grid) + 1,
-        stack, stack_time, sp, counts, counts.shape[1],
-    )
-    size = min(_FIRST_RUN_ENTRIES, M * (n + 1)) if runs else 0
-    codes = np.empty(size, dtype=np.int16)
-    wtime = np.empty(size, dtype=np.int32)
-    if not runs:
-        lib.step_span(*args, 0, codes, wtime, 0, 0)
-        return None
-    m = filled = 0
-    while True:
-        m = lib.step_span(*args, m, codes, wtime, filled, len(codes))
-        filled = int((sp[:m] + 1).sum())
-        if m == M:
-            break
-        size = max(filled + n + 1, filled * M // max(m, 1) * 17 // 16)
-        codes.resize(size, refcheck=False)  # no view of either buffer exists
-        wtime.resize(size, refcheck=False)
-    codes.resize(filled, refcheck=False)
-    wtime.resize(filled, refcheck=False)
-    return codes, wtime
 
 
 def simulate_batch(
@@ -328,53 +272,50 @@ def simulate_batch(
     n: int,
     master_seed: int,
     streams: Sequence[int],
-    workers: Optional[int] = None,
     runs: bool = True,
 ) -> BatchWalks:
     """Simulate one walk per stream in the compiled kernel.
 
     Identical to the word-level reference walk of ``tests/reference_walk.py``
     run per stream: both consume the same uniforms and compare them with the
-    same thresholds.  With ``workers`` above 1 (default from
-    ``FREEWALK_WORKERS``) stream spans run on that many threads, since the
-    kernel call releases the interpreter lock; per-stream keying makes the
-    result independent of worker count and scheduling, and results are
-    assembled in stream order: each span writes its own rows of the final
-    depths and letter counts, the first span's runs grow in place and the
-    others' are copied in.  With ``runs=False`` the batch holds no runs
-    (see :class:`BatchWalks`), and no span allocates any.
+    same thresholds.  Without runs (see :class:`BatchWalks`), one kernel
+    call, given run buffers of capacity 0, steps and counts every walk.  With
+    them, each call steps walks until one would not fit the run buffers and
+    returns that walk unwritten.  The buffers then grow in place, to the
+    entries the mean depth so far predicts for all walks plus a sixteenth,
+    and the next call resumes from it; at the end they shrink in place to
+    the runs.  A kernel that cannot allocate its stacks raises
+    ``MemoryError``.
     """
     if not 0 <= n < 2**31:
         raise InvalidConfig(f"n = {n} steps lie outside 0 .. 2**31 - 1, the int32 write times")
     streams = np.asarray(list(streams), dtype=np.uint64)
     M = len(streams)
-    if workers is None:
-        workers = default_workers()
-    workers = max(1, min(workers, M))
     kernel = compile_kernel(cfg)
+    tables = _step_tables(kernel)
     sp = np.empty(M, dtype=np.int64)
     counts = np.zeros((M, kernel.n_letters + 1), dtype=np.int32)
-    # the library is loaded here, before any thread may build it
-    span = functools.partial(
-        _simulate_span, _step_library(), _step_tables(kernel), n, master_seed, runs
+    args = (
+        streams, M, master_seed & _MASK64, n, tables.grid, len(tables.grid) - 1,
+        tables.up, tables.dsp, tables.let, len(tables.grid) + 1, sp, counts, counts.shape[1],
     )
-    spans = [np.array_split(a, workers) for a in (streams, sp, counts)]
-    if workers == 1:
-        parts = list(map(span, *spans))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(span, *spans))
+    size = min(_FIRST_RUN_ENTRIES, M * (n + 1)) if runs else 0
+    codes = np.empty(size, dtype=np.int16)
+    wtime = np.empty(size, dtype=np.int32)
+    step_span = _step_library().step_span
+    m = filled = 0
+    while (m := step_span(*args, m, codes, wtime, filled, len(codes))) < M:
+        if m < 0:
+            raise MemoryError(f"cannot allocate the step kernel's stacks of {n + 1} entries")
+        filled = int((sp[:m] + 1).sum())
+        size = max(filled + n + 1, filled * M // max(m, 1) * 17 // 16)
+        codes.resize(size, refcheck=False)  # no view of either buffer exists
+        wtime.resize(size, refcheck=False)
     if not runs:
         return BatchWalks(n=n, sp=sp, codes=None, wtime=None, counts=counts)
-    (codes, wtime), rest = parts[0], parts[1:]
-    filled = len(codes)
-    codes.resize(filled + sum(len(c) for c, _ in rest), refcheck=False)
-    wtime.resize(len(codes), refcheck=False)
-    if rest:
-        np.concatenate([c for c, _ in rest], out=codes[filled:])
-        np.concatenate([w for _, w in rest], out=wtime[filled:])
+    filled = int((sp + 1).sum())
+    codes.resize(filled, refcheck=False)
+    wtime.resize(filled, refcheck=False)
     return BatchWalks(n=n, sp=sp, codes=codes, wtime=wtime, counts=counts)
 
 

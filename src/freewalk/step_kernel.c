@@ -1,5 +1,5 @@
 /* The compiled passes of freewalk.simulator: the step kernel, which draws each
- * walk's uniforms and steps every walk of a span in one call; the renewal
+ * walk's uniforms and steps a batch of walks on the calling thread; the renewal
  * decomposition of the walks' runs into blocks; and the per-walk sums of a
  * block pool.  Also the row join of freewalk.cli's CSV writer (join_rows, at
  * the end).
@@ -45,6 +45,7 @@
  * with the array's dtype; a parameter the function writes is not const.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef unsigned __int128 u128;
@@ -93,11 +94,13 @@ void fill_uniforms(uint64_t seed, uint64_t stream, int64_t n, double *out)
  * each walk's chain of dependent loads overlaps the other's.  An odd last
  * walk runs in lane 0, and lane 1 repeats it; that repeat is dropped.
  *
- * stack and wtime are scratch of 2 * (n + 1) entries, lane l's at offset
- * l * (n + 1), and stack[0] = stack[n + 1] = 0 (the root's row offset, never
- * written).  Walk m's final depth goes to depth[m], and row m of counts,
- * width entries zeroed by the caller, gains the count of each letter code
- * (row offset divided by row) at depths 1 .. depth[m].
+ * Each lane keeps a stack of row offsets and the step that last wrote each
+ * depth, n + 1 entries of each, in one zeroed allocation of the call; depth
+ * 0 holds the root's row offset 0 and is never written, and the walks of a
+ * lane share them, as a walk reads only depth 0 and the depths it pushed
+ * to.  Walk m's final depth goes to depth[m], and row m of counts, width
+ * entries zeroed by the caller, gains the count of each letter code (row
+ * offset divided by row) at depths 1 .. depth[m].
  *
  * With capacity 0, no run is written: every walk is stepped and counted, and
  * n_walks is returned.  Otherwise, after the two lanes' steps, each lane's
@@ -106,15 +109,20 @@ void fill_uniforms(uint64_t seed, uint64_t stream, int64_t n, double *out)
  * times from entry filled on.  A walk that would pass entry capacity is not
  * written or counted at all: its index, m or m + 1, is returned, and the
  * caller grows the buffers and resumes from it.  Otherwise n_walks is
- * returned.
+ * returned, or -1 when the lanes' stacks cannot be allocated.
  */
 int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64_t n,
                   const double *grid, int64_t n_cuts, const int32_t *up, const int32_t *dsp,
-                  const int32_t *let, int32_t row, int32_t *stack, int32_t *wtime,
-                  int64_t *depth, int32_t *counts, int64_t width, int64_t first,
-                  int16_t *codes, int32_t *times, int64_t filled, int64_t capacity)
+                  const int32_t *let, int32_t row, int64_t *depth, int32_t *counts,
+                  int64_t width, int64_t first, int16_t *codes, int32_t *times,
+                  int64_t filled, int64_t capacity)
 {
-    int32_t *st[2] = {stack, stack + n + 1}, *wt[2] = {wtime, wtime + n + 1};
+    int32_t *scratch = calloc(4 * ((size_t)n + 1), sizeof(int32_t));
+    if (scratch == NULL)
+        return -1;
+    int32_t *st[2] = {scratch, scratch + n + 1};
+    int32_t *wt[2] = {scratch + 2 * (n + 1), scratch + 3 * (n + 1)};
+    int64_t next = n_walks;
     for (int64_t m = first; m < n_walks; m += 2) {
         int lanes = m + 1 < n_walks ? 2 : 1;
         int64_t walk[2] = {m, m + lanes - 1};
@@ -141,8 +149,10 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
         }
         for (int l = 0; l < lanes; l++) {
             if (capacity > 0) {
-                if (filled + sp[l] + 1 > capacity)
-                    return walk[l];
+                if (filled + sp[l] + 1 > capacity) {
+                    next = walk[l];
+                    goto done;
+                }
                 for (int64_t k = 0; k <= sp[l]; k++) {
                     codes[filled + k] = (int16_t)(st[l][k] / row);
                     times[filled + k] = wt[l][k];
@@ -154,7 +164,9 @@ int64_t step_span(const uint64_t *streams, int64_t n_walks, uint64_t seed, int64
             depth[walk[l]] = sp[l];
         }
     }
-    return n_walks;
+done:
+    free(scratch);
+    return next;
 }
 
 /* Errors of the decomposition, raised by its caller with their messages. */

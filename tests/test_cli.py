@@ -829,10 +829,10 @@ class TestMain:
         assert not any(tmp_path.iterdir())
 
     def test_steps_past_int32_write_times_validation_exit(self, tmp_path, capsys, monkeypatch):
-        def no_walk(*args):
-            raise AssertionError("a walk was started")
+        def no_library():
+            raise AssertionError("the step kernel was loaded")
 
-        monkeypatch.setattr(simulator, "_simulate_span", no_walk)
+        monkeypatch.setattr(simulator, "_step_library", no_library)
         argv = ["clt", "--n", "2147483648", "--M", "1", "--out", str(tmp_path)]
         assert main(argv) == EXIT_VALIDATION
         assert "outside 0 .. 2**31 - 1, the int32 write times" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Source hygiene: every imported name in the package and the tests is used,
 every module-level constant of the package is read somewhere, every
-function of the package runs under some command, and summaries have one
-serializer."""
+function of the package runs under some command, summaries have one
+serializer, and the package starts no thread and reads no environment."""
 
 import ast
 import ctypes
@@ -255,6 +255,63 @@ def test_the_call_count_sees_calls_only():
     assert _calls_of(source, "np.linalg.inv") == 2
 
 
+THREAD_MODULES = {"concurrent", "threading"}
+ENVIRONMENT_READS = {"environ", "environb", "getenv"}
+
+
+def _threads_and_environment(source: str) -> list[tuple[str, int]]:
+    """Each import of a thread module and each read of the process
+    environment through ``os``, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+            if node.module == "os":
+                modules += [f"os.{a.name}" for a in node.names if a.name in ENVIRONMENT_READS]
+        elif (
+            isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        ):
+            modules = [f"os.{node.attr}"]
+        else:
+            continue
+        found += [
+            (m, node.lineno) for m in modules
+            if m.split(".")[0] in THREAD_MODULES or m.startswith("os.")
+        ]
+    return sorted(found)
+
+
+def test_batches_run_on_the_calling_thread_whatever_the_environment():
+    """Every walk owns a counter-based stream, so a batch is stepped on the
+    calling thread, and no setting outside a command's arguments reaches it."""
+    for path in ROOT.glob("src/freewalk/*.py"):
+        assert _threads_and_environment(path.read_text()) == [], path.name
+
+
+def test_the_thread_check_sees_imports_and_environment_reads():
+    source = (
+        "import os, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from os import getenv, replace\n"
+        "import threading_tools, concurrent_log\n"
+        "from .threading import lock\n"
+        "def f():\n"
+        "    import threading as t\n"
+        "    os.replace('a', 'b')\n"
+        "    return os.environ.get('X'), 'os.environ', env.environ\n"
+    )
+    assert _threads_and_environment(source) == [
+        ("concurrent.futures", 2),
+        ("os.environ", 9),
+        ("os.getenv", 3),
+        ("threading", 1),
+        ("threading", 7),
+    ]
+
+
 def _block_passes(source: str) -> list[str]:
     """The callee of each ``np.bincount(...)`` and ``<object>.reward(...)``
     call of the source: passes over a pool's blocks."""
@@ -503,8 +560,6 @@ def _unreached(paths: list[Path], reached: set[tuple[Path, int]]) -> list[str]:
 
 
 def test_every_package_function_runs_under_a_command(tmp_path, monkeypatch, capsys):
-    # sys.setprofile sees the calling thread only, not the simulator's worker threads
-    monkeypatch.setenv("FREEWALK_WORKERS", "1")
     compile_kernel.cache_clear()  # a kernel built by an earlier test skips its build
     word_index.cache_clear()
     # an empty kernel cache: the first simulation builds the step kernel

@@ -59,7 +59,6 @@ from freewalk.simulator import (
     BatchWalks,
     batch_decompose,
     batch_walk_stats,
-    default_workers,
     simulate_batch,
     stream_id,
     stream_uniforms,
@@ -168,24 +167,6 @@ class TestSampling:
         n = 2**18 + 7
         stream = stream_id(PURPOSE_POOL, 2**32 - 1)
         assert stream_uniforms(seed, stream, n).tobytes() == philox_uniforms(seed, stream, n).tobytes()
-
-    def test_worker_count_clamped_to_cores(self, monkeypatch):
-        cores = os.cpu_count() or 1
-        monkeypatch.setenv("FREEWALK_WORKERS", str(cores + 1000))
-        assert default_workers() == cores
-        monkeypatch.setenv("FREEWALK_WORKERS", "0")
-        assert default_workers() == 1
-        monkeypatch.setenv("FREEWALK_WORKERS", "many")
-        assert default_workers() == 1
-
-    def test_worker_count_does_not_change_results(self, instance_a):
-        streams = [stream_id(4, i) for i in range(9)]
-        serial = simulate_batch(instance_a, 200, 5, streams, workers=1)
-        parallel = simulate_batch(instance_a, 200, 5, streams, workers=3)
-        assert np.array_equal(serial.sp, parallel.sp)
-        assert np.array_equal(serial.codes, parallel.codes)
-        assert np.array_equal(serial.wtime, parallel.wtime)
-        assert np.array_equal(serial.counts, parallel.counts)
 
 
 class TestExitDetection:
@@ -312,7 +293,7 @@ class TestRenewalDecompose:
     def test_write_times_are_exit_times(self, instance_b, ctx_b, n):
         kernel = compile_kernel(instance_b)
         streams = [stream_id(4, i) for i in range(12)]
-        batch = simulate_batch(instance_b, n, 17, streams, workers=1)
+        batch = simulate_batch(instance_b, n, 17, streams)
         pool = batch_decompose(batch, kernel, ctx_b, 20)
         for i, s in enumerate(streams):
             exits = detect_exit_times(sample_trajectory(instance_b, n, 17, s), 20)
@@ -463,9 +444,9 @@ class TestStepTables:
 
 
 class TestCompiledKernel:
-    # empty and one-step walks up to walks hundreds of letters deep, spans of
-    # no walk, one and nine (three threads with three workers); the wide
-    # grid's cells pass a byte, where the numpy count widens to uint16
+    # empty and one-step walks up to walks hundreds of letters deep, batches
+    # of no walk, one and nine (four lockstep pairs and a walk alone); the
+    # wide grid's cells pass a byte, where the numpy count widens to uint16
     @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
     @pytest.mark.parametrize(
         "make", [instance_k3_k3, instance_path_k3, instance_uneven, instance_wide]
@@ -476,21 +457,47 @@ class TestCompiledKernel:
             for M in (0, 1, 9):
                 streams = [stream_id(4, i) for i in range(M)]
                 codes, wtime, sp = numpy_batch(cfg, n, 5, streams)
-                for workers in (1, 3):
-                    batch = simulate_batch(cfg, n, 5, streams, workers=workers)
-                    assert np.array_equal(batch.sp, sp)
-                    assert batch.codes.dtype == codes.dtype
-                    assert batch.wtime.dtype == wtime.dtype
-                    assert np.array_equal(batch.codes, codes)
-                    assert np.array_equal(batch.wtime, wtime)
+                batch = simulate_batch(cfg, n, 5, streams)
+                assert np.array_equal(batch.sp, sp)
+                assert batch.codes.dtype == codes.dtype
+                assert batch.wtime.dtype == wtime.dtype
+                assert np.array_equal(batch.codes, codes)
+                assert np.array_equal(batch.wtime, wtime)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_unallocatable_stacks_raise_memory_error(self):
+        """The kernel allocates its lanes' stacks itself, 16 (n + 1) bytes a
+        call; under an address-space limit 1 GiB above the process's size,
+        the 32 GiB of n = 2**31 - 1 are refused and raise, with or without
+        runs, while a small batch still runs."""
+        simulator._step_library()  # the build cached
+        code = (
+            "import os, resource\n"
+            "from freewalk.instances import instance_k3_k3\n"
+            "from freewalk.simulator import simulate_batch\n"
+            "cfg = instance_k3_k3()\n"
+            "simulate_batch(cfg, 10, 1, [1, 2])\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, resource.RLIM_INFINITY))\n"
+            "for runs in (True, False):\n"
+            "    try:\n"
+            "        simulate_batch(cfg, 2**31 - 1, 1, [], runs=runs)\n"
+            "    except MemoryError as e:\n"
+            "        print(e)\n"
+            "print(simulate_batch(cfg, 1000, 1, [1, 2, 3]).n_walks)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(simulator.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        refused = "cannot allocate the step kernel's stacks of 2147483648 entries"
+        assert done.stdout.splitlines() == [refused, refused, "3"]
 
 
 class TestCountsOnly:
     # no walks, walks that never leave the root, short walks, and runs that
-    # outgrow the first buffer of every span: 450 walks of 2,000 steps are
-    # over 65,536 entries a span at three workers on each shape.  The runs
-    # path returns a walk that does not fit unwritten and uncounted; the
-    # counts-only path never skips one
+    # outgrow the first buffer: 450 walks of 2,000 steps are over 65,536
+    # entries on each shape.  The runs path returns a walk that does not fit
+    # unwritten and uncounted; the counts-only path never skips one
     @pytest.mark.parametrize(
         "make", [instance_k3_k3, instance_path_k3, instance_uneven, instance_wide]
     )
@@ -500,38 +507,36 @@ class TestCountsOnly:
         capacities = []
 
         def recorded(*args):
-            capacities.append(args[19])  # the run buffers' capacity, 0 without runs
+            capacities.append(args[17])  # the run buffers' capacity, 0 without runs
             return step_span(*args)
 
         monkeypatch.setattr(simulator, "_step_library", lambda: SimpleNamespace(step_span=recorded))
         for n, M in ((300, 0), (0, 5), (64, 9), (2000, 450)):
             streams = [stream_id(PURPOSE_MAIN, i) for i in range(M)]
-            for workers in (1, 2, 3):
-                spans = max(1, min(workers, M))
-                capacities.clear()
-                runs = simulate_batch(cfg, n, 5, streams, workers=workers)
-                resumes = len(capacities) - spans
-                assert M == 0 or 0 not in capacities  # no walks need no buffer
-                capacities.clear()
-                bare = simulate_batch(cfg, n, 5, streams, workers=workers, runs=False)
-                assert capacities == [0] * spans  # one call a span, no run buffer
-                assert bare.codes is None and bare.wtime is None
-                assert bare.sp.dtype == runs.sp.dtype and bare.counts.dtype == runs.counts.dtype
-                assert np.array_equal(bare.sp, runs.sp)
-                assert np.array_equal(bare.counts, runs.counts)
-                assert bare.n_walks == runs.n_walks == M
-                if n == 2000:
-                    assert resumes >= spans, (workers, resumes)
+            capacities.clear()
+            runs = simulate_batch(cfg, n, 5, streams)
+            resumes = len(capacities) - 1
+            assert M == 0 or 0 not in capacities  # no walks need no buffer
+            capacities.clear()
+            bare = simulate_batch(cfg, n, 5, streams, runs=False)
+            assert capacities == [0]  # one call, no run buffer
+            assert bare.codes is None and bare.wtime is None
+            assert bare.sp.dtype == runs.sp.dtype and bare.counts.dtype == runs.counts.dtype
+            assert np.array_equal(bare.sp, runs.sp)
+            assert np.array_equal(bare.counts, runs.counts)
+            assert bare.n_walks == runs.n_walks == M
+            if n == 2000:
+                assert resumes >= 1, resumes
 
 
 class TestBatchLayout:
     def test_simulate_batch_holds_its_runs_once(self, instance_a):
         """Peak traced memory stays near the runs' own 6 bytes per entry."""
         streams = [stream_id(4, i) for i in range(200)]
-        simulate_batch(instance_a, 10, 1, streams[:2], workers=1)  # kernel and tables built
+        simulate_batch(instance_a, 10, 1, streams[:2])  # kernel and tables built
         tracemalloc.start()
         try:
-            batch = simulate_batch(instance_a, 2000, 1, streams, workers=1)
+            batch = simulate_batch(instance_a, 2000, 1, streams)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -544,7 +549,7 @@ class TestBatchLayout:
         shape, against 1.24x for the numpy passes' in-place temporaries and
         2.3x when each block array was built from temporaries."""
         streams = [stream_id(4, i) for i in range(200)]
-        batch = simulate_batch(instance_b, 4000, 1, streams, workers=1)
+        batch = simulate_batch(instance_b, 4000, 1, streams)
         batch_decompose(batch, kernel_b, ctx_b)  # letter table and context caches built
         tracemalloc.start()
         try:
@@ -573,35 +578,32 @@ class TestBatchLayout:
         assert peak < 1.5 * summary.nbytes, peak / summary.nbytes
 
     def test_outgrown_buffers_resume_to_the_same_runs(self, instance_a, monkeypatch):
-        """Spans from a one-entry first buffer resume several times and give
-        the runs of default-sized buffers and of the numpy step loop."""
+        """A batch from a one-entry first buffer resumes several times and
+        gives the runs of default-sized buffers and of the numpy step loop."""
         streams = [stream_id(4, i) for i in range(40)]
-        whole = simulate_batch(instance_a, 600, 5, streams, workers=1)
+        whole = simulate_batch(instance_a, 600, 5, streams)
         codes, wtime, sp = numpy_batch(instance_a, 600, 5, streams)
         step_span = simulator._step_library().step_span
         starts = []
 
         def counted(*args):
-            starts.append(args[15])  # the walk the call resumes from
+            starts.append(args[13])  # the walk the call resumes from
             return step_span(*args)
 
         monkeypatch.setattr(simulator, "_FIRST_RUN_ENTRIES", 1)
         monkeypatch.setattr(simulator, "_step_library", lambda: SimpleNamespace(step_span=counted))
-        for workers in (1, 3):
-            starts.clear()
-            shrunk = simulate_batch(instance_a, 600, 5, streams, workers=workers)
-            for batch in (shrunk, whole):
-                assert np.array_equal(batch.sp, sp)
-                assert np.array_equal(batch.codes, codes)
-                assert np.array_equal(batch.wtime, wtime)
-            # a walk returned unwritten is counted once, when it is written
-            assert np.array_equal(shrunk.counts, whole.counts)
-            if workers == 1:
-                assert len(starts) >= 3 and starts == sorted(starts), starts  # two resumes
+        shrunk = simulate_batch(instance_a, 600, 5, streams)
+        for batch in (shrunk, whole):
+            assert np.array_equal(batch.sp, sp)
+            assert np.array_equal(batch.codes, codes)
+            assert np.array_equal(batch.wtime, wtime)
+        # a walk returned unwritten is counted once, when it is written
+        assert np.array_equal(shrunk.counts, whole.counts)
+        assert len(starts) >= 3 and starts == sorted(starts), starts  # two resumes
 
     # the kernel steps walks m and m + 1 together and writes them in walk
     # order, so either may not fit: lane 0 refuses at an even index, lane 1
-    # at an odd one.  An odd M leaves the last walk of a span alone in lane 0
+    # at an odd one.  An odd M leaves the last walk alone in lane 0
     @pytest.mark.parametrize("M", [40, 41])
     def test_both_lanes_refuse_and_resume(self, instance_a, M, monkeypatch):
         streams = [stream_id(4, i) for i in range(M)]
@@ -613,22 +615,20 @@ class TestBatchLayout:
 
         def recorded(*args):
             m = step_span(*args)
-            if m < args[1]:  # not every walk of the span was written
+            if m < args[1]:  # not every walk was written
                 refused.append(m)
             return m
 
         monkeypatch.setattr(simulator, "_FIRST_RUN_ENTRIES", 1)
         monkeypatch.setattr(simulator, "_step_library", lambda: SimpleNamespace(step_span=recorded))
-        for workers in (1, 3):
-            refused.clear()
-            batch = simulate_batch(instance_a, 600, 5, streams, workers=workers)
-            assert np.array_equal(batch.sp, sp)
-            assert np.array_equal(batch.codes, codes)
-            assert np.array_equal(batch.wtime, wtime)
-            counts = np.zeros_like(batch.counts)
-            np.add.at(counts, (walk[live], codes[live]), 1)
-            assert np.array_equal(batch.counts, counts)
-            assert {m % 2 for m in refused} == {0, 1}, refused
+        batch = simulate_batch(instance_a, 600, 5, streams)
+        assert np.array_equal(batch.sp, sp)
+        assert np.array_equal(batch.codes, codes)
+        assert np.array_equal(batch.wtime, wtime)
+        counts = np.zeros_like(batch.counts)
+        np.add.at(counts, (walk[live], codes[live]), 1)
+        assert np.array_equal(batch.counts, counts)
+        assert {m % 2 for m in refused} == {0, 1}, refused
 
     # no walks at all, and walks that never leave the root (one entry each)
     @pytest.mark.parametrize("n, M", [(300, 0), (0, 5)])
@@ -638,7 +638,7 @@ class TestBatchLayout:
             ctx = request.getfixturevalue(f"ctx_{label}")
             kernel = compile_kernel(cfg)
             streams = [stream_id(4, i) for i in range(M)]
-            batch = simulate_batch(cfg, n, 17, streams, workers=1)
+            batch = simulate_batch(cfg, n, 17, streams)
             assert len(batch.codes) == len(batch.wtime) == M + int(batch.sp.sum())
             assert batch.counts.shape == (M, kernel.n_letters + 1)
             pool = batch_decompose(batch, kernel, ctx, 20)
@@ -775,7 +775,7 @@ class TestCompiledDecomposition:
         cfg = make()
         kernel, ctx = compile_kernel(cfg), build_context(cfg)
         for n, M in ((300, 0), (0, 5), (2, 40), (2000, 60)):
-            batch = simulate_batch(cfg, n, 9, [stream_id(4, i) for i in range(M)], workers=1)
+            batch = simulate_batch(cfg, n, 9, [stream_id(4, i) for i in range(M)])
             if n == 2:
                 assert np.any(batch.sp == 0) and np.any(batch.sp > 0)
             for buffer in (0, DEFAULT_BUFFER, n, n + 1):
@@ -783,18 +783,6 @@ class TestCompiledDecomposition:
                 _assert_matches_numpy(pool, batch, kernel, ctx, buffer)
                 if buffer >= n:
                     assert pool.size == 0 and np.all(np.isnan(pool.t0_dist))
-
-    def test_two_workers_give_the_same_pool(self, instance_b, kernel_b, ctx_b, monkeypatch):
-        monkeypatch.setenv("FREEWALK_WORKERS", "2")
-        streams = [stream_id(4, i) for i in range(30)]
-        batch = simulate_batch(instance_b, 3000, 9, streams)
-        single = simulate_batch(instance_b, 3000, 9, streams, workers=1)
-        one = batch_decompose(single, kernel_b, ctx_b)
-        pool = batch_decompose(batch, kernel_b, ctx_b)
-        assert pool.size > 0
-        _assert_matches_numpy(pool, batch, kernel_b, ctx_b, DEFAULT_BUFFER)
-        for f in dataclasses.fields(pool):
-            _assert_same_bits(getattr(pool, f.name), getattr(one, f.name), f.name)
 
     def test_summaries_of_synthetic_and_truncated_pools(self, pool_b):
         """``make_pool`` builds the int16 letter codes of a decomposed pool;
