@@ -76,6 +76,7 @@ from .genfun import (
 from .instances import NAMED_INSTANCES
 from .oracle import (
     OrderTooLarge,
+    check_word_budget,
     enum_green_series,
     enum_L_series,
     enum_xi_series,
@@ -427,6 +428,7 @@ def _cmd_oracle_check(args, manifest: RunManifest) -> int:
     words += [Word(((1, v),)) for v in cfg.factor1.nonroot]
     words += [Word(((2, v),)) for v in cfg.factor2.nonroot]
     tol = 0.0 if args.exact else 1e-10
+    check_word_budget(words, order, cfg)
 
     def check(label: str, a, b) -> None:
         gap = max_coeff_gap(a, b)

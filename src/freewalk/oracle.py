@@ -1,13 +1,14 @@
 """Exact truncated power series for the free-product walk, by path enumeration.
 
 Each series pushes the walk's law forward over :class:`WordIndex`, one array
-index per kernel of every word within the graph distance the truncation
-order can reach.  A step is one scatter along the index's successor table:
-``np.bincount`` in float mode, ``np.add.at`` on integer numerators over
-``D**t`` in exact mode (``D`` is the lcm of the move denominators; int64
-while ``D**N < 2**63``, Python ints beyond), so ``Fraction`` appears only in
-the returned coefficients.  One walk from a source yields the series at
-every target it is asked for, read off the same mass vector after each step.
+index per kernel of every word within the graph distance from which the
+walk can still return to a word it reads.  A step is one scatter along the
+index's successor table: ``np.bincount`` in float mode, ``np.add.at`` on
+integer numerators over ``D**t`` in exact mode (``D`` is the lcm of the move
+denominators; int64 while ``D**max(N, 1) < 2**63``, Python ints beyond), so
+``Fraction`` appears only in the returned coefficients.  One walk from a
+source yields the series at every target it is asked for, read off the same
+mass vector after each step.
 The last-exit (taboo at the source), first-visit (absorbing) and renewal
 (arrival-recording) series are masks on that one step.  The one operation
 on series is the Cauchy product :func:`series_combine`, which the identity
@@ -41,9 +42,9 @@ from .genfun import RenewalLaw, renewal_pairs
 
 DEFAULT_ORDER_CAP = 14
 
-# the words one walk's index may hold: 16x the 131,069 of ``oracle-check
-# --order 14`` on K3xK3, the largest shipped use.  Measured at 5- and
-# 14-vertex factors, a word costs 190-340 bytes of peak memory, so the
+# the words one walk's index may hold: about 1,000x the 2,045 of
+# ``oracle-check --order 14`` on K3xK3, the largest shipped use.  Measured at
+# 5- and 14-vertex factors, a word costs 190-340 bytes of peak memory, so the
 # budget holds an index below about 0.7 GB
 WORD_BUDGET = 1 << 21
 
@@ -136,7 +137,9 @@ class WordIndex:
     with weight 0.  Rows exist for
     the words below the deepest level.  A move changes ``d(o, .)`` by at most
     one, so ``t`` steps from a word at distance ``d0`` stay in the prefix
-    ``end[d0 + t]``.
+    ``end[d0 + t]``, and a walk that reads only words near ``o`` grows the
+    index only to the distance from which those words can still be reached
+    (:func:`_plan`).
     """
 
     def __init__(self, kernel: CompiledKernel):
@@ -199,34 +202,71 @@ def word_index(kernel: CompiledKernel) -> WordIndex:
     return WordIndex(kernel)
 
 
+def _distance(kernel: CompiledKernel, codes: tuple[int, ...]) -> int:
+    """The graph distance ``d(o, w)`` of the word with letter codes ``codes``."""
+    return int(sum(kernel.letter_distance[c] for c in codes))
+
+
+def _reach(kernel: CompiledKernel, words: Sequence[tuple[int, ...]]) -> int:
+    """The farthest distance of ``words`` (letter codes); 0 when there are none."""
+    return max((_distance(kernel, w) for w in words), default=0)
+
+
+def _farthest_letter(kernel: CompiledKernel, i: int) -> int:
+    """The farthest one-letter factor-``i`` word."""
+    return int(kernel.letter_distance[kernel.factor_of_code == i].max())
+
+
+def _plan(kernel: CompiledKernel, d0: int, N: int, reach: int) -> tuple[list[int], int]:
+    """``live(t)`` for ``t = 0..N`` and the index depth of a walk of order
+    ``N`` from distance ``d0`` that reads no node beyond distance ``reach``.
+
+    A move changes ``d(o, .)`` by at most one, so at time ``t`` the walk has
+    mass only within ``d0 + t``, and a node beyond ``reach + N - t`` can no
+    longer reach a read node by time ``N``: ``live(t)`` is the smaller bound.
+    The index holds the source and one level past the farthest pushed node.
+    Raises :class:`OrderTooLarge` when that index would pass ``WORD_BUDGET``.
+    """
+    live = [min(d0 + t, reach + N - t) for t in range(N + 1)]
+    depth = max([d0, *(d + 1 for d in live[:N])])
+    words = predicted_words(kernel, depth)
+    if words > WORD_BUDGET:
+        raise OrderTooLarge(
+            f"order {N} from distance {d0} reaches {words} words, "
+            f"above the enumeration budget of {WORD_BUDGET}"
+        )
+    return live, depth
+
+
 class _Walk:
     """The law of the walk from one source word over the index, at time ``t``.
 
     ``mass[n]`` is the probability of node ``n``: a float, or in exact mode an
-    integer numerator over ``denominator ** t`` (int64 while the ``N``-step
-    denominator fits, Python ints beyond).  :meth:`step` pushes the mass of
-    the prefix ``end[d0 + t]`` along ``succ`` with one scatter; the taboo and
-    absorbing variants zero nodes of ``mass`` between steps.  :meth:`series`
-    reads any number of target nodes off the one mass vector, so one walk
-    from a source serves every target.
+    integer numerator over ``denominator ** t`` (int64 while every weight
+    and every ``N``-step numerator fits, Python ints beyond).  ``reach`` is
+    the farthest distance ``d(o, .)`` of a node the caller reads, so only the
+    nodes within ``live[t]`` (see :func:`_plan`) are exact; the rest read 0.
+    :meth:`step` pushes the mass of the prefix ``end[live[t]]`` along
+    ``succ`` with one scatter, in node order, so the exact nodes sum the
+    same terms in the same order as a walk with ``reach >= d0 + N``, which
+    prunes nothing.  The taboo and absorbing variants zero nodes of
+    ``mass`` between steps.  :meth:`series` reads any number of target
+    nodes off the one mass vector, so one walk from a source serves every
+    target.
     """
 
-    def __init__(self, kernel: CompiledKernel, codes: tuple[int, ...], N: int, exact: bool):
-        self.d0 = int(sum(kernel.letter_distance[c] for c in codes))
-        self.depth = self.d0 + N
-        words = predicted_words(kernel, self.depth)
-        if words > WORD_BUDGET:
-            raise OrderTooLarge(
-                f"order {N} from distance {self.d0} reaches {words} words, "
-                f"above the enumeration budget of {WORD_BUDGET}"
-            )
+    def __init__(
+        self, kernel: CompiledKernel, codes: tuple[int, ...], N: int, exact: bool, reach: int
+    ):
+        self.d0 = _distance(kernel, codes)
+        self.live, self.depth = _plan(kernel, self.d0, N, reach)
         self.index = ix = word_index(kernel).grow(self.depth)
         self.exact = exact
         self.size = ix.end[self.depth]
         self.rows = ix.end[self.depth - 1] if N else 0
         if not exact:
             self.weight = ix.succ_prob
-        elif ix.denominator**N < 2**63:
+        elif ix.denominator ** max(N, 1) < 2**63:  # weights <= D, numerators <= D**t
             self.weight = ix.numerator.astype(np.int64)[ix.letter[: self.rows]]
         else:
             self.weight = ix.numerator[ix.letter[: self.rows]]
@@ -235,10 +275,11 @@ class _Walk:
         self.t = 0
 
     def step(self) -> None:
-        m, k = self.index.end[self.d0 + self.t : self.d0 + self.t + 2]
+        end, live = self.index.end, self.live[self.t]
+        m, k = end[live], end[live + 1]
         moved = self.mass[:m, None] * self.weight[:m]
-        # the mass has not reached end[d0 + t + 1] and beyond: those stay zero
         self.mass[:k] = self.scatter(self.index.succ[:m], moved, k)
+        self.mass[end[self.live[self.t + 1]] :] = 0  # no longer live
         self.t += 1
 
     def scatter(self, targets: np.ndarray, moved: np.ndarray, size: int) -> np.ndarray:
@@ -300,10 +341,10 @@ def _source_series(
     _check_order(N)
     kernel = compile_kernel(cfg)
     src = kernel.encode(x)
-    walk = _Walk(kernel, src, N, exact)
-    targets = [y] if isinstance(y, Word) else y
+    targets = [kernel.encode(w) for w in ([y] if isinstance(y, Word) else y)]
+    walk = _Walk(kernel, src, N, exact, _reach(kernel, targets))
     series = walk.series(
-        [walk.find(kernel.encode(w)) for w in targets],
+        [walk.find(w) for w in targets],
         N,
         taboo=[walk.find(src)] if taboo else [],
     )
@@ -351,7 +392,7 @@ def enum_xi_series(
     """First-visit series of the set of one-letter factor-``i`` words, from o."""
     _check_order(N)
     kernel = compile_kernel(cfg)
-    walk = _Walk(kernel, (), N, exact)
+    walk = _Walk(kernel, (), N, exact, _farthest_letter(kernel, i))
     absorb = walk.one_letter_nodes(kernel, i)
     coeffs = [walk.value(0)]
     for _ in range(N):
@@ -362,6 +403,11 @@ def enum_xi_series(
 
 
 # -- renewal increment law -----------------------------------------------------
+
+
+def _two_letter_reach(kernel: CompiledKernel) -> int:
+    """The farthest word of at most two letters, which the renewal walk reads."""
+    return _farthest_letter(kernel, 1) + _farthest_letter(kernel, 2)
 
 
 def exact_renewal_increment_dist(
@@ -383,7 +429,7 @@ def exact_renewal_increment_dist(
     """
     _check_order(n_max)
     kernel = compile_kernel(cfg)
-    walk = _Walk(kernel, (), n_max, exact)
+    walk = _Walk(kernel, (), n_max, exact, _two_letter_reach(kernel))
     taboo = walk.one_letter_nodes(kernel, 1)
     pairs = renewal_pairs(cfg)
     pair_of = np.full(walk.size, -1)
@@ -404,6 +450,24 @@ def exact_renewal_increment_dist(
         arrivals = walk.scatter(hit[arrive], moved[arrive], len(pairs))
         probs[:, t] = [float(walk.value(a)) for a in arrivals]
     return RenewalLaw(pair_probs=dict(zip(pairs, probs)))
+
+
+def check_word_budget(words: Sequence[Word], N: int, cfg: WalkConfig) -> None:
+    """Refuse, before any walk builds its index, an identity suite over
+    ``words`` at order ``N`` whose walks would pass ``WORD_BUDGET``.
+
+    The suite is that of ``oracle-check``: the green and last-exit walk from
+    each word to all of them, both xi series and the renewal law.  Raises
+    :class:`OrderTooLarge`.
+    """
+    _check_order(N)
+    kernel = compile_kernel(cfg)
+    codes = [kernel.encode(w) for w in words]
+    reach = _reach(kernel, codes)
+    walks = [(_distance(kernel, x), reach) for x in codes]
+    walks += [(0, _farthest_letter(kernel, 1)), (0, _farthest_letter(kernel, 2))]
+    for d0, walk_reach in [*walks, (0, _two_letter_reach(kernel))]:
+        _plan(kernel, d0, N, walk_reach)
 
 
 def return_probability_proxy(

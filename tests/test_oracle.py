@@ -39,6 +39,7 @@ from freewalk.oracle import (
     predicted_words,
     return_probability_proxy,
     series_combine,
+    word_index,
 )
 
 O = Word()
@@ -337,29 +338,62 @@ def _decode(index, node: int) -> tuple[int, ...]:
     return tuple(reversed(codes))
 
 
+def _distance(kernel, codes) -> int:
+    return int(sum(kernel.letter_distance[c] for c in codes))
+
+
+def _sources(cfg) -> list[Word]:
+    """o, every one-letter word and a two-letter word."""
+    one = [Word(((i, v),)) for i in (1, 2) for v in cfg.factor(i).nonroot]
+    return [O, *one, Word(((2, cfg.factor2.nonroot[0]), (1, cfg.factor1.nonroot[-1])))]
+
+
 class TestWordIndex:
     """The index's step law against the scalar successor law."""
+
+    @staticmethod
+    def _supports_and_levels(kernel, x, N, exact, reach=None):
+        """The walk's support and the BFS level from ``x`` at each time; an
+        unpruned walk (``reach = d0 + N``) when ``reach`` is None."""
+        codes = kernel.encode(x)
+        if reach is None:
+            reach = _distance(kernel, codes) + N
+        walk = _Walk(kernel, codes, N, exact, reach)
+        level = {codes}
+        for t in range(N + 1):
+            if t:
+                walk.step()
+                level = {w for u in level for w, p in kernel.successors(u) if p > 0}
+            support = {_decode(walk.index, n) for n in np.flatnonzero(walk.mass)}
+            yield walk, t, support, level
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("shape", ["instance_a", "instance_b"])
     def test_support_equals_successor_bfs(self, shape, exact, request):
         cfg = request.getfixturevalue(shape)
         kernel = compile_kernel(cfg)
-        one = [Word(((i, v),)) for i in (1, 2) for v in cfg.factor(i).nonroot]
-        two = Word(((2, cfg.factor2.nonroot[0]), (1, cfg.factor1.nonroot[-1])))
-        for x in [O, *one, two]:
+        for x in _sources(cfg):
             for N in (0, 1, 9):
-                walk = _Walk(kernel, kernel.encode(x), N, exact)
-                level = {kernel.encode(x)}
-                for t in range(N + 1):
-                    if t:
-                        walk.step()
-                        level = {w for u in level for w, p in kernel.successors(u) if p > 0}
-                    support = {_decode(walk.index, n) for n in np.flatnonzero(walk.mass)}
+                for _, t, support, level in self._supports_and_levels(kernel, x, N, exact):
                     assert support == level, (x, N, t)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("shape", ["instance_a", "instance_b"])
+    def test_pruned_support_is_the_live_part_of_the_level(self, shape, exact, request):
+        """After each step the mass sits on the BFS level within ``live(t)``;
+        at time 0 on the source, live or not."""
+        cfg = request.getfixturevalue(shape)
+        kernel = compile_kernel(cfg)
+        for x in _sources(cfg):
+            for N in (0, 1, 9):
+                for reach in (0, 1, 3):
+                    walks = self._supports_and_levels(kernel, x, N, exact, reach)
+                    for walk, t, support, level in walks:
+                        live = {w for w in level if _distance(kernel, w) <= walk.live[t]}
+                        assert support == (live if t else level), (x, N, reach, t)
+
     def test_nodes_are_distinct_words(self, instance_b):
-        walk = _Walk(compile_kernel(instance_b), (), 8, exact=False)
+        walk = _Walk(compile_kernel(instance_b), (), 8, exact=False, reach=8)
         words = [_decode(walk.index, n) for n in range(walk.size)]
         assert len(set(words)) == len(words)
         assert all(walk.find(w) == n for n, w in enumerate(words))
@@ -373,15 +407,26 @@ class TestWordBudget:
         assert [predicted_words(kernel, d) for d in range(13)] == index.end
 
     def test_the_shipped_orders_fit(self):
-        """``oracle-check --order 14`` walks from one-letter words, at letter
-        distance 1 on K3xK3 and up to 2 on PathxK3."""
-        assert predicted_words(compile_kernel(instance_k3_k3()), 15) == 131_069
-        assert predicted_words(compile_kernel(instance_path_k3()), 16) == 36_061
-        assert 131_069 < WORD_BUDGET
+        """``oracle-check --order 14`` reads words of at most two letters.  Its
+        deepest walks need depth 9 on K3xK3 (letter distance 1: from a
+        one-letter word to one-letter words, and the renewal walk) and 10 on
+        PathxK3 (letter distances up to 2)."""
+        assert predicted_words(compile_kernel(instance_k3_k3()), 9) == 2_045
+        assert predicted_words(compile_kernel(instance_path_k3()), 10) == 1_173
+        assert 2_045 < WORD_BUDGET
+
+    def test_oracle_check_indexes_only_the_live_words(self, tmp_path):
+        kernel = compile_kernel(instance_k3_k3())
+        oracle.word_index.cache_clear()
+        argv = ["oracle-check", "--config", "K3xK3", "--order", "14", "--float"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert word_index(kernel).end[-1] == predicted_words(kernel, 9) == 2_045
 
     def test_wide_factors_exit_4_before_any_index_is_built(self, tmp_path, monkeypatch):
-        """The 14-vertex factors reach 1.8e9 words at order 8, which numpy
-        refused as a 27 GiB array; the budget refuses them before building."""
+        """On the 14-vertex factors at order 8 the walk from o fits the budget
+        (depth 5, 804,467 words) and the walks from one-letter words do not
+        (depth 6, 10,458,085 words): the command predicts every walk it will
+        run before the first builds its index."""
         config = tmp_path / "wide.json"
         config.write_text(json.dumps(instance_wide().to_json_dict()))
 
@@ -398,6 +443,60 @@ class TestWordBudget:
             tracemalloc.stop()
         assert code == 4
         assert peak < 2**22, peak
-        assert predicted_words(compile_kernel(instance_wide()), 8) == 1_767_416_561
-        with pytest.raises(OrderTooLarge, match="1767416561 words"):
-            enum_green_series(O, O, 8, instance_wide())
+        kernel = compile_kernel(instance_wide())
+        assert [predicted_words(kernel, d) for d in (5, 6, 7)] == [
+            804_467, 10_458_085, 135_955_119
+        ]
+        with pytest.raises(OrderTooLarge, match="135955119 words"):
+            enum_green_series(O, O, 12, instance_wide())  # depth 7
+
+
+class TestPruning:
+    """Each walk against the same walk at ``reach = d0 + N``, which prunes
+    nothing: the series and laws are equal bit for bit."""
+
+    SHAPES = {
+        "K3xK3": (instance_k3_k3, 12),
+        "K3xK3-0.1": (lambda: instance_k3_k3(0.1), 12),
+        "PathxK3": (instance_path_k3, 12),
+        "PathxK3-0.3": (lambda: instance_path_k3(0.3), 12),
+        "uneven": (instance_uneven, 8),
+        "wide": (instance_wide, 2),  # the unpruned walks from two letters stay at depth 4
+    }
+
+    @staticmethod
+    def _everything(cfg, N, exact):
+        words = _sources(cfg)
+        out = []
+        for x in words:
+            out += [s.coeffs for s in enum_green_series(x, words, N, cfg, exact=exact)]
+            out += [s.coeffs for s in enum_L_series(x, words, N, cfg, exact=exact)]
+            out.append(enum_green_series(x, [], N, cfg, exact=exact))
+        out += [enum_xi_series(i, N, cfg, exact=exact).coeffs for i in (1, 2)]
+        law = exact_renewal_increment_dist(N, cfg, exact=exact)
+        out += [(pair, probs.tobytes()) for pair, probs in law.pair_probs.items()]
+        if not exact:
+            out.append(return_probability_proxy(cfg, N))
+        return out
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("make, N", SHAPES.values(), ids=SHAPES)
+    def test_pruned_equals_unpruned(self, make, N, exact, monkeypatch):
+        cfg = make()
+        pruned = self._everything(cfg, N, exact)
+
+        class Unpruned(_Walk):
+            def __init__(self, kernel, codes, N, exact, reach):
+                super().__init__(kernel, codes, N, exact, _distance(kernel, codes) + N)
+
+        monkeypatch.setattr(oracle, "_Walk", Unpruned)
+        assert self._everything(cfg, N, exact) == pruned
+
+    def test_exact_order_0_beyond_int64(self, tmp_path):
+        """The move denominator of the uneven instance has 109 bits: at order 0
+        the int64 path would cast numerators it cannot hold."""
+        config = tmp_path / "uneven.json"
+        config.write_text(json.dumps(instance_uneven().to_json_dict()))
+        argv = ["oracle-check", "--config", str(config), "--order", "0", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert enum_green_series(O, O, 0, instance_uneven(), exact=True).coeffs == (1,)
