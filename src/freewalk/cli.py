@@ -52,9 +52,9 @@ from .estimators import (
     DegenerateSample,
     EmptyPool,
     InsufficientBlocks,
-    InvalidGridPoint,
     MissingEpsilon0,
     RATE_NAMES,
+    DEFAULT_MGF_BASE,
     DiagnosticsReport,
     estimate_rates,
     estimate_sigmas,
@@ -98,7 +98,7 @@ class ParseError(FreewalkError):
     """The configuration document is missing, malformed, or ill-typed."""
 
 
-VALIDATION_ERRORS = (InvalidConfig, ParseError, InvalidGridPoint)
+VALIDATION_ERRORS = (InvalidConfig, ParseError)
 NUMERIC_ERRORS = (SingularSolve, NoConvergence, NonpositiveL, OrderTooLarge)
 STATISTICAL_ERRORS = (
     EmptyPool,
@@ -185,13 +185,10 @@ def load_config(path: str) -> WalkConfig:
 
 
 def parse_config(path: str) -> WalkConfig:
-    """Load and validate a configuration from a file or a named shortcut."""
+    """Load a configuration from a file or a named shortcut and compile its
+    kernel, which refuses it with ``InvalidConfig`` if it fails validation."""
     cfg = load_config(path)
-    report = validate_config(cfg)
-    if not report.ok:
-        raise InvalidConfig(
-            "; ".join(f"{name}: {detail}" for name, detail in report.failures())
-        )
+    compile_kernel(cfg)
     return cfg
 
 
@@ -251,11 +248,11 @@ def _column_fields(column: np.ndarray, lone: bool) -> tuple[list[str], np.ndarra
     (a bool, int, float or ``<U1``/``<U2`` text) is read as an unsigned
     integer: one sort plus a binary search per row cost less than the
     argsort of ``np.unique(..., return_inverse=True)``, which any other dtype
-    takes, such as ``<U3`` or complex, on its bytes, and an object column on
-    its values.  Each distinct text is quoted once.  A text holding a special
-    character of ``csv.excel`` is quoted by the ``csv`` module itself, and so
-    is the empty cell of a one-column table (``lone``), which it writes as
-    ``""``; every other text is its own field.
+    takes, such as ``<U3`` or complex, on its bytes.  Each distinct text is
+    quoted once.  A text holding a special character of ``csv.excel`` is
+    quoted by the ``csv`` module itself, and so is the empty cell of a
+    one-column table (``lone``), which it writes as ``""``; every other text
+    is its own field.
     """
     if column.dtype.kind in "iu":
         lo, hi = int(column.min()), int(column.max())  # Python ints: no overflow
@@ -265,9 +262,7 @@ def _column_fields(column: np.ndarray, lone: bool) -> tuple[list[str], np.ndarra
             np.subtract(column, column.dtype.type(lo), out=index, casting="unsafe")
             return [str(v) for v in range(lo, hi + 1)], index
     n_bytes = column.dtype.itemsize
-    if column.dtype.kind == "O":
-        values, inverse = np.unique(column, return_inverse=True)
-    elif n_bytes in (1, 2, 4, 8):
+    if n_bytes in (1, 2, 4, 8):
         bits = column.view(f"u{n_bytes}")
         ordered = np.sort(bits)
         distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
@@ -288,8 +283,9 @@ def _column_fields(column: np.ndarray, lone: bool) -> tuple[list[str], np.ndarra
 
 
 def _column_rows(name: str, column) -> int:
-    """The row count of a column: a one-dimensional numpy array, or an
-    indexed column, a pair of them ``(values, codes)`` with integer codes."""
+    """The row count of a column: a one-dimensional numpy array of numpy
+    values, or an indexed column, a pair of them ``(values, codes)`` with
+    integer codes."""
     parts = column if isinstance(column, tuple) and len(column) == 2 else (column,)
     if not all(isinstance(part, np.ndarray) for part in parts):
         raise TypeError(
@@ -299,6 +295,8 @@ def _column_rows(name: str, column) -> int:
     integer_codes = len(parts) == 1 or parts[1].dtype.kind in "iu"
     if any(part.ndim != 1 for part in parts) or not integer_codes:
         raise TypeError(f"column {name!r} is not one-dimensional, or its codes are not integers")
+    if parts[0].dtype.kind == "O":
+        raise TypeError(f"column {name!r} holds Python objects, not numpy values")
     return len(parts[-1])
 
 
@@ -311,8 +309,8 @@ def emit_csv(table: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]], pa
     as ``f"{v:.12g}"``, any other cell, an int, ``bool``, str or float32, as
     the ``str`` of its numpy scalar, and each field is encoded as the file
     encodes its text.  A table with no rows is its header line; a column of
-    any other type raises ``TypeError``, and columns of unequal length raise
-    ``ValueError``.
+    any other type, or of Python objects, raises ``TypeError``, and columns
+    of unequal length raise ``ValueError``.
 
     No row is built as a Python object.  Each column becomes the texts of
     its fields (:func:`_column_fields`) and a narrow index per row; an
@@ -447,7 +445,7 @@ def _cmd_oracle_check(args, manifest: RunManifest) -> int:
         "failures": [{"label": l, "error": e} for l, e in failures],
     }
     xi1, xi2 = (
-        series_to_rows(enum_xi_series(i, order, cfg).as_float(), f"xi_{i}")
+        series_to_rows(enum_xi_series(i, order, cfg), f"xi_{i}")
         for i in (1, 2)
     )
     xi_rows = {k: np.concatenate([xi1[k], xi2[k]]) for k in xi1}
@@ -639,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mgf-base",
         type=float,
-        default=1.05,
+        default=DEFAULT_MGF_BASE,
         help="base for the moment stability check; pick it below the "
         "radius, radius.lower in the genfun command's genfun_summary.json, "
         "or the check is comparing heavy-tailed half-samples",

@@ -74,9 +74,9 @@ class Word:
 class FactorSpec:
     """One finite rooted factor graph with a row-stochastic transition matrix.
 
-    ``vertices`` is an ordered tuple of distinct names, ``root`` one of them,
-    and ``transition[i][j]`` the probability of stepping from ``vertices[i]``
-    to ``vertices[j]``.
+    ``vertices`` is an ordered tuple of distinct string names, ``root`` one
+    of them, and ``transition[i][j]`` the probability of stepping from
+    ``vertices[i]`` to ``vertices[j]``.
     """
 
     factor_id: int
@@ -87,6 +87,8 @@ class FactorSpec:
     def __post_init__(self) -> None:
         if self.factor_id not in (1, 2):
             raise ValueError("factor_id must be 1 or 2")
+        if not all(isinstance(v, str) for v in (*self.vertices, self.root)):
+            raise ValueError(f"vertex names must be strings: {self.vertices}, root {self.root!r}")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
         if self.root not in self.vertices:
@@ -145,6 +147,10 @@ class LoopWitness:
     factor: int
     vertex: str
     power: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.vertex, str):
+            raise ValueError(f"loop witness vertex {self.vertex!r} is not a string")
 
 
 @dataclass(frozen=True)
@@ -319,22 +325,20 @@ def validate_config(cfg: WalkConfig) -> ValidationReport:
 
     if cfg.epsilon0 is not None:
         ok = 0.0 < cfg.epsilon0 <= 1.0
-        floor_ok = True
-        worst = None
-        for i, f in ((1, cfg.factor1), (2, cfg.factor2)):
-            a = cfg.alphas[i - 1]
-            for row in f.transition:
-                for p in row:
-                    if p > 0 and a * p < cfg.epsilon0 - 1e-15:
-                        floor_ok = False
-                        worst = a * p
+        below = [
+            a * p
+            for a, f in zip(cfg.alphas, (cfg.factor1, cfg.factor2))
+            for row in f.transition
+            for p in row
+            if p > 0 and a * p < cfg.epsilon0 - 1e-15
+        ]
         if not ok:
             detail = f"epsilon0 must lie in (0, 1], got {cfg.epsilon0}"
-        elif not floor_ok:
-            detail = f"kernel entry {worst} below epsilon0 = {cfg.epsilon0}"
+        elif below:
+            detail = f"kernel entry {min(below)} below epsilon0 = {cfg.epsilon0}"
         else:
             detail = "every positive kernel entry >= epsilon0"
-        report.add("epsilon0_floor", ok and floor_ok, detail)
+        report.add("epsilon0_floor", ok and not below, detail)
 
     witness = cfg.loop_witness
     if witness is None:
@@ -419,10 +423,7 @@ class CompiledKernel:
     def __init__(self, cfg: WalkConfig):
         report = validate_config(cfg)
         if not report.ok:
-            raise InvalidConfig(
-                "configuration failed validation: "
-                + "; ".join(f"{n}: {d}" for n, d in report.failures())
-            )
+            raise InvalidConfig("; ".join(f"{n}: {d}" for n, d in report.failures()))
         self.cfg = cfg
         codes: list[tuple[int, str]] = [(0, "")]  # index 0 reserved for the root state
         for i in (1, 2):

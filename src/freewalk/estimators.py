@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import FreewalkError, WalkConfig, compile_kernel, validate_config
+from .core import FreewalkError, InvalidConfig, WalkConfig, compile_kernel
 from .genfun import STATISTICS, build_context, clt_constants, renewal_increment_law
 from .simulator import (
     DEFAULT_BUFFER,
@@ -38,6 +38,7 @@ IID_FIRST_INDEX = 1  # block indices whose increments iid_diagnostics compares
 IID_LATER_INDEX = 5
 IID_MAX_LAG = 2
 TAIL_FIT_QUANTILE = 0.9  # upper end of the log-survival fit range
+DEFAULT_MGF_BASE = 1.05  # base of tail_diagnostic's moment check and of diagnostics --mgf-base
 FLAG_FACTOR = 5.0  # second differences beyond this many noise scales are flagged
 # the summaries' name of each statistic, in ``STATISTICS`` order: its rate
 # fields ``<name>_renewal`` and ``<name>_direct``, its variance ``<name>_sq``
@@ -58,10 +59,6 @@ class DegenerateSample(FreewalkError):
 
 class InsufficientBlocks(FreewalkError):
     """Not enough blocks, block indices or walks for the requested estimate."""
-
-
-class InvalidGridPoint(FreewalkError):
-    """A parameter-grid configuration failed validation."""
 
 
 class Estimate(NamedTuple):
@@ -468,7 +465,7 @@ def _log_survival_fit(values: np.ndarray):
     return slope, float(r2), (int(ts[0]), int(ts[-1])), ts, logs
 
 
-def tail_diagnostic(pool: BlockPool, mgf_base: float = 1.05) -> TailDiagnostics:
+def tail_diagnostic(pool: BlockPool, mgf_base: float = DEFAULT_MGF_BASE) -> TailDiagnostics:
     """Fit the log survival of the increment and probe moment stability.
 
     The fitted slope must be strictly negative for exponential tails; the
@@ -555,14 +552,15 @@ def smoothness_probe(
     to genuine kinks.  A column flags position ``i`` when its second
     difference exceeds ``FLAG_FACTOR`` times the local noise scale (the
     independent-sum bound, conservative under common random numbers).
-    Every grid point is validated before the first walk is simulated.
+    Every grid point's kernel is compiled, which validates its config,
+    before the first walk; a failure raises ``InvalidConfig`` naming the
+    point.
     """
     for param, cfg in family:
-        report = validate_config(cfg)
-        if not report.ok:
-            raise InvalidGridPoint(
-                f"grid point {param}: " + "; ".join(n for n, _ in report.failures())
-            )
+        try:
+            compile_kernel(cfg)
+        except InvalidConfig as e:
+            raise InvalidConfig(f"grid point {param}: {e}") from e
     values: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
     ses: dict[str, list[float]] = {c: [] for c in SMOOTHNESS_COLUMNS}
     params: list[float] = []

@@ -234,10 +234,8 @@ class GenFunContext:
     cl_constant: float
 
     def letter_dl(self, i: int, v: str) -> float:
-        L = self.letter_L[(i, v)]
-        if L <= 0:
-            raise NonpositiveL(f"cached L for letter ({i}, {v}) is {L}")
-        return -math.log(L)
+        """``-log L``; :func:`build_context` keeps every ``L`` in (0, bound]."""
+        return -math.log(self.letter_L[(i, v)])
 
     def to_json_dict(self) -> dict:
         return {

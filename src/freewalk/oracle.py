@@ -3,12 +3,12 @@
 Each series pushes the walk's law forward over :class:`WordIndex`, one array
 index per kernel of every word within the graph distance from which the
 walk can still return to a word it reads.  A step is one scatter along the
-index's successor table: ``np.bincount`` in float mode, ``np.add.at`` on
-integer numerators over ``D**t`` in exact mode (``D`` is the lcm of the move
-denominators; int64 while ``D**max(N, 1) < 2**63``, Python ints beyond), so
-``Fraction`` appears only in the returned coefficients.  One walk from a
-source yields the series at every target it is asked for, read off the same
-mass vector after each step.
+index's successor table, ``np.add.at`` of float weights, or in exact mode of
+integer numerators over ``D**t`` (``D`` is the lcm of the move denominators;
+int64 while ``D**max(N, 1) < 2**63``, Python ints beyond), so ``Fraction``
+appears only in the returned coefficients.  One walk from a source yields
+the series at every target it is asked for, read off the same mass vector
+after each step.
 The last-exit (taboo at the source), first-visit (absorbing) and renewal
 (arrival-recording) series are masks on that one step.  The one operation
 on series is the Cauchy product :func:`series_combine`, which the identity
@@ -65,9 +65,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def as_float(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(float(c) for c in self.coeffs))
 
 
 def series_combine(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -132,14 +129,13 @@ class WordIndex:
 
     ``succ[n, j]`` is the word reached by move ``j`` of
     ``kernel.moves[letter[n]]`` (push: a child; replace: the parent's child;
-    pop: the parent), with weight ``succ_prob[n, j]`` (``prob`` or
-    ``numerator / denominator`` per state); padded slots point at the parent
-    with weight 0.  Rows exist for
-    the words below the deepest level.  A move changes ``d(o, .)`` by at most
-    one, so ``t`` steps from a word at distance ``d0`` stay in the prefix
-    ``end[d0 + t]``, and a walk that reads only words near ``o`` grows the
-    index only to the distance from which those words can still be reached
-    (:func:`_plan`).
+    pop: the parent), with weight ``prob[letter[n], j]``, or
+    ``numerator[letter[n], j] / denominator``; padded slots point at the
+    parent with weight 0.  Rows exist for the words below the deepest level.
+    A move changes ``d(o, .)`` by at most one, so ``t`` steps from a word at
+    distance ``d0`` stay in the prefix ``end[d0 + t]``, and a walk that reads
+    only words near ``o`` grows the index only to the distance from which
+    those words can still be reached (:func:`_plan`).
     """
 
     def __init__(self, kernel: CompiledKernel):
@@ -159,7 +155,6 @@ class WordIndex:
         self.letter = np.zeros(1, dtype=np.int64)
         self.child = np.full((1, len(fac)), -1, dtype=np.int64)
         self.succ = np.zeros((0, kernel.cum.shape[1]), dtype=np.int64)
-        self.succ_prob = np.zeros((0, kernel.cum.shape[1]))
         self.end = [1]
 
     def level(self, d: int) -> np.ndarray:
@@ -193,7 +188,6 @@ class WordIndex:
         push, swap = self.child[node, letter], self.child[parent, letter]
         rows = np.where(act == PUSH, push, np.where(act == REPLACE, swap, parent))
         self.succ = np.concatenate([self.succ, rows])
-        self.succ_prob = np.concatenate([self.succ_prob, self.prob[state]])
 
 
 @lru_cache(maxsize=32)  # one index per kernel, as many as compile_kernel keeps
@@ -243,9 +237,11 @@ class _Walk:
 
     ``mass[n]`` is the probability of node ``n``: a float, or in exact mode an
     integer numerator over ``denominator ** t`` (int64 while every weight
-    and every ``N``-step numerator fits, Python ints beyond).  ``reach`` is
-    the farthest distance ``d(o, .)`` of a node the caller reads, so only the
-    nodes within ``live[t]`` (see :func:`_plan`) are exact; the rest read 0.
+    and every ``N``-step numerator fits, Python ints beyond).  ``weight[n]``
+    is the row of move weights of node ``n``, gathered once per walk from
+    the index's per-state table.  ``reach`` is the farthest distance
+    ``d(o, .)`` of a node the caller reads, so only the nodes within
+    ``live[t]`` (see :func:`_plan`) are exact; the rest read 0.
     :meth:`step` pushes the mass of the prefix ``end[live[t]]`` along
     ``succ`` with one scatter, in node order, so the exact nodes sum the
     same terms in the same order as a walk with ``reach >= d0 + N``, which
@@ -265,11 +261,12 @@ class _Walk:
         self.size = ix.end[self.depth]
         self.rows = ix.end[self.depth - 1] if N else 0
         if not exact:
-            self.weight = ix.succ_prob
+            table = ix.prob
         elif ix.denominator ** max(N, 1) < 2**63:  # weights <= D, numerators <= D**t
-            self.weight = ix.numerator.astype(np.int64)[ix.letter[: self.rows]]
+            table = ix.numerator.astype(np.int64)
         else:
-            self.weight = ix.numerator[ix.letter[: self.rows]]
+            table = ix.numerator
+        self.weight = table[ix.letter[: self.rows]]
         self.mass = np.zeros(self.size, dtype=self.weight.dtype)
         self.mass[self.find(codes)] = 1
         self.t = 0
@@ -283,9 +280,7 @@ class _Walk:
         self.t += 1
 
     def scatter(self, targets: np.ndarray, moved: np.ndarray, size: int) -> np.ndarray:
-        """Sum ``moved`` into ``size`` bins by ``targets``."""
-        if not self.exact:
-            return np.bincount(targets.ravel(), moved.ravel(), minlength=size)
+        """Sum ``moved`` into ``size`` bins by ``targets``, in input order."""
         out = np.zeros(size, dtype=moved.dtype)
         np.add.at(out, targets.ravel(), moved.ravel())
         return out

@@ -176,8 +176,10 @@ class TestEmission:
             (np.array([1.0, 2.0]), np.array([0.0, 1.0])),
             (np.array([[1.0], [2.0]]), np.array([0, 1])),
             (np.array([1.0, 2.0]), np.array([0, 1]), np.array([0, 1])),
+            np.array([1.0, "b"], dtype=object),
+            (np.array(["b", 1.0], dtype=object), np.array([0, 1])),
         ],
-        ids=["2-d", "bool-codes", "float-codes", "2-d-values", "triple"],
+        ids=["2-d", "bool-codes", "float-codes", "2-d-values", "triple", "object", "object-values"],
     )
     def test_columns_the_join_cannot_read_rejected(self, column, tmp_path):
         with pytest.raises(TypeError, match="column 'a'"):
@@ -825,7 +827,8 @@ class TestMain:
     def test_invalid_grid_point_validation_exit(self, grid, point, tmp_path, capsys):
         argv = ["sweep", "--grid", grid, "--n", "200", "--M", "20", "--out", str(tmp_path)]
         assert main(argv) == EXIT_VALIDATION
-        assert f"validation error: grid point {point}: alpha_range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"validation error: grid point {point}: alpha_range: alpha must lie in (0,1)" in err
         assert not any(tmp_path.iterdir())
 
     def test_steps_past_int32_write_times_validation_exit(self, tmp_path, capsys, monkeypatch):
@@ -858,6 +861,27 @@ class TestMain:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_VALIDATION
         assert "validation error: malformed optional section" in capsys.readouterr().err
+        assert not out.exists()
+
+    # numeric vertex names passed validation, and a run failed only once a CSV
+    # row joined them as text; a list cannot be hashed into the kernel cache
+    @pytest.mark.parametrize("names", ["numbers", "witness-list"])
+    @pytest.mark.parametrize("command", ["validate", "simulate", "oracle-check"])
+    def test_non_string_vertex_names_validation_exit(self, command, names, tmp_path, capsys):
+        doc = instance_path_k3().to_json_dict()
+        if names == "numbers":
+            doc["factor1"].update(vertices=[0, 1, 2], root=0)
+            doc["loop_witness"]["vertex"] = 1
+        else:
+            doc["loop_witness"]["vertex"] = ["m"]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        sizes = {"simulate": ["--n", "2000", "--M", "20"], "oracle-check": ["--order", "4"]}
+        argv = [command, "--config", str(cfg_path), "--out", str(out), *sizes.get(command, [])]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error: " in err and "string" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -3,6 +3,7 @@
 The word algebra and the distances are the references of ``reference_walk``."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,12 @@ class TestValidation:
         )
         report = validate_config(bad)
         assert any("epsilon0" in name for name, _ in report.failures())
+
+    def test_epsilon0_floor_names_the_smallest_entry(self):
+        # alpha-weighted entries 0.05 and 0.1 in factor 1, 0.45 in factor 2
+        cfg = replace(instance_k3_k3(0.1), epsilon0=0.5)
+        detail = dict(validate_config(cfg).failures())["epsilon0_floor"]
+        assert detail == "kernel entry 0.05 below epsilon0 = 0.5"
 
     def test_explicit_loop_witness_verified(self, instance_a):
         assert validate_config(instance_a).ok

@@ -14,7 +14,7 @@ from reference_walk import dL_word
 
 from freewalk import estimators, simulator
 from freewalk.cli import emit_json
-from freewalk.core import WalkConfig, Word, step_distribution
+from freewalk.core import InvalidConfig, WalkConfig, Word, step_distribution
 from freewalk.estimators import (
     N_BOOT,
     RATE_NAMES,
@@ -462,12 +462,10 @@ class TestSmoothness:
             assert abs(a - b) <= 2 * 1.96 * (sa + sb) + 1e-12, col
 
     def test_invalid_grid_point(self, instance_a):
-        from freewalk.estimators import InvalidGridPoint
-
         bad = WalkConfig(
             factor1=instance_a.factor1, factor2=instance_a.factor2, alpha=1.0
         )
-        with pytest.raises(InvalidGridPoint):
+        with pytest.raises(InvalidConfig, match=r"^grid point 1\.0: alpha_range: alpha must"):
             smoothness_probe([(1.0, bad)], 200, 10, 1)
 
 

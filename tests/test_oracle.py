@@ -329,6 +329,29 @@ class TestPins:
             0.0646918125, 0.05274084375, 0.04457090859375,
         ]
 
+    # at alpha 0.5 every float sum above is exact, so only these pins guard
+    # the order in which a float step sums its terms
+    FLOAT_SERIES = {
+        (instance_k3_k3, 0.1): "55a1cb773431b5279a6aff9c5335b91f5064caf0ca3a48d24503084d4e75e010",
+        (instance_path_k3, 0.3): "d6a3c1011eea8bc1bebb6a498b30c9097c3a3ea30e895d86d87bf2213991a6ba",
+    }
+
+    @pytest.mark.parametrize("make, alpha", FLOAT_SERIES, ids=lambda v: getattr(v, "__name__", v))
+    def test_float_series_at_uneven_alpha(self, make, alpha):
+        cfg = make(alpha)
+        words = _oracle_check_words(cfg)
+        blob = hashlib.sha256()
+        for x in words:
+            for enum in (enum_green_series, enum_L_series):
+                for series in enum(x, words, 10, cfg):
+                    blob.update(np.array(series.coeffs, dtype=float).tobytes())
+        for i in (1, 2):
+            blob.update(np.array(enum_xi_series(i, 10, cfg).coeffs, dtype=float).tobytes())
+        law = exact_renewal_increment_dist(10, cfg)
+        for pair in sorted(law.pair_probs):
+            blob.update(law.pair_probs[pair].tobytes())
+        assert blob.hexdigest() == self.FLOAT_SERIES[(make, alpha)]
+
 
 def _decode(index, node: int) -> tuple[int, ...]:
     codes = []
