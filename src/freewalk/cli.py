@@ -38,14 +38,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
-    FactorSpec,
-    FreewalkError,
     InvalidConfig,
-    LoopWitness,
-    ParameterBinding,
     WalkConfig,
-    Word,
     compile_kernel,
+    config_from_json,
     validate_config,
 )
 from .estimators import (
@@ -74,17 +70,7 @@ from .genfun import (
     renewal_increment_law,
 )
 from .instances import NAMED_INSTANCES
-from .oracle import (
-    OrderTooLarge,
-    check_word_budget,
-    enum_green_series,
-    enum_L_series,
-    enum_xi_series,
-    exact_renewal_increment_dist,
-    max_coeff_gap,
-    series_combine,
-    series_to_rows,
-)
+from .oracle import OrderTooLarge, identity_suite
 from .simulator import DEFAULT_BUFFER, _step_library, pool_to_csv_rows, simulate_pool
 
 EXIT_OK = 0
@@ -93,12 +79,7 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 EXIT_STATISTICAL = 5
 
-
-class ParseError(FreewalkError):
-    """The configuration document is missing, malformed, or ill-typed."""
-
-
-VALIDATION_ERRORS = (InvalidConfig, ParseError)
+VALIDATION_ERRORS = (InvalidConfig,)
 NUMERIC_ERRORS = (SingularSolve, NoConvergence, NonpositiveL, OrderTooLarge)
 STATISTICAL_ERRORS = (
     EmptyPool,
@@ -119,68 +100,17 @@ class RunManifest:
     overrides: dict = field(default_factory=dict)
 
 
-def _factor_from_json(doc: dict, factor_id: int) -> FactorSpec:
-    try:
-        vertices = tuple(doc["vertices"])
-        root = doc.get("root", vertices[0])
-        transition = tuple(tuple(float(p) for p in row) for row in doc["transition"])
-    except (KeyError, TypeError, IndexError) as e:
-        raise ParseError(f"factor{factor_id}: malformed ({e})") from e
-    return FactorSpec(
-        factor_id=factor_id, vertices=vertices, root=root, transition=transition
-    )
-
-
-def config_from_json(doc: dict) -> WalkConfig:
-    """Build a configuration from its JSON document (schema in the README)."""
-    try:
-        alpha = float(doc["alpha"])
-        f1 = _factor_from_json(doc["factor1"], 1)
-        f2 = _factor_from_json(doc["factor2"], 2)
-    except KeyError as e:
-        raise ParseError(f"missing required field {e.args[0]!r}") from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(str(e)) from e
-    params: tuple[float, ...] = ()
-    bindings: tuple[ParameterBinding, ...] = ()
-    witness = None
-    try:
-        epsilon0 = float(doc["epsilon0"]) if "epsilon0" in doc else None
-        if "parameters" in doc:
-            p = doc["parameters"]
-            params = tuple(float(v) for v in p.get("values", []))
-            bindings = tuple(
-                ParameterBinding(int(b["factor"]), b["from"], b["to"], int(b["index"]))
-                for b in p.get("bindings", [])
-            )
-        if "loop_witness" in doc:
-            w = doc["loop_witness"]
-            witness = LoopWitness(int(w["factor"]), w["vertex"], int(w["power"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"malformed optional section: {e}") from e
-    return WalkConfig(
-        factor1=f1,
-        factor2=f2,
-        alpha=alpha,
-        epsilon0=epsilon0,
-        parameters=params,
-        bindings=bindings,
-        loop_witness=witness,
-        name=doc.get("name", ""),
-    )
-
-
 def load_config(path: str) -> WalkConfig:
     """Load a configuration from a file or a named shortcut, unvalidated."""
     if path in NAMED_INSTANCES:
         return NAMED_INSTANCES[path]()
     p = Path(path)
     if not p.exists():
-        raise ParseError(f"config {path!r}: no such file or named instance")
+        raise InvalidConfig(f"config {path!r}: no such file or named instance")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
-        raise ParseError(f"config {path!r}: invalid JSON ({e})") from e
+        raise InvalidConfig(f"config {path!r}: invalid JSON ({e})") from e
     return config_from_json(doc)
 
 
@@ -243,13 +173,9 @@ def _column_fields(column: np.ndarray, lone: bool) -> tuple[list[str], np.ndarra
     An integer column whose range is below its row count is coded by its
     range: field ``i`` is the value ``min + i``, and a row's index is its
     value less the minimum, computed straight into the index type.  Any
-    other column is coded by its distinct cells, compared by their bytes, so
-    that a ``-0.0`` stays apart from ``0.0``.  A cell of 1, 2, 4 or 8 bytes
-    (a bool, int, float or ``<U1``/``<U2`` text) is read as an unsigned
-    integer: one sort plus a binary search per row cost less than the
-    argsort of ``np.unique(..., return_inverse=True)``, which any other dtype
-    takes, such as ``<U3`` or complex, on its bytes.  Each distinct text is
-    quoted once.  A text holding a special character of ``csv.excel`` is
+    other column is coded by its distinct cells, ``np.unique`` of their
+    bytes, so that a ``-0.0`` stays apart from ``0.0``.  Each distinct text
+    is quoted once.  A text holding a special character of ``csv.excel`` is
     quoted by the ``csv`` module itself, and so is the empty cell of a
     one-column table (``lone``), which it writes as ``""``; every other text
     is its own field.
@@ -261,15 +187,8 @@ def _column_fields(column: np.ndarray, lone: bool) -> tuple[list[str], np.ndarra
             # the difference wraps in the column's type, and its low bits are exact
             np.subtract(column, column.dtype.type(lo), out=index, casting="unsafe")
             return [str(v) for v in range(lo, hi + 1)], index
-    n_bytes = column.dtype.itemsize
-    if n_bytes in (1, 2, 4, 8):
-        bits = column.view(f"u{n_bytes}")
-        ordered = np.sort(bits)
-        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        values, inverse = distinct.view(column.dtype), np.searchsorted(distinct, bits)
-    else:
-        distinct, inverse = np.unique(column.view(f"V{n_bytes}"), return_inverse=True)
-        values = distinct.view(column.dtype)
+    distinct, inverse = np.unique(column.view(f"V{column.dtype.itemsize}"), return_inverse=True)
+    values = distinct.view(column.dtype)
     if column.dtype == np.float64:
         texts = [f"{v:.12g}" for v in values]
     else:
@@ -419,46 +338,22 @@ def _cmd_genfun(args, manifest: RunManifest) -> int:
 
 def _cmd_oracle_check(args, manifest: RunManifest) -> int:
     cfg = parse_config(args.config)
-    order = args.order
-    failures = []
-    o = Word()
-    words = [o]
-    words += [Word(((1, v),)) for v in cfg.factor1.nonroot]
-    words += [Word(((2, v),)) for v in cfg.factor2.nonroot]
-    tol = 0.0 if args.exact else 1e-10
-    check_word_budget(words, order, cfg)
-
-    def check(label: str, a, b) -> None:
-        gap = max_coeff_gap(a, b)
-        if gap > tol:
-            failures.append((label, float(gap)))
-
-    for i, x in enumerate(words):
-        green = enum_green_series(x, words, order, cfg, exact=args.exact)
-        last_exit = enum_L_series(x, words, order, cfg, exact=args.exact)
-        for y, gxy, lxy in zip(words, green, last_exit):
-            check(f"G-L {x} {y}", gxy, series_combine(green[i], lxy))
+    suite = identity_suite(args.order, cfg, args.exact)
     doc = {
-        "order": order,
+        "order": args.order,
         "exact": args.exact,
-        "identities_checked": len(words) ** 2,
-        "failures": [{"label": l, "error": e} for l, e in failures],
+        "identities_checked": suite.identities,
+        "failures": [{"label": l, "error": e} for l, e in suite.failures],
     }
-    xi1, xi2 = (
-        series_to_rows(enum_xi_series(i, order, cfg), f"xi_{i}")
-        for i in (1, 2)
-    )
-    xi_rows = {k: np.concatenate([xi1[k], xi2[k]]) for k in xi1}
-    law = exact_renewal_increment_dist(order, cfg)
     emit_report(
         doc,
         manifest,
         cfg,
         "oracle_check",
-        csv_rows={"xi_series": xi_rows, "increment_table": law.to_rows()},
+        csv_rows={"xi_series": suite.xi_rows, "increment_table": suite.law.to_rows()},
     )
-    print(f"{len(words)**2} identities at order {order}: {len(failures)} failures")
-    return EXIT_OK if not failures else EXIT_STATISTICAL
+    print(f"{suite.identities} identities at order {args.order}: {len(suite.failures)} failures")
+    return EXIT_OK if not suite.failures else EXIT_STATISTICAL
 
 
 def _cmd_simulate(args, manifest: RunManifest) -> int:
@@ -583,6 +478,24 @@ def positive_int(text: str) -> int:
     return value
 
 
+def mgf_base_float(text: str) -> float:
+    """Argument type of ``diagnostics --mgf-base``: finite and above 1.  At
+    or below 1, E[base^Δt] <= 1 for every law, so the check tests no tail."""
+    value = float(text)
+    if not 1 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 1, got {value}")
+    return value
+
+
+def ks_threshold_float(text: str) -> float:
+    """Argument type of ``clt --ks-threshold``: in [0, 1], the range of a
+    Kolmogorov-Smirnov distance; any other value fixes the verdict."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {value}")
+    return value
+
+
 def seed_int(text: str) -> int:
     """Argument type of ``--seed``: a Philox key word, ``0 .. 2**64 - 1``.
     The kernel keys each stream by the seed's 64 bits, so a seed outside
@@ -627,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", choices=[*STATISTICS, "all"], default="all")
     p.add_argument("--n", type=positive_int, default=5000)
     p.add_argument("--M", type=non_negative_int, default=2000)
-    p.add_argument("--ks-threshold", type=float, default=0.05)
+    p.add_argument("--ks-threshold", type=ks_threshold_float, default="0.05")
 
     p = sub.add_parser("diagnostics", help="i.i.d. and tail diagnostics")
     common(p)
@@ -636,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buffer", type=non_negative_int, default=DEFAULT_BUFFER)
     p.add_argument(
         "--mgf-base",
-        type=float,
-        default=DEFAULT_MGF_BASE,
+        type=mgf_base_float,
+        default=str(DEFAULT_MGF_BASE),
         help="base for the moment stability check; pick it below the "
         "radius, radius.lower in the genfun command's genfun_summary.json, "
         "or the check is comparing heavy-tailed half-samples",

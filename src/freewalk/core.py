@@ -34,7 +34,9 @@ class FreewalkError(Exception):
 
 
 class InvalidConfig(FreewalkError):
-    """Raised when an operation requires a configuration that fails validation."""
+    """A configuration document that is missing, malformed or ill-typed, or
+    a configuration that fails validation where an operation requires one
+    that passes."""
 
 
 class IncompatibleLetters(FreewalkError):
@@ -139,6 +141,12 @@ class ParameterBinding:
     target: str
     index: int
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.source, str) and isinstance(self.target, str)):
+            raise ValueError(
+                f"binding endpoints must be strings: {self.source!r} -> {self.target!r}"
+            )
+
 
 @dataclass(frozen=True)
 class LoopWitness:
@@ -172,6 +180,10 @@ class WalkConfig:
     bindings: tuple[ParameterBinding, ...] = ()
     loop_witness: Optional[LoopWitness] = None
     name: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"config name {self.name!r} is not a string")
 
     @property
     def alphas(self) -> tuple[float, float]:
@@ -227,6 +239,61 @@ def _factor_to_json(f: FactorSpec) -> dict:
         "root": f.root,
         "transition": [list(row) for row in f.transition],
     }
+
+
+def _factor_from_json(doc: dict, factor_id: int) -> FactorSpec:
+    try:
+        vertices = tuple(doc["vertices"])
+        root = doc.get("root", vertices[0])
+        transition = tuple(tuple(float(p) for p in row) for row in doc["transition"])
+    except (KeyError, TypeError, IndexError) as e:
+        raise InvalidConfig(f"factor{factor_id}: malformed ({e})") from e
+    return FactorSpec(
+        factor_id=factor_id, vertices=vertices, root=root, transition=transition
+    )
+
+
+def config_from_json(doc: dict) -> WalkConfig:
+    """Build a configuration from its JSON document (schema in the README),
+    the one :meth:`WalkConfig.to_json_dict` writes, unvalidated."""
+    try:
+        alpha = float(doc["alpha"])
+        f1 = _factor_from_json(doc["factor1"], 1)
+        f2 = _factor_from_json(doc["factor2"], 2)
+    except KeyError as e:
+        raise InvalidConfig(f"missing required field {e.args[0]!r}") from e
+    except (TypeError, ValueError) as e:
+        raise InvalidConfig(str(e)) from e
+    params: tuple[float, ...] = ()
+    bindings: tuple[ParameterBinding, ...] = ()
+    witness = None
+    try:
+        epsilon0 = float(doc["epsilon0"]) if "epsilon0" in doc else None
+        if "parameters" in doc:
+            p = doc["parameters"]
+            params = tuple(float(v) for v in p.get("values", []))
+            bindings = tuple(
+                ParameterBinding(int(b["factor"]), b["from"], b["to"], int(b["index"]))
+                for b in p.get("bindings", [])
+            )
+        if "loop_witness" in doc:
+            w = doc["loop_witness"]
+            witness = LoopWitness(int(w["factor"]), w["vertex"], int(w["power"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise InvalidConfig(f"malformed optional section: {e}") from e
+    try:
+        return WalkConfig(
+            factor1=f1,
+            factor2=f2,
+            alpha=alpha,
+            epsilon0=epsilon0,
+            parameters=params,
+            bindings=bindings,
+            loop_witness=witness,
+            name=doc.get("name", ""),
+        )
+    except ValueError as e:
+        raise InvalidConfig(str(e)) from e
 
 
 @dataclass

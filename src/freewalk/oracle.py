@@ -12,11 +12,11 @@ after each step.
 The last-exit (taboo at the source), first-visit (absorbing) and renewal
 (arrival-recording) series are masks on that one step.  The one operation
 on series is the Cauchy product :func:`series_combine`, which the identity
-``G(x, y) = G(x, x) L(x, y)`` of ``oracle-check`` needs; the series of a bare
-factor chain and series substitution, which only the identity suite uses,
-live in ``tests/reference_series.py``.  These series are the independent
-ground truth against which the linear-solve evaluations in
-:mod:`freewalk.genfun` and the Monte Carlo estimators are validated.
+``G(x, y) = G(x, x) L(x, y)`` of :func:`identity_suite` needs; the series
+of a bare factor chain and series substitution, which only the tests'
+identities use, live in ``tests/reference_series.py``.  These series are
+the independent ground truth against which the linear-solve evaluations
+in :mod:`freewalk.genfun` and the Monte Carlo estimators are validated.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ DEFAULT_ORDER_CAP = 14
 # 5- and 14-vertex factors, a word costs 190-340 bytes of peak memory, so the
 # budget holds an index below about 0.7 GB
 WORD_BUDGET = 1 << 21
+
+# the largest coefficient gap of an identity that float enumeration passes
+FLOAT_TOLERANCE = 1e-10
 
 Number = float | Fraction
 
@@ -447,22 +450,49 @@ def exact_renewal_increment_dist(
     return RenewalLaw(pair_probs=dict(zip(pairs, probs)))
 
 
-def check_word_budget(words: Sequence[Word], N: int, cfg: WalkConfig) -> None:
-    """Refuse, before any walk builds its index, an identity suite over
-    ``words`` at order ``N`` whose walks would pass ``WORD_BUDGET``.
+class IdentitySuite(NamedTuple):
+    """The identities :func:`identity_suite` checked, the label and gap of
+    each that failed, both xi series as one table and the renewal law."""
 
-    The suite is that of ``oracle-check``: the green and last-exit walk from
-    each word to all of them, both xi series and the renewal law.  Raises
-    :class:`OrderTooLarge`.
+    identities: int
+    failures: list[tuple[str, float]]
+    xi_rows: dict[str, np.ndarray]
+    law: RenewalLaw
+
+
+def identity_suite(N: int, cfg: WalkConfig, exact: bool) -> IdentitySuite:
+    """The suite of ``oracle-check`` at order ``N``.
+
+    Over the words o and every one-letter word, the green and last-exit
+    walks from each word to all of them check ``G(x, y) = G(x, x) L(x, y)``
+    coefficientwise: exactly in exact mode, within ``FLOAT_TOLERANCE`` in
+    float.  Both xi series and the renewal law are enumerated in float.
+    Every walk is planned before the first builds its index, so a suite
+    whose walks would pass ``WORD_BUDGET`` raises :class:`OrderTooLarge`
+    before any is built.
     """
     _check_order(N)
     kernel = compile_kernel(cfg)
+    words = [Word()] + [Word(((i, v),)) for i in (1, 2) for v in cfg.factor(i).nonroot]
     codes = [kernel.encode(w) for w in words]
     reach = _reach(kernel, codes)
     walks = [(_distance(kernel, x), reach) for x in codes]
     walks += [(0, _farthest_letter(kernel, 1)), (0, _farthest_letter(kernel, 2))]
     for d0, walk_reach in [*walks, (0, _two_letter_reach(kernel))]:
         _plan(kernel, d0, N, walk_reach)
+    tol = 0.0 if exact else FLOAT_TOLERANCE
+    failures = []
+    for i, x in enumerate(words):
+        green = enum_green_series(x, words, N, cfg, exact=exact)
+        last_exit = enum_L_series(x, words, N, cfg, exact=exact)
+        for y, gxy, lxy in zip(words, green, last_exit):
+            label, gap = f"G-L {x} {y}", max_coeff_gap(gxy, series_combine(green[i], lxy))
+            if gap > tol:
+                failures.append((label, float(gap)))
+    xi1, xi2 = (series_to_rows(enum_xi_series(i, N, cfg), f"xi_{i}") for i in (1, 2))
+    xi_rows = {k: np.concatenate([xi1[k], xi2[k]]) for k in xi1}
+    law = exact_renewal_increment_dist(N, cfg)
+    return IdentitySuite(len(words) ** 2, failures, xi_rows, law)
 
 
 def return_probability_proxy(

@@ -27,8 +27,8 @@ from freewalk.cli import (
     EXIT_STATISTICAL,
     EXIT_USAGE,
     EXIT_VALIDATION,
-    ParseError,
     RunManifest,
+    build_parser,
     config_from_json,
     emit_csv,
     emit_json,
@@ -37,7 +37,7 @@ from freewalk.cli import (
     parse_config,
 )
 from freewalk.core import InvalidConfig, compile_kernel
-from freewalk.estimators import run_clt_suite
+from freewalk.estimators import DEFAULT_MGF_BASE, run_clt_suite
 from freewalk.genfun import STATISTICS, build_context, clt_constants, renewal_increment_law
 from freewalk.instances import instance_k3_k3, instance_path_k3
 from freewalk.simulator import (
@@ -56,7 +56,7 @@ class TestParseConfig:
         assert parse_config("PathxK3") == instance_path_k3()
 
     def test_missing_file(self):
-        with pytest.raises(ParseError, match="no such file"):
+        with pytest.raises(InvalidConfig, match="no such file"):
             parse_config("does-not-exist.json")
 
     def test_round_trip(self, tmp_path):
@@ -84,11 +84,11 @@ class TestParseConfig:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ParseError, match="invalid JSON"):
+        with pytest.raises(InvalidConfig, match="invalid JSON"):
             parse_config(str(path))
 
     def test_missing_field(self):
-        with pytest.raises(ParseError, match="missing required field"):
+        with pytest.raises(InvalidConfig, match="missing required field"):
             config_from_json({"alpha": 0.5})
 
 
@@ -883,6 +883,47 @@ class TestMain:
         err = capsys.readouterr().err
         assert "validation error: " in err and "string" in err
         assert not out.exists()
+
+    # a list name or binding endpoint cannot be hashed into the kernel cache
+    # or into validation's table of bound entries
+    @pytest.mark.parametrize("field", ["name", "binding"])
+    @pytest.mark.parametrize("command", ["validate", "genfun"])
+    def test_non_string_name_or_binding_validation_exit(self, command, field, tmp_path, capsys):
+        doc = instance_k3_k3().to_json_dict()
+        if field == "name":
+            doc["name"] = [1]
+        else:
+            doc["parameters"]["bindings"][0]["from"] = ["a"]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error: " in err and "string" in err
+        assert not out.exists()
+
+    # a base at or below 1 tests no tail, and a base of 0 divides by zero; no KS
+    # distance lies outside [0, 1], so such a threshold fixes the verdict
+    @pytest.mark.parametrize(
+        "option, value, reason",
+        [
+            *(("--mgf-base", v, "must be a finite number above 1") for v in ("0", "-1", "1", "nan", "inf")),
+            *(("--ks-threshold", v, "must be a number in [0, 1]") for v in ("nan", "-1", "1.5", "inf")),
+        ],
+    )
+    def test_gate_options_outside_their_range_usage_exit(self, option, value, reason, tmp_path, capsys):
+        command = "diagnostics" if option == "--mgf-base" else "clt"
+        assert main([command, option, value, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"argument {option}: {reason}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_gate_options_at_the_ends_of_their_range(self):
+        parse = build_parser().parse_args
+        assert [parse(["clt", "--ks-threshold", v]).ks_threshold for v in ("0", "1")] == [0.0, 1.0]
+        assert parse(["diagnostics", "--mgf-base", "1.000001"]).mgf_base == 1.000001
+        # the string defaults pass through the types
+        assert parse(["clt"]).ks_threshold == 0.05
+        assert parse(["diagnostics"]).mgf_base == DEFAULT_MGF_BASE
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_witness_in_no_factor_validation_exit(self, command, tmp_path, capsys):

@@ -2,26 +2,32 @@
 
 The word algebra and the distances are the references of ``reference_walk``."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import instance_uneven, instance_wide
 from reference_walk import concat, graph_distance, in_cone
 
 from freewalk.core import (
     FactorSpec,
     IncompatibleLetters,
     InvalidConfig,
+    LoopWitness,
+    ParameterBinding,
     WalkConfig,
     Word,
     compile_kernel,
+    config_from_json,
     step_distribution,
     validate_config,
 )
-from freewalk.instances import instance_k3_k3
+from freewalk.instances import NAMED_INSTANCES, instance_k3_k3
 
 O = Word()
 A1 = Word(((1, "a"),))
@@ -282,3 +288,67 @@ class TestConfig:
 
     def test_alphas(self, instance_a):
         assert instance_a.alphas == (0.5, 0.5)
+
+
+vertex_names = st.text(alphabet="abo12", min_size=1, max_size=3)
+probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def factors(draw, factor_id):
+    vertices = tuple(draw(st.lists(vertex_names, min_size=2, max_size=4, unique=True)))
+    row = st.tuples(*[probabilities] * len(vertices))
+    transition = draw(st.tuples(*[row] * len(vertices)))
+    return FactorSpec(factor_id, vertices, draw(st.sampled_from(vertices)), transition)
+
+
+@st.composite
+def configs(draw):
+    """Every configuration the types accept, validated or not.  Bindings
+    come with parameters only: without parameters the document has no
+    section for them."""
+    parameters = tuple(draw(st.lists(probabilities, max_size=3)))
+    binding = st.builds(
+        ParameterBinding,
+        st.sampled_from((1, 2)),
+        vertex_names,
+        vertex_names,
+        st.integers(0, max(len(parameters) - 1, 0)),
+    )
+    witness = st.builds(LoopWitness, st.sampled_from((1, 2)), vertex_names, st.integers(1, 8))
+    return WalkConfig(
+        factor1=draw(factors(1)),
+        factor2=draw(factors(2)),
+        alpha=draw(probabilities),
+        epsilon0=draw(st.none() | probabilities),
+        parameters=parameters,
+        bindings=tuple(draw(st.lists(binding, max_size=3))) if parameters else (),
+        loop_witness=draw(st.none() | witness),
+        name=draw(st.text(max_size=8)),
+    )
+
+
+def _round_trip(cfg: WalkConfig) -> WalkConfig:
+    return config_from_json(json.loads(json.dumps(cfg.to_json_dict())))
+
+
+class TestConfigDocument:
+    """``config_from_json`` reads what ``WalkConfig.to_json_dict`` writes."""
+
+    @given(configs())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, cfg):
+        back = _round_trip(cfg)
+        assert back == cfg
+        assert back.digest() == cfg.digest()
+
+    @pytest.mark.parametrize("make", [instance_uneven, instance_wide], ids=["uneven", "wide"])
+    def test_instances_round_trip(self, make):
+        cfg = make()
+        assert _round_trip(cfg) == cfg
+        assert _round_trip(cfg).digest() == cfg.digest()
+
+    @pytest.mark.parametrize("name", sorted(NAMED_INSTANCES))
+    def test_shipped_files_are_the_named_instances(self, name):
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name.lower()}.json"
+        assert config_from_json(json.loads(path.read_text())) == NAMED_INSTANCES[name]()

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the package and the tests is used,
 every module-level constant of the package is read somewhere, every
 function of the package runs under some command, summaries have one
-serializer, and the package starts no thread and reads no environment."""
+serializer, one module holds the config document's keys, and the package
+starts no thread and reads no environment."""
 
 import ast
 import ctypes
@@ -234,6 +235,36 @@ def test_the_caller_check_sees_method_calls_only():
         "function.py": "letter_dl(1, 'a')\n",
     }
     assert _method_callers(sources, "letter_dl") == {"call.py"}
+
+
+# the keys of the config document; core.py reads and writes it, and every
+# other module goes through WalkConfig
+CONFIG_KEYS = {"factor1", "factor2", "vertices", "transition", "epsilon0", "bindings", "loop_witness"}
+
+
+def _key_holders(sources: dict[str, str], keys: set[str]) -> set[str]:
+    """The names of the sources that hold one of ``keys`` as a string constant."""
+    return {
+        name
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys
+    }
+
+
+def test_one_module_holds_the_config_keys():
+    sources = {p.name: p.read_text() for p in ROOT.glob("src/freewalk/*.py")}
+    assert _key_holders(sources, CONFIG_KEYS) == {"core.py"}
+
+
+def test_the_key_check_sees_string_constants_only():
+    sources = {
+        "read.py": 'v = doc["vertices"]\n',
+        "attribute.py": "v = cfg.vertices\n",
+        "formatted.py": 'tag = f"factor{i}"\n',
+        "comment.py": '# doc["vertices"]\nx = "vertices_of"\n',
+    }
+    assert _key_holders(sources, CONFIG_KEYS) == {"read.py"}
 
 
 def _calls_of(source: str, dotted: str) -> int:
